@@ -115,9 +115,14 @@ pgo:
 	mv pgo.cpu.out default.pgo
 	rm -f repro.test bagsched.test
 
-# fuzz runs the native fuzz target for a short burst.
+# fuzz runs each native fuzz target for a short burst (go test -fuzz
+# takes one target per run): the solver's numeric boundary, the
+# canonical-instance decoder against its encoding/json reference, and
+# /v1/solve bodies through decode and the coalescing key.
 fuzz:
-	$(GO) test -fuzz FuzzSolveEPTAS -fuzztime 30s .
+	$(GO) test -run '^$$' -fuzz FuzzSolveEPTAS -fuzztime 30s .
+	$(GO) test -run '^$$' -fuzz FuzzInstanceJSON -fuzztime 30s ./internal/sched
+	$(GO) test -run '^$$' -fuzz FuzzSolveRequest -fuzztime 30s ./internal/server
 
 # cover is the CI coverage leg: the race-mode test run with an atomic
 # coverage profile, failing when total statement coverage drops below

@@ -704,7 +704,20 @@ func BenchmarkCodecSnapshotImport(b *testing.B) {
 }
 
 func BenchmarkCodecWireDecodeSolveRequest(b *testing.B) {
-	f, err := os.Open("testdata/adversarial_m8_n24.json")
+	benchWireDecode(b, "testdata/adversarial_m8_n24.json", "bags")
+}
+
+// BenchmarkCodecWireDecodeSolveRequestLarge decodes a body the size of
+// the largest warm-serving requests (m=192, n=288 related machines),
+// where the instance decode, not the request envelope, dominates.
+func BenchmarkCodecWireDecodeSolveRequestLarge(b *testing.B) {
+	benchWireDecode(b, "testdata/large_related_m192_n288.json", "related")
+}
+
+// benchWireDecode measures the strict wire decode of a /v1/solve body
+// carrying the instance at path.
+func benchWireDecode(b *testing.B, path, family string) {
+	f, err := os.Open(path)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -713,7 +726,7 @@ func BenchmarkCodecWireDecodeSolveRequest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	body, err := json.Marshal(wire.SolveRequest{Instance: in, SolveSpec: wire.SolveSpec{Eps: 0.5, Family: "bags"}})
+	body, err := json.Marshal(wire.SolveRequest{Instance: in, SolveSpec: wire.SolveSpec{Eps: 0.5, Family: family}})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -137,8 +137,32 @@ type Result struct {
 func (r Result) key() string { return fmt.Sprintf("%s-%d", r.Name, r.CPU) }
 
 // benchLine matches "BenchmarkName-8  10  123456 ns/op  78 B/op  9 allocs/op"
-// (the -8 GOMAXPROCS suffix and the allocation columns are optional).
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op)?(?:\s+([\d.]+) allocs/op)?`)
+// (the -8 GOMAXPROCS suffix and the allocation columns are optional). A
+// benchmark that calls b.SetBytes prints an MB/s column between ns/op
+// and B/op, which is skipped.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([\d.]+) ns/op(?:\s+[\d.]+ MB/s)?(?:\s+([\d.]+) B/op)?(?:\s+([\d.]+) allocs/op)?`)
+
+// parseBenchLine parses one line of go test -bench output; ok is false
+// for lines that are not benchmark results.
+func parseBenchLine(line string) (r Result, ok bool) {
+	m := benchLine.FindStringSubmatch(line)
+	if m == nil {
+		return Result{}, false
+	}
+	r.Name = m[1]
+	r.Iters, _ = strconv.Atoi(m[3])
+	r.NsPerOp, _ = strconv.ParseFloat(m[4], 64)
+	if m[2] != "" {
+		r.CPU, _ = strconv.Atoi(m[2])
+	}
+	if m[5] != "" {
+		r.BPerOp, _ = strconv.ParseFloat(m[5], 64)
+	}
+	if m[6] != "" {
+		r.AllocsOp, _ = strconv.ParseFloat(m[6], 64)
+	}
+	return r, true
+}
 
 func main() {
 	bench := flag.String("bench", defaultBench, "benchmark regexp passed to go test -bench")
@@ -200,21 +224,9 @@ func runBench(bench, benchtime string, count int, cpus string) ([]Result, error)
 	for sc.Scan() {
 		line := sc.Text()
 		fmt.Println(line)
-		m := benchLine.FindStringSubmatch(line)
-		if m == nil {
+		r, ok := parseBenchLine(line)
+		if !ok {
 			continue
-		}
-		iters, _ := strconv.Atoi(m[3])
-		ns, _ := strconv.ParseFloat(m[4], 64)
-		r := Result{Name: m[1], Iters: iters, NsPerOp: ns}
-		if m[2] != "" {
-			r.CPU, _ = strconv.Atoi(m[2])
-		}
-		if m[5] != "" {
-			r.BPerOp, _ = strconv.ParseFloat(m[5], 64)
-		}
-		if m[6] != "" {
-			r.AllocsOp, _ = strconv.ParseFloat(m[6], 64)
 		}
 		prev, seen := best[r.key()]
 		if !seen {

@@ -558,7 +558,8 @@ func speculative(opt Options) bool {
 
 // absorb accumulates the per-guess statistics of one accepted pipeline:
 // node counts add up, the remaining fields describe the last accepted
-// guess.
+// guess. It reads only the serving projection (see pipeline.Result), so
+// fresh runs, memo hits and snapshot-decoded entries absorb alike.
 func (s *Stats) absorb(pr *PipelineResult) {
 	s.MILPNodes += pr.MILPNodes
 	s.DPStates += pr.OracleStats.States
@@ -574,33 +575,13 @@ func (s *Stats) absorb(pr *PipelineResult) {
 	}
 	s.OracleSteals += pr.OracleStats.Steals
 	s.OracleSpecUsed += pr.OracleStats.SpecUsed
-	if pr.Space != nil {
-		s.Patterns = len(pr.Space.Patterns)
-	} else if pr.RelSpace != nil {
-		s.Patterns = pr.RelSpace.TotalPatterns()
+	if pr.Parts&(pipeline.PartSpace|pipeline.PartRelSpace) != 0 {
+		s.Patterns = pr.Patterns
 	}
 	s.IntegerVars = pr.IntegerVars
-	if pr.Info != nil {
-		s.K, s.Q, s.BPrime = pr.Info.K, pr.Info.Q, pr.Info.BPrime
-		prio := pr.Info.Priority
-		if pr.Transformed != nil {
-			prio = pr.Transformed.Priority
-		}
-		s.PriorityBags = countTrue(prio)
-	} else if pr.RelInfo != nil {
-		s.K = len(pr.RelInfo.Sizes)
-		s.Q, s.BPrime, s.PriorityBags = 0, 0, 0
+	if pr.Parts&(pipeline.PartInfo|pipeline.PartRelInfo) != 0 {
+		s.K, s.Q, s.BPrime, s.PriorityBags = pr.K, pr.Q, pr.BPrime, pr.PriorityBags
 	}
 	s.Place = pr.PlaceStats
 	s.Lift = pr.LiftStats
-}
-
-func countTrue(bs []bool) int {
-	n := 0
-	for _, b := range bs {
-		if b {
-			n++
-		}
-	}
-	return n
 }

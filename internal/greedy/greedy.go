@@ -8,8 +8,9 @@
 package greedy
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/sched"
 )
@@ -21,14 +22,28 @@ type Item struct {
 	Size float64
 }
 
-// sortItemsDesc orders items by decreasing size, ties by increasing key.
-func sortItemsDesc(items []Item) {
-	sort.SliceStable(items, func(a, b int) bool {
-		if items[a].Size != items[b].Size {
-			return items[a].Size > items[b].Size
+// byDecreasingSize orders positions into items by decreasing size, ties
+// by increasing key, then by position — a total order, so the unstable
+// sort yields what a stable sort by (size, key) would.
+func byDecreasingSize(items []Item) func(a, b int) int {
+	return func(a, b int) int {
+		if c := cmp.Compare(items[b].Size, items[a].Size); c != 0 {
+			return c
 		}
-		return items[a].Key < items[b].Key
-	})
+		if c := cmp.Compare(items[a].Key, items[b].Key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	}
+}
+
+// identity resets perm to 0, 1, ..., n-1, reusing its storage.
+func identity(perm []int, n int) []int {
+	perm = perm[:0]
+	for i := 0; i < n; i++ {
+		perm = append(perm, i)
+	}
+	return perm
 }
 
 // AssignBagLPT runs the paper's bag-LPT on a group of machines: for each
@@ -45,49 +60,38 @@ func sortItemsDesc(items []Item) {
 func AssignBagLPT(loads []float64, bags [][]Item) ([][]int, error) {
 	m := len(loads)
 	result := make([][]int, len(bags))
+	items := 0
+	for _, bag := range bags {
+		items += len(bag)
+	}
+	flat := make([]int, items)
 	order := make([]int, m)
+	var perm []int
 	for b, bag := range bags {
 		if len(bag) > m {
 			return nil, fmt.Errorf("greedy: bag %d has %d items for %d machines", b, len(bag), m)
 		}
-		items := make([]Item, len(bag))
-		copy(items, bag)
-		sortItemsDesc(items)
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			if loads[order[a]] != loads[order[b]] {
-				return loads[order[a]] < loads[order[b]]
+		perm = identity(perm, len(bag))
+		slices.SortFunc(perm, byDecreasingSize(bag))
+		order = identity(order, m)
+		slices.SortFunc(order, func(a, b int) int {
+			if c := cmp.Compare(loads[a], loads[b]); c != 0 {
+				return c
 			}
-			return order[a] < order[b]
+			return cmp.Compare(a, b)
 		})
-		asg := make([]int, len(bag))
-		// items is the sorted view; map back to the original positions.
-		pos := sortedPositions(bag, items)
-		for j, it := range items {
+		// perm lists bag positions largest item first; the j-th of them
+		// goes to the j-th least-loaded machine.
+		asg := flat[:len(bag):len(bag)]
+		flat = flat[len(bag):]
+		for j, p := range perm {
 			mach := order[j]
-			loads[mach] += it.Size
-			asg[pos[j]] = mach
+			loads[mach] += bag[p].Size
+			asg[p] = mach
 		}
 		result[b] = asg
 	}
 	return result, nil
-}
-
-// sortedPositions returns, for each element of sorted, the index of the
-// corresponding element in orig. Duplicate (Size, Key) pairs cannot occur
-// for distinct jobs because keys are unique within a bag.
-func sortedPositions(orig, sorted []Item) []int {
-	byKey := make(map[int]int, len(orig))
-	for i, it := range orig {
-		byKey[it.Key] = i
-	}
-	pos := make([]int, len(sorted))
-	for j, it := range sorted {
-		pos[j] = byKey[it.Key]
-	}
-	return pos
 }
 
 // Group is a set of machines treated as one bucket by group-bag-LPT.
@@ -120,36 +124,33 @@ func AssignGroupBagLPT(groups []*Group, bags [][]Item) ([][]int, error) {
 		totalMachines += len(g.Machines)
 	}
 	result := make([][]int, len(bags))
+	order := make([]int, len(groups))
+	var perm []int
 	for b, bag := range bags {
 		if len(bag) > totalMachines {
 			return nil, fmt.Errorf("greedy: bag %d has %d items for %d machines total", b, len(bag), totalMachines)
 		}
-		items := make([]Item, len(bag))
-		copy(items, bag)
-		sortItemsDesc(items)
-		order := make([]int, len(groups))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(x, y int) bool {
-			ax, ay := groups[order[x]].avg(), groups[order[y]].avg()
-			if ax != ay {
-				return ax < ay
+		perm = identity(perm, len(bag))
+		slices.SortFunc(perm, byDecreasingSize(bag))
+		order = identity(order, len(groups))
+		slices.SortFunc(order, func(x, y int) int {
+			if c := cmp.Compare(groups[x].avg(), groups[y].avg()); c != 0 {
+				return c
 			}
-			return order[x] < order[y]
+			return cmp.Compare(x, y)
 		})
 		asg := make([]int, len(bag))
-		pos := sortedPositions(bag, items)
 		next := 0
 		for _, gi := range order {
 			g := groups[gi]
 			take := len(g.Machines)
-			for t := 0; t < take && next < len(items); t++ {
-				g.Area += items[next].Size
-				asg[pos[next]] = gi
+			for t := 0; t < take && next < len(perm); t++ {
+				p := perm[next]
+				g.Area += bag[p].Size
+				asg[p] = gi
 				next++
 			}
-			if next == len(items) {
+			if next == len(perm) {
 				break
 			}
 		}
@@ -197,28 +198,38 @@ func BagLPT(in *sched.Instance) (*sched.Schedule, error) {
 	if err := in.Feasible(); err != nil {
 		return nil, err
 	}
-	byBag := in.JobsByBag()
+	// Group the jobs by bag in one array, each bag's jobs in input
+	// order: bag b's items are items[start[b]:start[b+1]].
+	start := make([]int, in.NumBags+1)
+	for _, j := range in.Jobs {
+		start[j.Bag+1]++
+	}
+	for b := 1; b <= in.NumBags; b++ {
+		start[b] += start[b-1]
+	}
+	items := make([]Item, len(in.Jobs))
+	fill := append([]int(nil), start[:in.NumBags]...)
+	for ji, j := range in.Jobs {
+		items[fill[j.Bag]] = Item{Key: ji, Size: j.Size}
+		fill[j.Bag]++
+	}
 	bagOrder := make([]int, in.NumBags)
 	areas := make([]float64, in.NumBags)
 	for b := range bagOrder {
 		bagOrder[b] = b
-		for _, ji := range byBag[b] {
-			areas[b] += in.Jobs[ji].Size
+		for _, it := range items[start[b]:start[b+1]] {
+			areas[b] += it.Size
 		}
 	}
-	sort.SliceStable(bagOrder, func(a, b int) bool {
-		if areas[bagOrder[a]] != areas[bagOrder[b]] {
-			return areas[bagOrder[a]] > areas[bagOrder[b]]
+	slices.SortFunc(bagOrder, func(a, b int) int {
+		if c := cmp.Compare(areas[b], areas[a]); c != 0 {
+			return c
 		}
-		return bagOrder[a] < bagOrder[b]
+		return cmp.Compare(a, b)
 	})
-	bags := make([][]Item, 0, in.NumBags)
-	for _, b := range bagOrder {
-		items := make([]Item, 0, len(byBag[b]))
-		for _, ji := range byBag[b] {
-			items = append(items, Item{Key: ji, Size: in.Jobs[ji].Size})
-		}
-		bags = append(bags, items)
+	bags := make([][]Item, len(bagOrder))
+	for i, b := range bagOrder {
+		bags[i] = items[start[b]:start[b+1]]
 	}
 	loads := make([]float64, in.Machines)
 	asg, err := AssignBagLPT(loads, bags)

@@ -22,6 +22,12 @@ import (
 // Result exposes every intermediate artifact of one makespan guess; the
 // experiment suite and tests use it to measure per-lemma quantities
 // (pattern counts, placement heights, repair work).
+//
+// A result served from the memo carries only its serving projection
+// (see serving): the counters and Final's machine assignment. Its
+// artifact pointers (Scaled, Info, RelInfo, RelSpace, Transformed,
+// Space, Placed) are nil; the run that produced the entry returned
+// them to its own caller only.
 type Result struct {
 	// Guess is the makespan guess the pipeline ran with.
 	Guess float64
@@ -65,9 +71,38 @@ type Result struct {
 	PlaceStats placer.Stats
 	// LiftStats reports lift work (zero value in AllPriority mode).
 	LiftStats transform.LiftStats
+	// Parts records which artifacts the run produced, and so which of
+	// the scalars below describe it.
+	Parts Parts
+	// K, Q and BPrime are the classification constants of Info, and
+	// PriorityBags counts its priority bags — over the transformed
+	// vector when the transformation ran. A related run sets only K,
+	// its number of large sizes (RelInfo.Sizes).
+	K, Q, BPrime, PriorityBags int
+	// Patterns is the size of the enumerated space: Space's pattern
+	// count, or RelSpace's total over all speed classes.
+	Patterns int
 	// Final is the feasible schedule of the original instance.
 	Final *sched.Schedule
 }
+
+// Parts is a set of pipeline artifacts. The snapshot codec ships it as
+// its shape byte, so its bits must not change.
+type Parts uint8
+
+const (
+	// PartInfo: the bags-shaped classification ran (K, Q, BPrime,
+	// PriorityBags are set).
+	PartInfo Parts = 1 << iota
+	// PartSpace: the bags-shaped pattern space was enumerated
+	// (Patterns is set).
+	PartSpace
+	// PartRelInfo: the related classification ran (K is set).
+	PartRelInfo
+	// PartRelSpace: the related configuration space was enumerated
+	// (Patterns is set).
+	PartRelSpace
+)
 
 // Metrics aggregates engine-level work counters over all pipeline
 // executions of one solve, including rejected guesses and abandoned
@@ -102,8 +137,9 @@ type Metrics struct {
 // solve-constant Config knobs and the instance's bag vector (job order
 // and bags are fixed within one solve, but a shared cache sees many).
 // All stages from Classify on are deterministic functions of that
-// combined key, so a key's accept/reject outcome, pattern space, oracle
-// plan and final machine assignment are all reusable verbatim; only the
+// combined key, so a key's accept/reject outcome, its statistics and
+// its final machine assignment are all reusable verbatim — the memo
+// keeps exactly that serving projection (Result.serving); only the
 // guess scalar (and, across requests, the original-instance binding of
 // the final schedule) differs — see Result.cloneFor. Concurrent
 // evaluations of equal-key guesses are deduplicated in flight by the
@@ -217,6 +253,7 @@ func (e *Engine) Run(ctx context.Context, in *sched.Instance, guess float64) (*R
 	}
 
 	key := memo.Key{Sig: memo.Sig(sig), Aux: e.auxFor(in)}
+	var fresh *Result
 	v, hit, err := e.cache.Do(ctx, key, func() (any, int64, error) {
 		e.mu.Lock()
 		e.metrics.CacheMisses++
@@ -227,15 +264,18 @@ func (e *Engine) Run(ctx context.Context, in *sched.Instance, guess float64) (*R
 			return nil, rejectionCost, err
 		}
 		res.Signature = sig
-		return res, resultCost(res), nil
+		fresh = res
+		entry := res.serving()
+		return entry, resultCost(entry), nil
 	})
 	if !hit {
-		// This call claimed the key: v/err are this engine's own fresh
-		// run (or this caller's ctx error from waiting), returned as-is.
+		// This call claimed the key: fresh is this engine's own run with
+		// every artifact, or err is its rejection (or this caller's ctx
+		// error from waiting).
 		if err != nil {
 			return nil, err
 		}
-		return v.(*Result), nil
+		return fresh, nil
 	}
 	e.mu.Lock()
 	e.metrics.CacheHits++
@@ -352,7 +392,7 @@ func (e *Engine) runStage(ctx context.Context, s Stage, st *State) error {
 
 // result snapshots the state of a successful run.
 func (st *State) result(attempts int) *Result {
-	return &Result{
+	r := &Result{
 		Guess:       st.Guess,
 		Attempts:    attempts,
 		Scaled:      st.Scaled,
@@ -369,20 +409,78 @@ func (st *State) result(attempts int) *Result {
 		LiftStats:   st.LiftStats,
 		Final:       st.Final,
 	}
+	r.summarize()
+	return r
 }
 
-// cloneFor adapts a memoized result to a new guess with the same memo
-// key, evaluated on instance in. Read-only artifacts (Info, Space,
-// Placed, the transformation) are shared; the final schedule's machine
-// slice is copied so callers of different guesses never alias mutable
-// state, and its instance is rebound to in — under a shared cache the
-// entry may have been produced by a different request whose instance
-// merely scale-rounds to the same signature, and the machine assignment
-// (a pure function of the memo key) is exactly as valid for in, while
-// makespans must be computed from in's own sizes. MILPNodes and
-// OracleStats are kept as-is on purpose: the uncached path would re-run
-// the identical deterministic oracle solve and count the same work, so
-// aggregated statistics match the unmemoized search exactly.
+// summarize sets Parts and the scalar counters from the artifacts.
+func (r *Result) summarize() {
+	if r.Info != nil {
+		r.Parts |= PartInfo
+		r.K, r.Q, r.BPrime = r.Info.K, r.Info.Q, r.Info.BPrime
+		prio := r.Info.Priority
+		if r.Transformed != nil {
+			prio = r.Transformed.Priority
+		}
+		r.PriorityBags = 0
+		for _, p := range prio {
+			if p {
+				r.PriorityBags++
+			}
+		}
+	}
+	if r.Space != nil {
+		r.Parts |= PartSpace
+		r.Patterns = len(r.Space.Patterns)
+	}
+	if r.RelInfo != nil {
+		r.Parts |= PartRelInfo
+		r.K = len(r.RelInfo.Sizes)
+	}
+	if r.RelSpace != nil {
+		r.Parts |= PartRelSpace
+		r.Patterns = r.RelSpace.TotalPatterns()
+	}
+}
+
+// serving returns the serving projection of r — what a memo entry
+// keeps: the counters and a copy of the final machine assignment,
+// bound to no instance (a hit rebinds it, see cloneFor).
+func (r *Result) serving() *Result {
+	e := &Result{
+		Guess:        r.Guess,
+		Signature:    r.Signature,
+		Attempts:     r.Attempts,
+		IntegerVars:  r.IntegerVars,
+		MILPNodes:    r.MILPNodes,
+		OracleStats:  r.OracleStats,
+		PlaceStats:   r.PlaceStats,
+		LiftStats:    r.LiftStats,
+		Parts:        r.Parts,
+		K:            r.K,
+		Q:            r.Q,
+		BPrime:       r.BPrime,
+		PriorityBags: r.PriorityBags,
+		Patterns:     r.Patterns,
+	}
+	if r.Final != nil {
+		e.Final = &sched.Schedule{Machine: append([]int(nil), r.Final.Machine...)}
+	}
+	return e
+}
+
+// cloneFor adapts a memo entry (a serving projection) to a new guess
+// with the same memo key, evaluated on instance in. The final
+// schedule's machine slice is copied so callers of different guesses
+// never alias mutable state, and its instance is bound to in — under a
+// shared cache the entry may have been produced by a different request
+// whose instance merely scale-rounds to the same signature, and the
+// machine assignment (a pure function of the memo key) is exactly as
+// valid for in, while makespans must be computed from in's own sizes.
+// MILPNodes and OracleStats are kept as-is on purpose: the uncached
+// path would re-run the identical deterministic oracle solve and count
+// the same work, so aggregated statistics match the unmemoized search
+// exactly.
 func (r *Result) cloneFor(guess float64, in *sched.Instance) *Result {
 	c := *r
 	c.Guess = guess
@@ -400,61 +498,23 @@ func (r *Result) cloneFor(guess float64, in *sched.Instance) *Result {
 // entry: a map slot, an entry struct and an error chain.
 const rejectionCost = 256
 
-// resultCost estimates the retention footprint of a committed pipeline
-// result in bytes, for the shared cache's cost accounting. It walks the
-// dominant slices (jobs, patterns, machine assignments) and charges a
-// flat overhead for the fixed-size structs; it is an estimate, not an
-// exact measurement — the cache budget is a sizing knob, not a hard
-// memory limit.
+// entryOverhead is the retention cost charged for a committed positive
+// entry besides its assignment: the Result and Schedule structs, the
+// cache's entry struct and its map slot.
+const entryOverhead = 640
+
+// resultCost is the retention footprint in bytes, for the shared
+// cache's cost accounting, of a memo entry: a serving projection (see
+// Result.serving), which holds nothing but its fixed-size fields and
+// the final machine assignment. It is an estimate, not an exact
+// measurement — the cache budget is a sizing knob, not a hard memory
+// limit.
 func resultCost(r *Result) int64 {
-	const word = 8
-	c := int64(1024)
-	c += instCost(r.Scaled)
-	if r.Info != nil {
-		c += 512 + int64(len(r.Info.Sizes))*3*word
-	}
-	if r.Transformed != nil {
-		c += instCost(r.Transformed.Inst)
-		// OrigJob, FillerBag, FillerFor, OrigBagOf plus the per-bag
-		// slices, all O(jobs + bags) ints.
-		c += 6 * int64(len(r.Transformed.Inst.Jobs)+r.Transformed.Inst.NumBags) * word
-	}
-	if r.Space != nil {
-		c += int64(len(r.Space.Sizes))*2*word + int64(len(r.Space.XSizes))*word
-		for i := range r.Space.Patterns {
-			p := &r.Space.Patterns[i]
-			c += 6*word + int64(len(p.Prio))*2*word + int64(len(p.XCount))*word
-		}
-	}
-	if r.RelInfo != nil {
-		c += 512 + int64(len(r.RelInfo.Speeds)+len(r.RelInfo.Sizes))*4*word + int64(len(r.RelInfo.JobSize))*3*word
-	}
-	if r.RelSpace != nil {
-		for _, ps := range r.RelSpace.Classes {
-			for i := range ps {
-				c += 4*word + int64(len(ps[i].Count))*word
-			}
-		}
-	}
-	if r.Placed != nil {
-		c += 64 + int64(len(r.Placed.Machine))*word
-	}
+	c := int64(entryOverhead)
 	if r.Final != nil {
-		// The final schedule pins the producing request's original
-		// instance (hits rebind to their own, but the cached entry keeps
-		// the producer's alive), so charge for it too.
-		c += 64 + int64(len(r.Final.Machine))*word + instCost(r.Final.Inst)
+		c += int64(len(r.Final.Machine)) * 8
 	}
 	return c
-}
-
-// instCost estimates the footprint of an instance (jobs are three words
-// each).
-func instCost(in *sched.Instance) int64 {
-	if in == nil {
-		return 0
-	}
-	return 64 + int64(len(in.Jobs))*3*8
 }
 
 // hashMix folds x into h with the SplitMix64 permutation; used to build

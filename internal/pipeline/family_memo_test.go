@@ -64,9 +64,9 @@ func TestFamilyMemoNoFalseSharing(t *testing.T) {
 		}
 	}
 
-	// The shapes must also have produced family-appropriate artifacts:
-	// a related entry carries RelSpace, a bags entry carries Space — a
-	// cross-served entry would have the wrong one.
+	// The shapes must also have produced family-appropriate entries: a
+	// related entry records the related parts, a bags entry the bags
+	// parts — a cross-served entry would have the wrong ones.
 	rel := New(cfg(family.Related))
 	rres, err := rel.Run(ctx, in, guess)
 	if err != nil {
@@ -75,7 +75,7 @@ func TestFamilyMemoNoFalseSharing(t *testing.T) {
 	if !rres.CacheHit {
 		t.Error("second related engine missed the shared cache")
 	}
-	if rres.RelSpace == nil || rres.Space != nil {
-		t.Error("related result carries bags-shaped artifacts")
+	if rres.Parts != PartRelInfo|PartRelSpace {
+		t.Errorf("related result has parts %b, want the related classification and space", rres.Parts)
 	}
 }

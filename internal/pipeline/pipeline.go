@@ -12,9 +12,8 @@
 // makespan guesses into rounding equivalence classes — two guesses whose
 // scaled-rounded instances have the same per-job exponents are the *same*
 // instance from the Classify stage onward, so the second guess can reuse
-// the committed accept/reject outcome (including the pattern space, the
-// MILP assignment and the final machine assignment) without re-running
-// anything. This is result-transparent: the decision and the produced
+// the committed accept/reject outcome (its statistics and final machine
+// assignment) without re-running anything. This is result-transparent: the decision and the produced
 // schedule are deterministic functions of the signature.
 package pipeline
 

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -66,8 +67,17 @@ func TestEngineMemoHit(t *testing.T) {
 	if !second.CacheHit {
 		t.Fatal("identical guess missed the memo")
 	}
-	if second.Space != first.Space {
-		t.Error("cache hit did not reuse the pattern space")
+	// The memo keeps only the serving projection: a hit must report
+	// exactly what the producing run reports through it, and carry none
+	// of the producer's artifacts.
+	if got, want := second.serving(), first.serving(); !reflect.DeepEqual(got, want) {
+		t.Errorf("cache hit's serving projection %+v differs from the producer's %+v", got, want)
+	}
+	if first.Space == nil || first.Parts != PartInfo|PartSpace || first.Patterns != len(first.Space.Patterns) {
+		t.Errorf("fresh run: parts %b, %d patterns, space %v", first.Parts, first.Patterns, first.Space != nil)
+	}
+	if second.Space != nil || second.Info != nil || second.Scaled != nil || second.Placed != nil || second.Transformed != nil {
+		t.Error("cache hit carries pipeline artifacts the memo should not keep")
 	}
 	if second.Guess != guess {
 		t.Errorf("cached result has guess %g, want %g", second.Guess, guess)

@@ -5,20 +5,20 @@ package pipeline
 // replica's warm cache and ship it between replicas.
 //
 // What is serialized is the *serving projection* of a Result — exactly
-// the fields a cache hit feeds back into a solve: the final machine
-// assignment (exact integers, rebindable to any signature-equivalent
-// instance via Result.cloneFor) plus every counter the solver
-// statistics absorb (oracle work, classification constants, placement
-// and lift repairs, pattern-space sizes). Heavyweight intermediate
-// artifacts (the scaled instance, the enumerated pattern space's
-// contents, the transformation) are not shipped: a decoded Result
-// serves warm requests bit-identically — the snapshot differential
-// test at the repository root proves it corpus-wide — but is not a
-// substitute for a fresh RunPipeline when a caller wants to inspect
-// intermediates. Everything on the wire is integral (counts, exact
-// fixed-point-derived assignments) except the backend name; no floats
-// are serialized, so the payload is platform-independent by
-// construction.
+// what a memo entry holds (see Result.serving) and a cache hit feeds
+// back into a solve: the final machine assignment (exact integers,
+// rebindable to any signature-equivalent instance via Result.cloneFor)
+// plus every counter the solver statistics absorb (oracle work,
+// classification constants, placement and lift repairs, pattern-space
+// sizes). Intermediate artifacts (the scaled instance, the enumerated
+// pattern space, the transformation) are in no memo entry and so not
+// in a snapshot: a decoded Result serves warm requests bit-identically
+// — the snapshot differential test at the repository root proves it
+// corpus-wide — but is not a substitute for a fresh RunPipeline when a
+// caller wants to inspect intermediates. Everything on the wire is
+// integral (counts, exact fixed-point-derived assignments) except the
+// backend name; no floats are serialized, so the payload is
+// platform-independent by construction.
 //
 // The payload's first byte is its codec version; DecodeResult rejects
 // unknown versions, which the memo importer treats as a per-entry skip
@@ -31,8 +31,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/classify"
-	"repro/internal/pattern"
 	"repro/internal/sched"
 )
 
@@ -48,14 +46,9 @@ const (
 // ErrSnapshotCodec reports a payload DecodeResult cannot interpret.
 var ErrSnapshotCodec = errors.New("pipeline: bad result snapshot payload")
 
-// presence bits of the shape byte.
-const (
-	hasInfo = 1 << iota
-	hasSpace
-	hasRelInfo
-	hasRelSpace
-	hasFinal
-)
+// hasFinal is the shape-byte bit above Parts that marks a final
+// assignment.
+const hasFinal = 1 << 4
 
 // EncodeResult serializes the serving projection of r.
 func EncodeResult(r *Result) []byte {
@@ -87,49 +80,25 @@ func EncodeResult(r *Result) []byte {
 		buf = putUvarint(buf, uint64(v))
 	}
 
-	var shape byte
-	if r.Info != nil {
-		shape |= hasInfo
-	}
-	if r.Space != nil {
-		shape |= hasSpace
-	}
-	if r.RelInfo != nil {
-		shape |= hasRelInfo
-	}
-	if r.RelSpace != nil {
-		shape |= hasRelSpace
-	}
+	shape := byte(r.Parts)
 	if r.Final != nil {
 		shape |= hasFinal
 	}
 	buf = append(buf, shape)
-	if r.Info != nil {
-		buf = putUvarint(buf, uint64(r.Info.K))
-		buf = putUvarint(buf, uint64(r.Info.Q))
-		buf = putUvarint(buf, uint64(r.Info.BPrime))
-		// The statistics count priority bags over the transformed vector
-		// when a transformation ran; snapshot the effective count.
-		prio := r.Info.Priority
-		if r.Transformed != nil {
-			prio = r.Transformed.Priority
-		}
-		n := 0
-		for _, b := range prio {
-			if b {
-				n++
-			}
-		}
-		buf = putUvarint(buf, uint64(n))
+	if r.Parts&PartInfo != 0 {
+		buf = putUvarint(buf, uint64(r.K))
+		buf = putUvarint(buf, uint64(r.Q))
+		buf = putUvarint(buf, uint64(r.BPrime))
+		buf = putUvarint(buf, uint64(r.PriorityBags))
 	}
-	if r.Space != nil {
-		buf = putUvarint(buf, uint64(len(r.Space.Patterns)))
+	if r.Parts&PartSpace != 0 {
+		buf = putUvarint(buf, uint64(r.Patterns))
 	}
-	if r.RelInfo != nil {
-		buf = putUvarint(buf, uint64(len(r.RelInfo.Sizes)))
+	if r.Parts&PartRelInfo != 0 {
+		buf = putUvarint(buf, uint64(r.K))
 	}
-	if r.RelSpace != nil {
-		buf = putUvarint(buf, uint64(r.RelSpace.TotalPatterns()))
+	if r.Parts&PartRelSpace != 0 {
+		buf = putUvarint(buf, uint64(r.Patterns))
 	}
 	if r.Final != nil {
 		buf = putUvarint(buf, uint64(len(r.Final.Machine)))
@@ -141,10 +110,9 @@ func EncodeResult(r *Result) []byte {
 }
 
 // DecodeResult reconstructs the serving projection encoded by
-// EncodeResult. The returned Result serves memo hits bit-identically to
-// the original (final assignment, all absorbed statistics); stand-in
-// artifacts carry only the quantities the statistics read (pattern
-// counts, classification constants), not the full intermediate state.
+// EncodeResult: the same kind of Result a memo entry holds, serving
+// memo hits bit-identically to the original (final assignment, all
+// absorbed statistics).
 func DecodeResult(payload []byte) (*Result, error) {
 	d := &decoder{buf: payload}
 	if v := d.byte(); v != resultCodecVersion {
@@ -178,43 +146,31 @@ func DecodeResult(payload []byte) (*Result, error) {
 	r.LiftStats.FillerSwaps = int(d.uvarint())
 	r.LiftStats.FallbackMoves = int(d.uvarint())
 
+	// A count beyond the sanity bounds marks a corrupt payload; the
+	// importer skips the entry.
+	count := func(what string, limit uint64) int {
+		n := d.uvarint()
+		if n > limit {
+			d.fail("implausible %s %d", what, n)
+		}
+		return int(n)
+	}
 	shape := d.byte()
-	if shape&hasInfo != 0 {
-		info := &classify.Info{
-			K:      int(d.uvarint()),
-			Q:      int(d.uvarint()),
-			BPrime: int(d.uvarint()),
-		}
-		prio := d.uvarint()
-		if prio > maxSnapshotJobs {
-			return nil, fmt.Errorf("%w: implausible priority count %d", ErrSnapshotCodec, prio)
-		}
-		info.Priority = make([]bool, prio)
-		for i := range info.Priority {
-			info.Priority[i] = true
-		}
-		r.Info = info
+	r.Parts = Parts(shape & (hasFinal - 1))
+	if r.Parts&PartInfo != 0 {
+		r.K = int(d.uvarint())
+		r.Q = int(d.uvarint())
+		r.BPrime = int(d.uvarint())
+		r.PriorityBags = count("priority count", maxSnapshotJobs)
 	}
-	if shape&hasSpace != 0 {
-		n := d.uvarint()
-		if n > maxSnapshotPatterns {
-			return nil, fmt.Errorf("%w: implausible pattern count %d", ErrSnapshotCodec, n)
-		}
-		r.Space = &pattern.Space{Patterns: make([]pattern.Pattern, n)}
+	if r.Parts&PartSpace != 0 {
+		r.Patterns = count("pattern count", maxSnapshotPatterns)
 	}
-	if shape&hasRelInfo != 0 {
-		n := d.uvarint()
-		if n > maxSnapshotJobs {
-			return nil, fmt.Errorf("%w: implausible size count %d", ErrSnapshotCodec, n)
-		}
-		r.RelInfo = &classify.RelInfo{Sizes: make([]float64, n)}
+	if r.Parts&PartRelInfo != 0 {
+		r.K = count("size count", maxSnapshotJobs)
 	}
-	if shape&hasRelSpace != 0 {
-		n := d.uvarint()
-		if n > maxSnapshotPatterns {
-			return nil, fmt.Errorf("%w: implausible related pattern count %d", ErrSnapshotCodec, n)
-		}
-		r.RelSpace = &pattern.RelSpace{Classes: [][]pattern.RelPattern{make([]pattern.RelPattern, n)}}
+	if r.Parts&PartRelSpace != 0 {
+		r.Patterns = count("related pattern count", maxSnapshotPatterns)
 	}
 	if shape&hasFinal != 0 {
 		n := d.uvarint()

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -14,9 +15,10 @@ import (
 )
 
 // sampleResult populates every field the serving projection carries,
-// with distinct values so a transposed field shows up.
+// with distinct values so a transposed field shows up. Its scalars come
+// from the artifacts through summarize, as for a fresh run.
 func sampleResult() *Result {
-	return &Result{
+	r := &Result{
 		Guess:       1.5,
 		Attempts:    3,
 		IntegerVars: 12,
@@ -37,16 +39,8 @@ func sampleResult() *Result {
 		Space: &pattern.Space{Patterns: make([]pattern.Pattern, 17)},
 		Final: &sched.Schedule{Machine: []int{0, 1, 2, 0, 1, 5}},
 	}
-}
-
-func countTrue(bs []bool) int {
-	n := 0
-	for _, b := range bs {
-		if b {
-			n++
-		}
-	}
-	return n
+	r.summarize()
+	return r
 }
 
 func TestResultCodecRoundTrip(t *testing.T) {
@@ -67,19 +61,19 @@ func TestResultCodecRoundTrip(t *testing.T) {
 	if got.LiftStats != r.LiftStats {
 		t.Fatalf("lift stats: got %+v, want %+v", got.LiftStats, r.LiftStats)
 	}
-	if got.Info == nil || got.Info.K != 4 || got.Info.Q != 7 || got.Info.BPrime != 2 {
-		t.Fatalf("info: got %+v", got.Info)
+	if got.Parts != PartInfo|PartSpace || got.K != 4 || got.Q != 7 || got.BPrime != 2 {
+		t.Fatalf("classification: parts %b, K %d Q %d b' %d", got.Parts, got.K, got.Q, got.BPrime)
 	}
-	// The stand-in priority vector must preserve the *count* the solver
-	// statistics read, not the literal bits.
-	if want := countTrue(r.Info.Priority); countTrue(got.Info.Priority) != want {
-		t.Fatalf("priority count %d, want %d", countTrue(got.Info.Priority), want)
+	// The projection keeps the priority *count* the solver statistics
+	// read, not the literal bits.
+	if got.PriorityBags != 2 {
+		t.Fatalf("priority count %d, want 2", got.PriorityBags)
 	}
-	if got.Space == nil || len(got.Space.Patterns) != len(r.Space.Patterns) {
-		t.Fatalf("space: got %+v", got.Space)
+	if got.Patterns != len(r.Space.Patterns) {
+		t.Fatalf("patterns %d, want %d", got.Patterns, len(r.Space.Patterns))
 	}
-	if got.RelInfo != nil || got.RelSpace != nil {
-		t.Fatal("related stand-ins materialized for a bags-shaped result")
+	if got.Info != nil || got.Space != nil || got.RelInfo != nil || got.RelSpace != nil {
+		t.Fatal("decoding built stand-in artifacts")
 	}
 	if got.Final == nil || got.Final.Inst != nil {
 		t.Fatalf("final: got %+v (Inst must stay nil until a hit rebinds it)", got.Final)
@@ -89,6 +83,15 @@ func TestResultCodecRoundTrip(t *testing.T) {
 			t.Fatalf("machine[%d] = %d, want %d", i, got.Final.Machine[i], m)
 		}
 	}
+	// A memo entry is the same projection, so it encodes to the same
+	// bytes as the full result, and a decoded entry re-encodes to them.
+	want := EncodeResult(r)
+	if entry := EncodeResult(r.serving()); !bytes.Equal(entry, want) {
+		t.Fatalf("memo entry encodes to %x, full result to %x", entry, want)
+	}
+	if again := EncodeResult(got); !bytes.Equal(again, want) {
+		t.Fatalf("decoded result re-encodes to %x, want %x", again, want)
+	}
 }
 
 // TestResultCodecTransformedPriority: when the Section 2.2
@@ -97,12 +100,13 @@ func TestResultCodecRoundTrip(t *testing.T) {
 func TestResultCodecTransformedPriority(t *testing.T) {
 	r := sampleResult()
 	r.Transformed = &transform.Transformed{Priority: []bool{true, true, true, true, true}}
+	r.summarize()
 	got, err := DecodeResult(EncodeResult(r))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if countTrue(got.Info.Priority) != 5 {
-		t.Fatalf("priority count %d, want the transformed vector's 5", countTrue(got.Info.Priority))
+	if got.PriorityBags != 5 {
+		t.Fatalf("priority count %d, want the transformed vector's 5", got.PriorityBags)
 	}
 }
 
@@ -116,18 +120,19 @@ func TestResultCodecRelated(t *testing.T) {
 		}},
 		Final: &sched.Schedule{Machine: []int{2, 0, 1}},
 	}
+	r.summarize()
 	got, err := DecodeResult(EncodeResult(r))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.RelInfo == nil || len(got.RelInfo.Sizes) != 3 {
-		t.Fatalf("relinfo: got %+v", got.RelInfo)
+	if got.Parts != PartRelInfo|PartRelSpace || got.K != 3 {
+		t.Fatalf("related classification: parts %b, K %d", got.Parts, got.K)
 	}
-	if got.RelSpace == nil || got.RelSpace.TotalPatterns() != 10 {
-		t.Fatalf("relspace total %d, want 10", got.RelSpace.TotalPatterns())
+	if got.Patterns != 10 {
+		t.Fatalf("related pattern total %d, want 10", got.Patterns)
 	}
-	if got.Info != nil || got.Space != nil {
-		t.Fatal("bags stand-ins materialized for a related result")
+	if got.Q != 0 || got.BPrime != 0 || got.PriorityBags != 0 {
+		t.Fatalf("bags constants set for a related result: %+v", got)
 	}
 }
 
@@ -139,8 +144,8 @@ func TestResultCodecRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Final != nil || got.Info != nil || got.Space != nil || got.RelInfo != nil || got.RelSpace != nil {
-		t.Fatalf("artifacts materialized from an empty shape: %+v", got)
+	if got.Final != nil || got.Parts != 0 {
+		t.Fatalf("parts materialized from an empty shape: %+v", got)
 	}
 	if got.MILPNodes != 31 || got.OracleStats.Backend != "bnb" {
 		t.Fatalf("counters lost: %+v", got)
@@ -188,9 +193,8 @@ func FuzzDecodeResult(f *testing.F) {
 	f.Add(EncodeResult(sampleResult()))
 	f.Add(EncodeResult(&Result{}))
 	f.Add(EncodeResult(&Result{
-		RelInfo:  &classify.RelInfo{Sizes: make([]float64, 2)},
-		RelSpace: &pattern.RelSpace{Classes: [][]pattern.RelPattern{make([]pattern.RelPattern, 3)}},
-		Final:    &sched.Schedule{Machine: []int{-1, 0, 7}},
+		Parts: PartRelInfo | PartRelSpace, K: 2, Patterns: 3,
+		Final: &sched.Schedule{Machine: []int{-1, 0, 7}},
 	}))
 	f.Add([]byte{resultCodecVersion})
 	f.Add([]byte{})

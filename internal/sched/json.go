@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -29,23 +31,45 @@ func (in *Instance) MarshalJSON() ([]byte, error) {
 	return json.Marshal(w)
 }
 
-// UnmarshalJSON decodes an instance and validates it.
+// UnmarshalJSON decodes an instance and validates it. A canonical
+// document (see decodeCanonical) is decoded in one pass; every other
+// input goes to the encoding/json reference decoder, decodeReference.
 func (in *Instance) UnmarshalJSON(data []byte) error {
-	var w instanceJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	in.Machines = w.Machines
-	in.NumBags = w.NumBags
-	in.Speeds = w.Speeds
-	in.Jobs = make([]Job, len(w.Jobs))
-	for i, j := range w.Jobs {
-		in.Jobs[i] = Job{ID: JobID(j.ID), Size: j.Size, Bag: j.Bag}
-		if j.Bag >= in.NumBags {
-			in.NumBags = j.Bag + 1
+	dec, ok := decodeCanonical(data)
+	if !ok {
+		var err error
+		if dec, err = decodeReference(data); err != nil {
+			return err
 		}
 	}
+	*in = dec
 	return in.Validate()
+}
+
+// errTrailingData reports an instance document followed by more input.
+var errTrailingData = errors.New("sched: trailing data after instance")
+
+// decodeReference decodes an instance document with encoding/json.
+// Unknown fields and trailing data are errors: an instance nested in a
+// strictly decoded request body is held to the same standard as the
+// body, so a misspelled "speeds" fails instead of silently solving an
+// identical-machines instance.
+func decodeReference(data []byte) (Instance, error) {
+	var w instanceJSON
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&w); err != nil {
+		return Instance{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Instance{}, errTrailingData
+	}
+	in := Instance{Machines: w.Machines, NumBags: w.NumBags, Speeds: w.Speeds, Jobs: make([]Job, len(w.Jobs))}
+	for i, j := range w.Jobs {
+		in.Jobs[i] = Job{ID: JobID(j.ID), Size: j.Size, Bag: j.Bag}
+	}
+	extendBags(&in)
+	return in, nil
 }
 
 // ReadInstance decodes a JSON instance from r.

@@ -9,7 +9,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/numeric"
@@ -117,7 +119,7 @@ func (in *Instance) Validate() error {
 			}
 		}
 	}
-	seen := make(map[JobID]bool, len(in.Jobs))
+	dup := in.firstDuplicateID()
 	for i, j := range in.Jobs {
 		if j.Size <= 0 {
 			return fmt.Errorf("sched: job %d (id %d) has non-positive size %g", i, j.ID, j.Size)
@@ -125,12 +127,46 @@ func (in *Instance) Validate() error {
 		if j.Bag < 0 || j.Bag >= in.NumBags {
 			return fmt.Errorf("sched: job %d (id %d) has bag %d outside [0,%d)", i, j.ID, j.Bag, in.NumBags)
 		}
-		if seen[j.ID] {
+		if i == dup {
 			return fmt.Errorf("sched: duplicate job id %d", j.ID)
 		}
-		seen[j.ID] = true
 	}
 	return nil
+}
+
+// firstDuplicateID returns the index of the first job whose ID repeats
+// the ID of an earlier job, or len(in.Jobs) when all IDs are distinct.
+// IDs that increase in input order — what AddJob, the generators and
+// the JSON encoding produce — are checked in one pass without
+// allocating; otherwise job positions are sorted by (ID, position),
+// and the first duplicate is the smallest position that is not the
+// first of its ID.
+func (in *Instance) firstDuplicateID() int {
+	jobs := in.Jobs
+	increasing := true
+	for i := 1; i < len(jobs) && increasing; i++ {
+		increasing = jobs[i-1].ID < jobs[i].ID
+	}
+	if increasing {
+		return len(jobs)
+	}
+	pos := make([]int, len(jobs))
+	for i := range pos {
+		pos[i] = i
+	}
+	slices.SortFunc(pos, func(a, b int) int {
+		if c := cmp.Compare(jobs[a].ID, jobs[b].ID); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	first := len(jobs)
+	for k := 1; k < len(pos); k++ {
+		if jobs[pos[k]].ID == jobs[pos[k-1]].ID {
+			first = min(first, pos[k])
+		}
+	}
+	return first
 }
 
 // Feasible reports whether any feasible schedule exists: every bag must
@@ -147,11 +183,11 @@ func (in *Instance) Feasible() error {
 
 // TotalArea returns the sum of all job sizes.
 func (in *Instance) TotalArea() float64 {
-	sizes := make([]float64, len(in.Jobs))
-	for i, j := range in.Jobs {
-		sizes[i] = j.Size
+	var area numeric.Kahan
+	for _, j := range in.Jobs {
+		area.Add(j.Size)
 	}
-	return numeric.Sum(sizes)
+	return area.Value()
 }
 
 // MaxJobSize returns the largest job size, or 0 if there are no jobs.
@@ -185,18 +221,21 @@ func (in *Instance) JobsByBag() [][]int {
 }
 
 // SortedJobIdxDesc returns job indices sorted by decreasing size, ties
-// broken by increasing job ID for determinism.
+// broken by increasing job ID, then by index, for determinism.
 func (in *Instance) SortedJobIdxDesc() []int {
 	idx := make([]int, len(in.Jobs))
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ja, jb := in.Jobs[idx[a]], in.Jobs[idx[b]]
-		if ja.Size != jb.Size {
-			return ja.Size > jb.Size
+	slices.SortFunc(idx, func(a, b int) int {
+		ja, jb := in.Jobs[a], in.Jobs[b]
+		if c := cmp.Compare(jb.Size, ja.Size); c != 0 {
+			return c
 		}
-		return ja.ID < jb.ID
+		if c := cmp.Compare(ja.ID, jb.ID); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
 	return idx
 }

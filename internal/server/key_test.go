@@ -1,0 +1,128 @@
+package server
+
+import (
+	"encoding/json"
+	"strings"
+	"testing"
+
+	"repro/internal/wire"
+)
+
+// keyOf decodes body strictly and resolves its coalescing key.
+func keyOf(t testing.TB, s *Server, body string) ([32]byte, error) {
+	t.Helper()
+	var req wire.SolveRequest
+	if err := wire.Unmarshal([]byte(body), &req); err != nil {
+		return [32]byte{}, err
+	}
+	sp, err := s.resolve(req.Instance, req.EffectiveSpec())
+	if err != nil {
+		return [32]byte{}, err
+	}
+	return sp.key, nil
+}
+
+const keyBase = `{"instance":{"machines":3,"num_bags":2,"jobs":[{"id":0,"size":2,"bag":0},{"id":1,"size":1.5,"bag":1},{"id":2,"size":1,"bag":0}]},"eps":0.5}`
+
+// TestCoalescingKey: the key is a function of the decoded instance and
+// the resolved knobs, not of the body's spelling, and every part of
+// either changes it.
+func TestCoalescingKey(t *testing.T) {
+	s := New(Config{Workers: 1, MaxOracleWorkers: 8})
+	base, err := keyOf(t, s, keyBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := map[string]string{
+		"whitespace":                           "{ \"instance\" : {\n\"machines\": 3, \"num_bags\": 2, \"jobs\": [ {\"id\": 0, \"size\": 2, \"bag\": 0},\n{\"id\":1,\"size\":1.5,\"bag\":1}, {\"id\":2,\"size\":1,\"bag\":0} ] },\t\"eps\": 0.5 }",
+		"key order":                            `{"eps":0.5,"instance":{"jobs":[{"bag":0,"size":2,"id":0},{"size":1.5,"id":1,"bag":1},{"id":2,"bag":0,"size":1}],"num_bags":2,"machines":3}}`,
+		"number spelling":                      `{"instance":{"machines":3,"num_bags":2,"jobs":[{"id":0,"size":2.0,"bag":0},{"id":1,"size":15e-1,"bag":1},{"id":2,"size":1.00,"bag":0}]},"eps":5E-1}`,
+		"num_bags implied by the jobs":         `{"instance":{"machines":3,"jobs":[{"id":0,"size":2,"bag":0},{"id":1,"size":1.5,"bag":1},{"id":2,"size":1,"bag":0}]},"eps":0.5}`,
+		"nested spec":                          `{"instance":{"machines":3,"num_bags":2,"jobs":[{"id":0,"size":2,"bag":0},{"id":1,"size":1.5,"bag":1},{"id":2,"size":1,"bag":0}]},"spec":{"eps":0.5}}`,
+		"server default eps":                   `{"instance":{"machines":3,"num_bags":2,"jobs":[{"id":0,"size":2,"bag":0},{"id":1,"size":1.5,"bag":1},{"id":2,"size":1,"bag":0}]}}`,
+		"timeout (each waiter bounds its own)": `{"instance":{"machines":3,"num_bags":2,"jobs":[{"id":0,"size":2,"bag":0},{"id":1,"size":1.5,"bag":1},{"id":2,"size":1,"bag":0}]},"eps":0.5,"timeout_ms":70}`,
+	}
+	for name, body := range same {
+		t.Run("same/"+name, func(t *testing.T) {
+			k, err := keyOf(t, s, body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k != base {
+				t.Error("key changed")
+			}
+		})
+	}
+	edit := func(old, new string) string {
+		if !strings.Contains(keyBase, old) {
+			t.Fatalf("base body has no %q", old)
+		}
+		return strings.Replace(keyBase, old, new, 1)
+	}
+	differ := map[string]string{
+		"machines":    edit(`"machines":3`, `"machines":4`),
+		"num_bags":    edit(`"num_bags":2`, `"num_bags":3`),
+		"job id":      edit(`"id":2,`, `"id":5,`),
+		"job size":    edit(`"size":1.5`, `"size":1.25`),
+		"job bag":     edit(`"size":1,"bag":0`, `"size":1,"bag":1`),
+		"job order":   edit(`{"id":0,"size":2,"bag":0},{"id":1,"size":1.5,"bag":1}`, `{"id":1,"size":1.5,"bag":1},{"id":0,"size":2,"bag":0}`),
+		"speeds":      edit(`"num_bags":2,`, `"num_bags":2,"speeds":[1,1,1],`),
+		"eps":         edit(`"eps":0.5`, `"eps":0.25`),
+		"backend":     edit(`"eps":0.5`, `"eps":0.5,"backend":"cfgdp"`),
+		"family":      edit(`"eps":0.5`, `"eps":0.5,"family":"identical"`),
+		"no_cache":    edit(`"eps":0.5`, `"eps":0.5,"no_cache":true`),
+		"workers":     edit(`"eps":0.5`, `"eps":0.5,"oracle_workers":2`),
+		"deadline_ms": edit(`"eps":0.5`, `"eps":0.5,"deadline_ms":20`),
+		"min_quality": edit(`"eps":0.5`, `"eps":0.5,"min_quality":1.5`),
+		"adaptive":    edit(`"eps":0.5`, `"eps":0.5,"adaptive":true`),
+	}
+	seen := map[[32]byte]string{base: "base"}
+	for name, body := range differ {
+		t.Run("differs/"+name, func(t *testing.T) {
+			k, err := keyOf(t, s, body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prev, ok := seen[k]; ok {
+				t.Errorf("key equals the key of %s", prev)
+			}
+			seen[k] = name
+		})
+	}
+}
+
+// FuzzSolveRequest drives arbitrary /v1/solve bodies through the strict
+// decode and resolve: neither may panic, and an accepted body re-encoded
+// with json.Marshal must decode to the same coalescing key.
+//
+//	go test -run '^$' -fuzz FuzzSolveRequest -fuzztime 30s ./internal/server
+func FuzzSolveRequest(f *testing.F) {
+	f.Add([]byte(keyBase))
+	f.Add([]byte(`{"instance":{"machines":2,"speeds":[1,2],"jobs":[{"id":0,"size":1,"bag":0}]},"family":"related","spec":{"eps":0.3,"adaptive":true,"deadline_ms":5}}`))
+	f.Add([]byte(`{"instance":{"machines":3,"speed":[1,2,4],"jobs":[{"id":0,"size":1,"bag":0}]},"family":"related"}`))
+	f.Add([]byte(`{"instance":{"Machines":1,"jobs":[{"id":0,"size":1e2,"bag":0}]},"oracle_workers":-1}`))
+	f.Add([]byte(`{"instance":null,"eps":2}`))
+	f.Add([]byte(`{"instance": `))
+	s := New(Config{Workers: 1, MaxOracleWorkers: 4})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req wire.SolveRequest
+		if err := wire.Unmarshal(body, &req); err != nil {
+			return
+		}
+		sp, err := s.resolve(req.Instance, req.EffectiveSpec())
+		if err != nil {
+			return
+		}
+		again, err := json.Marshal(&req)
+		if err != nil {
+			t.Fatalf("re-encoding an accepted body: %v", err)
+		}
+		k, err := keyOf(t, s, string(again))
+		if err != nil {
+			t.Fatalf("re-encoded body %s rejected: %v", again, err)
+		}
+		if k != sp.key {
+			t.Fatalf("re-encoded body %s has a different key than %q", again, body)
+		}
+	})
+}

@@ -43,10 +43,13 @@ package server
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
+	"hash"
+	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -339,12 +342,8 @@ func (s *Server) resolve(in *sched.Instance, req wire.SolveSpec) (*spec, error) 
 		opt.PlanBackends = planCandidates(fam.Name(), backend)
 	}
 
-	h := sha256.New()
-	b, err := json.Marshal(in)
-	if err != nil {
-		return nil, err
-	}
-	h.Write(b)
+	w := newKeyWriter()
+	w.instance(in)
 	// The family is part of the coalescing identity: the same instance
 	// solved as different families is different work with different
 	// answers. The clamped worker count is hashed too — responses would
@@ -352,12 +351,80 @@ func (s *Server) resolve(in *sched.Instance, req wire.SolveSpec) (*spec, error) 
 	// contract), but every resolved knob goes into the key so coalescing
 	// never has to argue from that contract. The SLO knobs are hashed
 	// because adaptive requests with different budgets may legitimately
-	// get different answers.
-	fmt.Fprintf(h, "|%x|%d|%s|%v|%d|%x|%x|%v", math.Float64bits(eps), backend, fam.Name(),
-		req.NoCache, oracleWorkers, req.DeadlineMS, math.Float64bits(req.MinQuality), req.Adaptive)
+	// get different answers. The timeout is not: every request bounds
+	// its own wait for a shared solve (see flight.do).
+	w.word(math.Float64bits(eps))
+	w.word(uint64(backend))
+	w.text(fam.Name())
+	w.flag(req.NoCache)
+	w.word(uint64(oracleWorkers))
+	w.word(uint64(req.DeadlineMS))
+	w.word(math.Float64bits(req.MinQuality))
+	w.flag(req.Adaptive)
 	sp := &spec{in: in, opt: opt, fam: fam.Name()}
-	h.Sum(sp.key[:0])
+	w.sum(sp.key[:0])
 	return sp, nil
+}
+
+// keyWriter feeds a fixed binary encoding to the SHA-256 of a
+// coalescing key: every value is one little-endian 64-bit word (strings
+// are a length word, then their bytes), streamed through a small buffer
+// so that hashing an instance allocates nothing in proportion to it.
+type keyWriter struct {
+	h   hash.Hash
+	buf []byte
+}
+
+func newKeyWriter() *keyWriter {
+	return &keyWriter{h: sha256.New(), buf: make([]byte, 0, 512)}
+}
+
+func (w *keyWriter) word(v uint64) {
+	if len(w.buf)+8 > cap(w.buf) {
+		w.h.Write(w.buf)
+		w.buf = w.buf[:0]
+	}
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
+}
+
+func (w *keyWriter) flag(b bool) {
+	if b {
+		w.word(1)
+	} else {
+		w.word(0)
+	}
+}
+
+func (w *keyWriter) text(s string) {
+	w.word(uint64(len(s)))
+	w.h.Write(w.buf)
+	w.buf = w.buf[:0]
+	io.WriteString(w.h, s)
+}
+
+// instance encodes in as its machine count, bag count, speed count and
+// speed bits, job count, then each job's id, size bits and bag. Bodies
+// that decode to the same instance — whatever their whitespace, key
+// order or number spelling — encode alike.
+func (w *keyWriter) instance(in *sched.Instance) {
+	w.word(uint64(in.Machines))
+	w.word(uint64(in.NumBags))
+	w.word(uint64(len(in.Speeds)))
+	for _, s := range in.Speeds {
+		w.word(math.Float64bits(s))
+	}
+	w.word(uint64(len(in.Jobs)))
+	for _, j := range in.Jobs {
+		w.word(uint64(j.ID))
+		w.word(math.Float64bits(j.Size))
+		w.word(uint64(j.Bag))
+	}
+}
+
+// sum appends the hash of everything written to dst.
+func (w *keyWriter) sum(dst []byte) []byte {
+	w.h.Write(w.buf)
+	return w.h.Sum(dst)
 }
 
 // planCandidates lists the oracle backends the planner may pick among

@@ -148,6 +148,9 @@ func TestSolveBadRequests(t *testing.T) {
 		{"bad backend", mustJSON(map[string]any{"instance": in, "backend": "gurobi"})},
 		{"negative timeout", mustJSON(map[string]any{"instance": in, "timeout_ms": -1})},
 		{"invalid instance", `{"instance": {"machines": 0, "jobs": []}}`},
+		// A misspelled instance field ("speed") must not decode as an
+		// identical-machines instance with the speeds silently dropped.
+		{"unknown instance field", `{"instance":{"machines":3,"speed":[1,2,4],"jobs":[{"id":0,"size":1,"bag":0}]},"family":"related"}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
