@@ -117,12 +117,17 @@ pgo:
 
 # fuzz runs each native fuzz target for a short burst (go test -fuzz
 # takes one target per run): the solver's numeric boundary, the
-# canonical-instance decoder against its encoding/json reference, and
-# /v1/solve bodies through decode and the coalescing key.
+# canonical-instance decoder against its encoding/json reference,
+# /v1/solve bodies through decode and the coalescing key, memo snapshot
+# import, memo result payload decode, and the simplex's bound rows
+# against the row-slice reference.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSolveEPTAS -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzInstanceJSON -fuzztime 30s ./internal/sched
 	$(GO) test -run '^$$' -fuzz FuzzSolveRequest -fuzztime 30s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzImport -fuzztime 30s ./internal/memo
+	$(GO) test -run '^$$' -fuzz FuzzDecodeResult -fuzztime 30s ./internal/pipeline
+	$(GO) test -run '^$$' -fuzz FuzzSolveBounds -fuzztime 30s ./internal/lp
 
 # cover is the CI coverage leg: the race-mode test run with an atomic
 # coverage profile, failing when total statement coverage drops below

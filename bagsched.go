@@ -391,10 +391,9 @@ func WithOracleWorkers(n int) Option {
 // value (all treated alike) evaluates the current midpoint plus its two
 // possible successors concurrently. The default (0) speculates whenever
 // more than one CPU is available. Speculation does not change the result
-// — only wall-clock time — as long as per-guess MILP solves stay within
-// their deterministic node budgets rather than the wall-clock time-limit
-// backstop (see Stats; on the instances of this repo's experiment suite
-// the node budget always binds first).
+// — only wall-clock time: every per-guess budget is a deterministic work
+// count, and wall-clock time is bounded only by the context's deadline,
+// whose expiry fails the solve instead of flipping a guess.
 func WithSpeculation(n int) Option {
 	return func(o *core.Options) { o.Speculate = n }
 }
@@ -404,16 +403,17 @@ func WithSpeculation(n int) Option {
 // (and solver options) coincide are decided once and reused, within a
 // solve and across requests. See NewCache, WithSharedCache and the
 // documentation of internal/memo for the exact semantics (in-flight
-// deduplication, committed negative entries, LRU eviction by estimated
+// deduplication, committed negative entries, LRU eviction by measured
 // bytes). A Cache's Stats method reports hit/miss/eviction counters.
 type Cache = memo.Cache
 
 // CacheStats is a snapshot of a Cache's counters.
 type CacheStats = memo.Stats
 
-// NewCache returns a shared solve cache bounded to approximately
-// maxBytes of retained results (estimated, not exact). maxBytes <= 0
-// means unbounded. Pass it to any number of concurrent solves with
+// NewCache returns a shared solve cache bounded to maxBytes of retained
+// results: each entry is charged its encoded payload plus a fixed
+// per-entry overhead (the Go runtime's own bookkeeping aside). maxBytes
+// <= 0 means unbounded. Pass it to any number of concurrent solves with
 // WithSharedCache; the long-running solver service keeps one Cache for
 // its whole lifetime.
 func NewCache(maxBytes int64) *Cache { return memo.New(maxBytes) }
@@ -435,27 +435,32 @@ type SnapshotImportStats = memo.ImportStats
 
 // ExportCacheSnapshot writes a versioned, checksummed snapshot of c to
 // w: every committed entry — positive plans and memoized rejections —
-// in recency order, with the plan payloads serialized by the exact
-// integer result codec. The export reads the cache without perturbing
-// its LRU order or counters and never holds the cache lock across I/O,
-// so it is safe to call on a cache serving live traffic. It returns the
-// number of entries written. Because solves are fully determined by
-// their scaled-rounded signature, a snapshot is location-independent:
-// importing it on any replica yields bit-identical warm results.
+// in recency order, with the plan payloads in the exact integer result
+// codec the cache already holds them in. The export reads the cache
+// without perturbing its LRU order or counters and never holds the
+// cache lock across I/O, so it is safe to call on a cache serving live
+// traffic. It returns the number of entries written. Because solves are
+// fully determined by their scaled-rounded signature, a snapshot is
+// location-independent: importing it on any replica yields
+// bit-identical warm results.
 func ExportCacheSnapshot(c *Cache, w io.Writer) (int, error) {
-	written, _, err := c.Export(w, pipeline.SnapshotEncoder())
+	written, _, err := c.Export(w)
 	return written, err
 }
 
 // ImportCacheSnapshot loads a snapshot written by ExportCacheSnapshot
 // into c, warm-starting it. Entries already live in c are kept (the
 // import never overwrites), entries beyond c's cost budget are dropped
-// coldest-first, and individually undecodable entries are skipped; a
-// snapshot whose container is corrupt or of an unknown version is
-// rejected as a whole with memo.ErrSnapshotCorrupt or
-// memo.ErrSnapshotVersion, leaving c unchanged.
+// coldest-first, and individually undecodable entries are skipped (each
+// plan payload is decoded once to validate it); a snapshot whose
+// container is corrupt or of an unknown version is rejected as a whole
+// with memo.ErrSnapshotCorrupt or memo.ErrSnapshotVersion, leaving c
+// unchanged.
 func ImportCacheSnapshot(c *Cache, r io.Reader) (SnapshotImportStats, error) {
-	return c.Import(r, pipeline.SnapshotDecoder())
+	return c.Import(r, func(payload []byte) error {
+		_, err := pipeline.DecodeResult(payload)
+		return err
+	})
 }
 
 // WithMemo toggles the cross-guess memoization of the per-guess pipeline

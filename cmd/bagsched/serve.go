@@ -30,7 +30,7 @@ func runServe(args []string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	workers := fs.Int("workers", 0, "max concurrent solves (0 = GOMAXPROCS)")
 	queueDepth := fs.Int("queue-depth", -1, "max solves waiting beyond -workers (-1 = 4x workers; beyond that requests get 503)")
-	cacheBytes := fs.Int64("cache-bytes", server.DefaultCacheBytes, "shared result-cache budget in estimated bytes (0 = unbounded)")
+	cacheBytes := fs.Int64("cache-bytes", server.DefaultCacheBytes, "shared result-cache budget in bytes (0 = unbounded)")
 	backendName := fs.String("backend", "bnb", "default oracle backend: bnb, cfgdp or portfolio (requests may override)")
 	eps := fs.Float64("eps", server.DefaultEps, "default accuracy parameter in (0,1) (requests may override)")
 	maxTimeout := fs.Duration("max-timeout", server.DefaultMaxTimeout, "upper clamp on per-request solve timeouts")

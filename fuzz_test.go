@@ -61,9 +61,10 @@ func FuzzSolveEPTAS(f *testing.F) {
 		// A tight pattern budget keeps one fuzz input far from the hang
 		// detector: guesses whose MILP would be huge are rejected and the
 		// solver degrades along its ladder, which is itself a path worth
-		// fuzzing. The raised MILP wall-clock backstop makes per-guess
-		// outcomes load-independent (node budgets bind), so the float and
-		// fixed paths cannot diverge through timing jitter. Both numeric
+		// fuzzing. The MILP wall-clock limit is far above what an input
+		// needs, so node budgets bind and per-guess outcomes stay
+		// load-independent: the float and fixed paths cannot diverge
+		// through timing jitter. Both numeric
 		// paths run under identical options, so the cross-checks are
 		// unaffected.
 		opt := core.Options{

@@ -63,11 +63,9 @@ func (p *Pool) Workers() int { return p.workers }
 // Solve solves every task and returns the outcomes in input order,
 // regardless of completion order. Tasks are distributed over the pool's
 // workers; each individual solve runs exactly the code path of a direct
-// core.Solve call and produces identical results as long as per-guess
-// MILP solves are decided by their deterministic node budgets rather
-// than the wall-clock time-limit backstop (see core.Options.Speculate
-// for the same caveat; on this repo's experiment instances the node
-// budget always binds first).
+// core.Solve call and produces identical results (unless the options
+// set a MILP wall-clock limit; see core.Options.Speculate for the same
+// caveat).
 func (p *Pool) Solve(tasks []Task) []Outcome {
 	return p.SolveContext(context.Background(), tasks)
 }

@@ -83,12 +83,11 @@ type Options struct {
 	// result-transparent — the consumed guess sequence, the accepted
 	// schedule and all decision statistics are bit-for-bit identical to
 	// the sequential search — provided per-guess outcomes are
-	// load-independent, i.e. the MILP's deterministic node budget rather
-	// than its wall-clock backstop (Options.MILP.TimeLimit) is what
-	// binds; a solve close enough to the time limit can flip a guess
-	// under CPU contention, sequentially or not. The cache-hit/miss
-	// split in Stats (but not any result) can also vary under
-	// speculation.
+	// load-independent, which they are unless Options.MILP.TimeLimit
+	// sets a wall-clock limit (none by default): a solve close enough to
+	// such a limit can flip a guess under CPU contention, sequentially
+	// or not. The cache-hit/miss split in Stats (but not any result) can
+	// also vary under speculation.
 	Speculate int
 	// Cache, when non-nil, is a shared cross-request memo the pipeline
 	// engine stores guess outcomes in (and serves hits from) instead of
@@ -558,8 +557,9 @@ func speculative(opt Options) bool {
 
 // absorb accumulates the per-guess statistics of one accepted pipeline:
 // node counts add up, the remaining fields describe the last accepted
-// guess. It reads only the serving projection (see pipeline.Result), so
-// fresh runs, memo hits and snapshot-decoded entries absorb alike.
+// guess. It reads only the fields a memo entry's payload carries (see
+// pipeline.EncodeResult), so fresh runs, memo hits and snapshot-imported
+// entries absorb alike.
 func (s *Stats) absorb(pr *PipelineResult) {
 	s.MILPNodes += pr.MILPNodes
 	s.DPStates += pr.OracleStats.States

@@ -18,13 +18,13 @@ import (
 	"repro/internal/workload"
 )
 
-// slowMILP raises the per-guess MILP wall-clock backstop far above
-// anything these instances need, so every guess is decided by its
-// deterministic node budget (capped below the default to keep the -race
-// CI job fast). Without this, a heavily loaded runner can trip the 2s
-// backstop on one path but not the other and legitimately diverge in
-// ladder statistics — the documented load-dependence caveat, not a
-// numeric difference.
+// slowMILP sets a per-guess MILP wall-clock limit far above anything
+// these instances need, so every guess is decided by its deterministic
+// node budget (capped below the default to keep the -race CI job fast)
+// whatever the pipeline's default limits are. A tight wall-clock limit
+// could trip on one path but not the other on a heavily loaded runner
+// and legitimately diverge in ladder statistics — the documented
+// load-dependence caveat, not a numeric difference.
 var slowMILP = milp.Options{TimeLimit: 5 * time.Minute, MaxNodes: 200}
 
 // diffPatternLimit keeps the LP dimension of the differential corpus

@@ -10,6 +10,18 @@
 // programming oracle used by the paper. The implementation is a dense
 // tableau simplex with Dantzig pricing and a Bland's-rule fallback that
 // guarantees termination on degenerate problems.
+//
+// # Workspace
+//
+// The tableau is one flat row-major []float64 built once per solve in a
+// Workspace, together with the right-hand side, the basis and the
+// objective row. A workspace is reused across solves — branch and bound
+// holds one per search lane — so a warm solve allocates only its
+// returned X. SolveIn also takes a list of single-variable Bounds that
+// it appends as rows after the problem's own, which is how a
+// branch-and-bound node solves its relaxation without copying the
+// problem: the tableau it builds, and so every pivot, is the one a
+// copy extended by AddConstraint would produce, bit for bit.
 package lp
 
 import (
@@ -108,21 +120,6 @@ func (p *Problem) AddConstraint(terms []Term, sense Sense, rhs float64) int {
 	return len(p.rows) - 1
 }
 
-// Clone returns an independent copy of the problem.
-func (p *Problem) Clone() *Problem {
-	q := &Problem{
-		obj:  make([]float64, len(p.obj)),
-		rows: make([]Constraint, len(p.rows)),
-	}
-	copy(q.obj, p.obj)
-	for i, r := range p.rows {
-		terms := make([]Term, len(r.Terms))
-		copy(terms, r.Terms)
-		q.rows[i] = Constraint{Terms: terms, Sense: r.Sense, RHS: r.RHS}
-	}
-	return q
-}
-
 // CheckFeasible reports whether x satisfies every constraint of the
 // problem (and non-negativity) within tol.
 func (p *Problem) CheckFeasible(x []float64, tol float64) bool {
@@ -198,15 +195,48 @@ const (
 // ErrBadProblem reports a structurally invalid problem.
 var ErrBadProblem = errors.New("lp: constraint references unknown variable")
 
+// Bound is a single-variable row x_Var <= Val (Upper) or x_Var >= Val
+// that SolveIn appends after a problem's own rows. It is exactly the row
+// AddConstraint([]Term{{Var, 1}}, LE or GE, Val) would add, so a bounded
+// solve computes what solving a copy of the problem extended by those
+// rows computes, without building the copy.
+type Bound struct {
+	Var   int
+	Upper bool
+	Val   float64
+}
+
+// Workspace is the reusable memory of a solve: the dense tableau, held as
+// one flat row-major slice, and its per-row and per-column vectors. A
+// solve sizes it to the problem at hand and overwrites every cell it
+// reads, so one workspace serves problems of any shape in turn and a
+// warm one makes a solve allocate nothing but its returned X. A
+// workspace holds no result: it may be reused as soon as SolveIn
+// returns, but never by two solves at once. The zero value is ready to
+// use.
+type Workspace struct {
+	tab   tableau
+	c     []float64 // cost vector of the running phase
+	isArt []bool    // artificial columns
+}
+
 // Solve runs two-phase simplex and returns the result. The problem is not
 // modified.
 func (p *Problem) Solve(opt Options) (Result, error) {
+	return p.SolveIn(new(Workspace), nil, opt)
+}
+
+// SolveIn runs two-phase simplex on p extended by the bound rows, in
+// ws's memory, and returns the result. Neither p nor bounds is modified,
+// so concurrent solves may share p as long as each has its own
+// workspace.
+func (p *Problem) SolveIn(ws *Workspace, bounds []Bound, opt Options) (Result, error) {
 	maxIters := opt.MaxIters
 	if maxIters <= 0 {
 		maxIters = 200000
 	}
 	n := len(p.obj)
-	m := len(p.rows)
+	m := len(p.rows) + len(bounds)
 	for _, r := range p.rows {
 		for _, t := range r.Terms {
 			if t.Var < 0 || t.Var >= n {
@@ -214,126 +244,81 @@ func (p *Problem) Solve(opt Options) (Result, error) {
 			}
 		}
 	}
-
 	// Column layout: [structural 0..n) | slack/surplus | artificial].
 	// Every row gets either a slack (LE), a surplus+artificial (GE) or an
-	// artificial (EQ); rows are normalized to non-negative RHS first.
-	type rowAux struct {
-		slack, art int // column indices or -1
-	}
-	aux := make([]rowAux, m)
+	// artificial (EQ); rows are normalized to non-negative RHS first, so
+	// the column count follows from the normalized senses.
 	ncols := n
-	// Dense matrix built row by row.
-	a := make([][]float64, m)
-	b := make([]float64, m)
-	for i, r := range p.rows {
-		row := make([]float64, n)
-		for _, t := range r.Terms {
-			row[t.Var] += t.Coef
+	for _, r := range p.rows {
+		ncols += auxCols(normalSense(r.Sense, r.RHS))
+	}
+	for _, bd := range bounds {
+		if bd.Var < 0 || bd.Var >= n {
+			return Result{}, ErrBadProblem
 		}
-		rhs := r.RHS
-		sense := r.Sense
+		ncols += auxCols(normalSense(boundSense(bd), bd.Val))
+	}
+
+	t := &ws.tab
+	t.reset(m, ncols)
+	ws.c = resize(ws.c, ncols)
+	ws.isArt = resize(ws.isArt, ncols)
+	isArt := ws.isArt
+
+	// Fill the tableau row by row, assigning auxiliary columns in row
+	// order: the problem's rows first, then the bounds.
+	next := n
+	needPhase1 := false
+	addRow := func(i int, sense Sense, rhs float64) {
+		row := t.a[i*ncols : (i+1)*ncols]
 		if rhs < 0 {
-			for j := range row {
+			for j := 0; j < n; j++ {
 				row[j] = -row[j]
 			}
 			rhs = -rhs
-			switch sense {
-			case LE:
-				sense = GE
-			case GE:
-				sense = LE
-			}
+			sense = flipSense(sense)
 		}
-		a[i] = row
-		b[i] = rhs
-		aux[i] = rowAux{slack: -1, art: -1}
+		t.b[i] = rhs
 		switch sense {
 		case LE:
-			aux[i].slack = ncols
-			ncols++
+			row[next] = 1
+			t.basis[i] = next
+			next++
 		case GE:
-			aux[i].slack = ncols
-			ncols++
-			aux[i].art = ncols
-			ncols++
+			row[next] = -1
+			row[next+1] = 1
+			isArt[next+1] = true
+			t.basis[i] = next + 1
+			next += 2
+			needPhase1 = true
 		case EQ:
-			aux[i].art = ncols
-			ncols++
+			row[next] = 1
+			isArt[next] = true
+			t.basis[i] = next
+			next++
+			needPhase1 = true
 		}
 	}
-
-	// Rebuild senses after normalization for slack signs.
-	slackSign := make([]float64, m)
-	hasArt := make([]bool, m)
 	for i, r := range p.rows {
-		sense := r.Sense
-		if r.RHS < 0 {
-			switch sense {
-			case LE:
-				sense = GE
-			case GE:
-				sense = LE
-			}
+		row := t.a[i*ncols : i*ncols+n]
+		for _, term := range r.Terms {
+			row[term.Var] += term.Coef
 		}
-		switch sense {
-		case LE:
-			slackSign[i] = 1
-		case GE:
-			slackSign[i] = -1
-			hasArt[i] = true
-		case EQ:
-			slackSign[i] = 0
-			hasArt[i] = true
-		}
+		addRow(i, r.Sense, r.RHS)
 	}
-
-	// Full tableau: m rows x ncols columns plus RHS.
-	t := &tableau{
-		m: m, n: ncols, nStruct: n,
-		a:     make([][]float64, m),
-		b:     make([]float64, m),
-		basis: make([]int, m),
-	}
-	for i := 0; i < m; i++ {
-		row := make([]float64, ncols)
-		copy(row, a[i])
-		if aux[i].slack >= 0 {
-			row[aux[i].slack] = slackSign[i]
-		}
-		if aux[i].art >= 0 {
-			row[aux[i].art] = 1
-		}
-		t.a[i] = row
-		t.b[i] = b[i]
-		if aux[i].art >= 0 {
-			t.basis[i] = aux[i].art
-		} else {
-			t.basis[i] = aux[i].slack
-		}
-	}
-
-	isArt := make([]bool, ncols)
-	for i := 0; i < m; i++ {
-		if aux[i].art >= 0 {
-			isArt[aux[i].art] = true
-		}
+	for k, bd := range bounds {
+		i := len(p.rows) + k
+		t.a[i*ncols+bd.Var] += 1
+		addRow(i, boundSense(bd), bd.Val)
 	}
 
 	itersLeft := maxIters
 	totalIters := 0
 
 	// Phase I: minimize the sum of artificial variables.
-	needPhase1 := false
-	for i := 0; i < m; i++ {
-		if hasArt[i] {
-			needPhase1 = true
-			break
-		}
-	}
 	if needPhase1 {
-		c1 := make([]float64, ncols)
-		for j := 0; j < ncols; j++ {
+		c1 := ws.c
+		for j := range c1 {
 			if isArt[j] {
 				c1[j] = 1
 			}
@@ -362,8 +347,9 @@ func (p *Problem) Solve(opt Options) (Result, error) {
 	}
 
 	// Phase II: original objective over non-artificial columns.
-	c2 := make([]float64, ncols)
+	c2 := ws.c
 	copy(c2, p.obj)
+	clear(c2[n:])
 	t.banned = isArt
 	status, iters, err := t.optimize(c2, itersLeft, opt.Progress, totalIters)
 	totalIters += iters
@@ -390,15 +376,77 @@ func (p *Problem) Solve(opt Options) (Result, error) {
 	return Result{Status: StatusOptimal, X: x, Obj: obj, Iters: totalIters}, nil
 }
 
-// tableau is the dense simplex working state.
-type tableau struct {
-	m, n    int
-	nStruct int
-	a       [][]float64
-	b       []float64
-	basis   []int
-	banned  []bool // columns that may not enter (artificials in phase II)
+// boundSense is the sense of a bound's row.
+func boundSense(bd Bound) Sense {
+	if bd.Upper {
+		return LE
+	}
+	return GE
 }
+
+// flipSense is the sense of a row after negating both sides.
+func flipSense(s Sense) Sense {
+	switch s {
+	case LE:
+		return GE
+	case GE:
+		return LE
+	}
+	return s
+}
+
+// normalSense is the sense of a row after normalizing it to a
+// non-negative right-hand side.
+func normalSense(s Sense, rhs float64) Sense {
+	if rhs < 0 {
+		return flipSense(s)
+	}
+	return s
+}
+
+// auxCols is the number of slack, surplus and artificial columns a row
+// of normalized sense s adds.
+func auxCols(s Sense) int {
+	if s == GE {
+		return 2
+	}
+	return 1
+}
+
+// resize returns s with length n and every element zero, reusing its
+// backing array when large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// tableau is the dense simplex working state: m rows of n columns in one
+// row-major slice.
+type tableau struct {
+	m, n   int
+	a      []float64
+	b      []float64
+	basis  []int
+	z      []float64 // objective row of the running phase
+	banned []bool    // columns that may not enter (artificials in phase II)
+}
+
+// reset sizes the tableau to m rows of n columns, all zero.
+func (t *tableau) reset(m, n int) {
+	t.m, t.n = m, n
+	t.a = resize(t.a, m*n)
+	t.b = resize(t.b, m)
+	t.basis = resize(t.basis, m)
+	t.z = resize(t.z, n)
+	t.banned = nil
+}
+
+// row returns row i of the tableau.
+func (t *tableau) row(i int) []float64 { return t.a[i*t.n : (i+1)*t.n] }
 
 // optimize runs primal simplex minimizing c over the current tableau.
 // It returns the terminal status and the number of pivots performed.
@@ -407,7 +455,7 @@ type tableau struct {
 func (t *tableau) optimize(c []float64, maxIters int, progress func(int) error, base int) (Status, int, error) {
 	// Reduced costs are recomputed per iteration from the basis; for the
 	// dense tableau we maintain the objective row explicitly.
-	z := make([]float64, t.n)
+	z := t.z
 	copy(z, c)
 	zb := 0.0
 	// Price out the current basis.
@@ -416,9 +464,7 @@ func (t *tableau) optimize(c []float64, maxIters int, progress func(int) error, 
 		if cb == 0 {
 			continue
 		}
-		for j := 0; j < t.n; j++ {
-			z[j] -= cb * t.a[i][j]
-		}
+		axpy(z, t.row(i), cb)
 		zb -= cb * t.b[i]
 	}
 
@@ -454,7 +500,7 @@ func (t *tableau) optimize(c []float64, maxIters int, progress func(int) error, 
 		leave := -1
 		bestRatio := math.Inf(1)
 		for i := 0; i < t.m; i++ {
-			aij := t.a[i][enter]
+			aij := t.a[i*t.n+enter]
 			if aij > pivotEps {
 				ratio := t.b[i] / aij
 				if ratio < bestRatio-pivotEps ||
@@ -488,10 +534,9 @@ func (t *tableau) optimize(c []float64, maxIters int, progress func(int) error, 
 // pivot performs a single pivot on (row, col) and updates the objective
 // row z and objective constant zb.
 func (t *tableau) pivot(row, col int, z []float64, zb *float64) {
-	piv := t.a[row][col]
-	inv := 1.0 / piv
-	arow := t.a[row]
-	for j := 0; j < t.n; j++ {
+	arow := t.row(row)
+	inv := 1.0 / arow[col]
+	for j := range arow {
 		arow[j] *= inv
 	}
 	t.b[row] *= inv
@@ -500,14 +545,12 @@ func (t *tableau) pivot(row, col int, z []float64, zb *float64) {
 		if i == row {
 			continue
 		}
-		f := t.a[i][col]
+		ai := t.row(i)
+		f := ai[col]
 		if f == 0 {
 			continue
 		}
-		ai := t.a[i]
-		for j := 0; j < t.n; j++ {
-			ai[j] -= f * arow[j]
-		}
+		axpy(ai, arow, f)
 		ai[col] = 0 // exact
 		t.b[i] -= f * t.b[row]
 		if t.b[i] < 0 && t.b[i] > -1e-11 {
@@ -516,27 +559,42 @@ func (t *tableau) pivot(row, col int, z []float64, zb *float64) {
 	}
 	f := z[col]
 	if f != 0 {
-		for j := 0; j < t.n; j++ {
-			z[j] -= f * arow[j]
-		}
+		axpy(z, arow, f)
 		z[col] = 0
 		*zb -= f * t.b[row]
 	}
 	t.basis[row] = col
 }
 
+// axpy sets a[j] -= f*x[j] for every j < len(a): the row update of a
+// pivot, nearly all of a simplex solve's time on wide tableaux. It only
+// touches rows of one workspace, which a single search lane owns, so it
+// is exempt from race instrumentation: checking every element made the
+// simplex several times slower under -race, enough to push the
+// repository's race-detector suites past the test timeout.
+//
+//go:norace
+func axpy(a, x []float64, f float64) {
+	x = x[:len(a)]
+	for j := range a {
+		a[j] -= f * x[j]
+	}
+}
+
 // evictArtificials pivots basic artificial variables (at value zero after
 // a successful phase I) out of the basis when a non-artificial column with
 // a nonzero coefficient exists in their row.
 func (t *tableau) evictArtificials(isArt []bool) {
-	z := make([]float64, t.n) // dummy objective row for pivoting
+	z := t.z // dummy objective row for pivoting: all zero, so it stays so
+	clear(z)
 	zb := 0.0
 	for i := 0; i < t.m; i++ {
 		if !isArt[t.basis[i]] {
 			continue
 		}
-		for j := 0; j < t.n; j++ {
-			if !isArt[j] && math.Abs(t.a[i][j]) > 1e-7 {
+		ai := t.row(i)
+		for j := range ai {
+			if !isArt[j] && math.Abs(ai[j]) > 1e-7 {
 				t.pivot(i, j, z, &zb)
 				break
 			}

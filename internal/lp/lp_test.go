@@ -142,22 +142,6 @@ func TestBadVariableIndex(t *testing.T) {
 	}
 }
 
-func TestCloneIsIndependent(t *testing.T) {
-	p := NewProblem()
-	x := p.AddVar(1)
-	p.AddConstraint([]Term{{x, 1}}, GE, 1)
-	q := p.Clone()
-	q.AddConstraint([]Term{{x, 1}}, LE, 0) // makes q infeasible
-	rp := solveOK(t, p)
-	rq := solveOK(t, q)
-	if rp.Status != StatusOptimal {
-		t.Errorf("p status = %v", rp.Status)
-	}
-	if rq.Status != StatusInfeasible {
-		t.Errorf("q status = %v", rq.Status)
-	}
-}
-
 func TestIterLimit(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar(-1)

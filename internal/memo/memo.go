@@ -3,11 +3,24 @@
 // per-solve guess memo that used to live inside the pipeline engine.
 //
 // A Cache maps fixed-size Keys to committed outcomes. An outcome is
-// either positive (a value) or negative (a non-cancellation error);
-// both are cached, because for the EPTAS guess pipeline a rejection is
-// as deterministic — and as expensive to recompute — as an acceptance.
-// The one kind of result that is never cached is a context
-// cancellation: it describes the caller's impatience, not the key.
+// either positive (a payload: the caller's encoding of a value) or
+// negative (a non-cancellation error); both are cached, because for the
+// EPTAS guess pipeline a rejection is as deterministic — and as
+// expensive to recompute — as an acceptance. Two kinds of result are
+// never cached: a context cancellation, which describes the caller's
+// impatience, not the key, and a transient outcome (see ErrTransient),
+// which the caller uses for an outcome that depended on more than the
+// key (a MILP stopped by a caller-set wall-clock limit).
+//
+// # Layout
+//
+// A committed entry is its key, its payload bytes and two int32 links in
+// a slab of slots, found through a map from key to slot number. The
+// payload is the only pointer an entry holds (a negative entry's payload
+// is its error text), so each entry is one small heap object for the
+// garbage collector to mark, and the payload is exactly what a snapshot
+// writes (see Export): memory and snapshots share one format. In-flight
+// claims live in a separate map and are the only state with a channel.
 //
 // # Singleflight
 //
@@ -19,39 +32,43 @@
 // key. These are exactly the wait semantics of the old engine slot,
 // made explicit and tested here:
 //
-//   - commit: a completed compute (value or rejection error) is
+//   - commit: a completed compute (payload or rejection error) is
 //     published to all waiters and cached;
+//   - serve: a transient outcome is published to the callers already
+//     waiting but not cached, so later callers compute afresh;
 //   - abandon: a canceled compute wakes all waiters, each of which
 //     retries the claim under its own context;
-//   - waiters that observe a commit count as cache hits — they got an
-//     outcome without paying for a pipeline run.
+//   - waiters that observe a commit or a served outcome count as cache
+//     hits — they got an outcome without paying for a pipeline run.
 //
 // # Bounding
 //
-// The cache is bounded by total cost (a caller-estimated byte count,
-// see Do) rather than entry count, because pipeline results vary by
-// orders of magnitude in footprint. When a commit pushes the total
-// over MaxCost, least-recently-used committed entries are evicted
+// The cache is bounded by total cost in bytes rather than entry count,
+// because payloads vary by orders of magnitude in size. An entry costs
+// its payload length plus the fixed size of its slot and index entry
+// (see New): measured, not estimated. When a commit pushes the
+// total over MaxCost, least-recently-used committed entries are evicted
 // until the cache fits; the entry being committed is never evicted by
 // its own insertion, so the most recent result is always served.
-// In-flight claims hold no cost and are never evicted (they are
-// bounded by caller concurrency, not by the budget). A MaxCost <= 0
-// disables bounding — that is the per-solve private configuration,
-// where lifetime bounds the footprint instead.
+// In-flight claims hold no cost and are never evicted (they are bounded
+// by caller concurrency, not by the budget). A MaxCost <= 0 disables
+// bounding — that is the per-solve private configuration, where
+// lifetime bounds the footprint instead.
 //
 // # Result transparency
 //
-// The cache stores outcomes by value and never mutates them; callers
-// must treat cached values as immutable (the pipeline layer clones the
-// one mutable slice before handing a cached schedule out). Under that
-// contract a cache hit is bit-identical to the compute it replaced —
-// the differential tests at the repository root prove it corpus-wide.
+// The cache retains payloads as given and never mutates them; callers
+// must treat a payload handed to or returned by Do as immutable (the
+// pipeline layer decodes it into a fresh result on every hit). Under
+// that contract a cache hit is bit-identical to the compute it replaced
+// — the differential tests at the repository root prove it corpus-wide.
 package memo
 
 import (
 	"context"
 	"errors"
 	"sync"
+	"unsafe"
 )
 
 // Key identifies one cached outcome. Sig is the scaled-rounded instance
@@ -93,33 +110,55 @@ type Stats struct {
 	// the subset caching a rejection error.
 	Entries  int
 	Negative int
-	// Cost is the current total cost of committed entries; MaxCost is
-	// the budget (0 = unbounded).
+	// Cost is the current total cost in bytes of committed entries;
+	// MaxCost is the budget (0 = unbounded).
 	Cost    int64
 	MaxCost int64
 }
 
-// entry is one key's cache cell. The claimant that created it runs the
-// compute; everyone else waits on done. All fields other than done are
-// written by the claimant under the cache mutex before done is closed,
-// and read under the mutex after done is closed. committed=false after
-// done closes means the claimant was canceled and the cell abandoned
-// (and removed from the map): the outcome is undecided and a waiter
-// should claim afresh. A waiter holds the *entry across the wait, so a
-// committed cell stays readable even if eviction removes it from the
-// map in between.
-type entry struct {
-	key       Key
-	done      chan struct{}
-	committed bool
-	value     any
-	err       error
-	cost      int64
+// ErrTransient marks a compute outcome that depends on more than its
+// key — on machine load, say. Do hands such an outcome to its claimant
+// and to the callers already waiting on the claim, but commits nothing:
+// the next caller computes afresh. fn reports a transient acceptance as
+// its payload together with ErrTransient itself, and a transient
+// rejection as an error wrapping ErrTransient; Do returns a transient
+// acceptance with a nil error.
+var ErrTransient = errors.New("memo: outcome depends on more than its key")
 
-	// LRU links; linked is true while the entry is on the eviction list
-	// (committed and still in the map).
-	prev, next *entry
-	linked     bool
+// slot is one committed entry in the cache's slab. payload is the only
+// pointer; prev and next are slab indices on the LRU list (or the free
+// list), -1 for none.
+type slot struct {
+	key        Key
+	payload    []byte
+	prev, next int32
+	neg        bool
+}
+
+// none is the nil slab index.
+const none = -1
+
+// entryOverhead is the fixed part of an entry's cost: its slot and its
+// index entry (a key and a slot number).
+const entryOverhead = int64(unsafe.Sizeof(slot{}) + unsafe.Sizeof(Key{}) + unsafe.Sizeof(int32(0)))
+
+// entryCost is the cost in bytes of a committed entry whose payload has
+// n bytes.
+func entryCost(n int) int64 { return entryOverhead + int64(n) }
+
+// flight is one in-flight claim. The claimant runs the compute and
+// everyone else waits on done. The outcome fields are written by the
+// claimant before done is closed and read by waiters after it closes;
+// served=false after done closes means the claim was abandoned and a
+// waiter should claim afresh. A waiter reads the outcome from the
+// flight, not the slab, so it is served even if eviction already
+// dropped the committed entry (or the outcome was transient and never
+// committed).
+type flight struct {
+	done    chan struct{}
+	served  bool
+	payload []byte
+	err     error
 }
 
 // Cache is a bounded memo; see the package documentation. The zero
@@ -128,22 +167,30 @@ type Cache struct {
 	mu      sync.Mutex
 	maxCost int64
 	cost    int64
-	entries map[Key]*entry
-	// LRU list of committed entries: head is most recently used, tail
-	// is the eviction candidate.
-	head, tail *entry
-	stats      Stats
+	index   map[Key]int32
+	slots   []slot
+	// free heads the list of unused slots, linked through next. The
+	// LRU list runs from head (most recently used) to tail (the
+	// eviction candidate).
+	free, head, tail int32
+	flights          map[Key]*flight
+	stats            Stats
 }
 
-// New returns a cache bounded to maxCost total estimated bytes.
-// maxCost <= 0 disables bounding (a private per-solve memo).
+// New returns a cache bounded to maxCost total bytes: an entry costs
+// its payload length plus a fixed overhead for its slot and index
+// entry. maxCost <= 0 disables bounding (a private per-solve memo).
 func New(maxCost int64) *Cache {
 	if maxCost < 0 {
 		maxCost = 0
 	}
 	return &Cache{
 		maxCost: maxCost,
-		entries: make(map[Key]*entry),
+		index:   make(map[Key]int32),
+		free:    none,
+		head:    none,
+		tail:    none,
+		flights: make(map[Key]*flight),
 	}
 }
 
@@ -161,160 +208,202 @@ func (c *Cache) Stats() Stats {
 }
 
 // Do returns the outcome for k, computing it at most once across all
-// concurrent callers. fn computes the outcome and reports its retention
-// cost in estimated bytes; fn's error is cached as a committed negative
-// entry unless it is a context cancellation, in which case the claim is
-// abandoned and the next caller recomputes. hit reports that the
-// outcome was served without running fn in this call (committed entry
-// or in-flight wait). A caller whose own ctx dies while waiting returns
-// ctx.Err() without disturbing the in-flight compute.
+// concurrent callers. fn computes the outcome as a payload, which the
+// cache retains as is and charges at its length; fn's error is cached
+// as a committed negative entry (its text is the payload) unless it is
+// a context cancellation, in which case the claim is abandoned and the
+// next caller recomputes, or marks the outcome transient (see
+// ErrTransient), in which case the callers already waiting get it and
+// the next caller recomputes. hit reports that the outcome was served
+// without running fn in this call (committed entry or in-flight wait);
+// a hit on a committed negative entry returns an error carrying the
+// rejection's text. A caller whose own ctx dies while waiting returns
+// ctx.Err() without disturbing the in-flight compute. A hit on a
+// committed positive entry allocates nothing.
 //
 // fn runs outside the cache lock; it must not call back into the same
 // Cache with the same key.
-func (c *Cache) Do(ctx context.Context, k Key, fn func() (value any, cost int64, err error)) (value any, hit bool, err error) {
+func (c *Cache) Do(ctx context.Context, k Key, fn func() (payload []byte, err error)) (payload []byte, hit bool, err error) {
 	for {
 		c.mu.Lock()
-		e, ok := c.entries[k]
+		if i, ok := c.index[k]; ok {
+			c.stats.Hits++
+			c.touch(i)
+			s := &c.slots[i]
+			payload, neg := s.payload, s.neg
+			c.mu.Unlock()
+			if neg {
+				return nil, true, errors.New(string(payload))
+			}
+			return payload, true, nil
+		}
+		f, ok := c.flights[k]
 		if !ok {
-			// Claim the key and compute. If fn panics (the claim branch
-			// always returns, so this defer can only fire then), abandon
-			// the claim exactly like a cancellation before repanicking —
-			// otherwise an HTTP layer that recovers the panic would leave
-			// the key claimed forever and every later caller wedged on
-			// e.done.
-			e = &entry{key: k, done: make(chan struct{})}
-			c.entries[k] = e
+			f = &flight{done: make(chan struct{})}
+			c.flights[k] = f
 			c.stats.Misses++
 			c.mu.Unlock()
-			finished := false
-			defer func() {
-				if finished {
-					return
-				}
-				c.mu.Lock()
-				delete(c.entries, k)
-				c.mu.Unlock()
-				close(e.done)
-			}()
-			v, cost, err := fn()
-			finished = true
-			c.mu.Lock()
-			if IsCancellation(err) {
-				// Abandon: wake waiters so one of them can claim afresh.
-				delete(c.entries, k)
-				c.mu.Unlock()
-				close(e.done)
-				return v, false, err
-			}
-			e.committed = true
-			e.value, e.err, e.cost = v, err, cost
-			c.link(e)
-			c.cost += e.cost
-			c.stats.Entries++
-			if e.err != nil {
-				c.stats.Negative++
-			}
-			c.evict(e)
-			c.mu.Unlock()
-			close(e.done)
-			return v, false, err
-		}
-		if e.committed {
-			c.stats.Hits++
-			c.touch(e)
-			v, err := e.value, e.err
-			c.mu.Unlock()
-			return v, true, err
+			return c.claim(k, f, fn)
 		}
 		c.mu.Unlock()
 
 		// An execution is in flight; wait for its outcome instead of
 		// running a duplicate.
 		select {
-		case <-e.done:
+		case <-f.done:
 		case <-ctx.Done():
 			return nil, false, ctx.Err()
 		}
-		c.mu.Lock()
-		if e.committed {
+		if f.served {
+			c.mu.Lock()
 			c.stats.Hits++
 			c.stats.Waits++
-			// The entry may have been evicted while we woke up; it is
-			// still readable through our pointer either way.
-			c.touch(e)
-			v, err := e.value, e.err
+			if i, ok := c.index[k]; ok {
+				c.touch(i)
+			}
 			c.mu.Unlock()
-			return v, true, err
+			return f.payload, true, f.err
 		}
-		c.mu.Unlock()
 		// The claimant was canceled; try to claim afresh.
 	}
 }
 
-// link inserts a committed entry at the LRU head.
-func (c *Cache) link(e *entry) {
-	e.linked = true
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
+// claim runs fn for the claimed key k and commits, serves or abandons
+// its outcome. If fn panics, the claim is abandoned exactly like a
+// cancellation before the panic propagates — otherwise an HTTP layer
+// that recovers the panic would leave the key claimed forever and every
+// later caller wedged on f.done.
+func (c *Cache) claim(k Key, f *flight, fn func() ([]byte, error)) (payload []byte, hit bool, err error) {
+	finished := false
+	defer func() {
+		if !finished {
+			c.release(k, f)
+		}
+	}()
+	payload, err = fn()
+	finished = true
+	switch {
+	case IsCancellation(err):
+		// Abandon: wake waiters so one of them can claim afresh.
+		c.release(k, f)
+		return payload, false, err
+	case errors.Is(err, ErrTransient):
+		// Serve the waiters this outcome, commit nothing.
+		if err == ErrTransient {
+			err = nil
+		} else {
+			payload = nil
+		}
+		f.served, f.payload, f.err = true, payload, err
+		c.release(k, f)
+		return payload, false, err
 	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
+	f.served, f.payload, f.err = true, payload, err
+	stored, neg := payload, err != nil
+	if neg {
+		stored = []byte(err.Error())
+	}
+	c.mu.Lock()
+	delete(c.flights, k)
+	c.evict(c.insert(k, stored, neg))
+	c.mu.Unlock()
+	close(f.done)
+	return payload, false, err
+}
+
+// release drops the claim on k without committing and wakes its
+// waiters: they take the flight's outcome if it was served one, and
+// otherwise claim afresh.
+func (c *Cache) release(k Key, f *flight) {
+	c.mu.Lock()
+	delete(c.flights, k)
+	c.mu.Unlock()
+	close(f.done)
+}
+
+// insert commits a new entry for k at the LRU head and returns its slot.
+func (c *Cache) insert(k Key, payload []byte, neg bool) int32 {
+	i := c.free
+	if i != none {
+		c.free = c.slots[i].next
+	} else {
+		c.slots = append(c.slots, slot{})
+		i = int32(len(c.slots) - 1)
+	}
+	c.slots[i] = slot{key: k, payload: payload, neg: neg}
+	c.index[k] = i
+	c.link(i)
+	c.cost += entryCost(len(payload))
+	c.stats.Entries++
+	if neg {
+		c.stats.Negative++
+	}
+	return i
+}
+
+// link inserts slot i at the LRU head.
+func (c *Cache) link(i int32) {
+	s := &c.slots[i]
+	s.prev = none
+	s.next = c.head
+	if c.head != none {
+		c.slots[c.head].prev = i
+	}
+	c.head = i
+	if c.tail == none {
+		c.tail = i
 	}
 }
 
-// unlink removes e from the LRU list.
-func (c *Cache) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
+// unlink removes slot i from the LRU list.
+func (c *Cache) unlink(i int32) {
+	s := &c.slots[i]
+	if s.prev != none {
+		c.slots[s.prev].next = s.next
 	} else {
-		c.head = e.next
+		c.head = s.next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if s.next != none {
+		c.slots[s.next].prev = s.prev
 	} else {
-		c.tail = e.prev
+		c.tail = s.prev
 	}
-	e.prev, e.next = nil, nil
-	e.linked = false
+	s.prev, s.next = none, none
 }
 
-// touch moves a (possibly already evicted) committed entry to the LRU
-// head.
-func (c *Cache) touch(e *entry) {
-	if !e.linked {
+// touch moves slot i to the LRU head.
+func (c *Cache) touch(i int32) {
+	if c.head == i {
 		return
 	}
-	if c.head == e {
-		return
-	}
-	c.unlink(e)
-	c.link(e)
+	c.unlink(i)
+	c.link(i)
 }
 
-// remove drops a committed entry from the map, the list and the cost
-// account.
-func (c *Cache) remove(e *entry) {
-	c.unlink(e)
-	delete(c.entries, e.key)
-	c.cost -= e.cost
+// remove drops slot i from the index, the list and the cost account,
+// and puts it on the free list.
+func (c *Cache) remove(i int32) {
+	c.unlink(i)
+	s := &c.slots[i]
+	delete(c.index, s.key)
+	c.cost -= entryCost(len(s.payload))
 	c.stats.Entries--
-	if e.err != nil {
+	if s.neg {
 		c.stats.Negative--
 	}
+	*s = slot{prev: none, next: c.free}
+	c.free = i
 }
 
 // evict drops least-recently-used committed entries until the cache
 // fits its budget, never evicting keep (the entry whose commit
-// triggered the pass): the newest result is always served at least
-// once.
-func (c *Cache) evict(keep *entry) {
+// triggered the pass, or none): the newest result is always served at
+// least once.
+func (c *Cache) evict(keep int32) {
 	if c.maxCost <= 0 {
 		return
 	}
-	for c.cost > c.maxCost && c.tail != nil {
+	for c.cost > c.maxCost && c.tail != none {
 		victim := c.tail
 		if victim == keep {
 			return

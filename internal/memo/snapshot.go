@@ -9,11 +9,12 @@ package memo
 // snapshot written by one replica is valid input for any other replica
 // running the same code.
 //
-// The cache stores values as opaque `any`, so serialization is split:
-// this package owns the container (header, per-entry framing, ordering,
-// checksum) and the caller supplies the value codec (the pipeline layer
-// encodes its Result in exact fixed-point/integer payloads). Negative
-// entries need no caller codec — the error text is the payload.
+// The cache already holds every entry as its payload bytes — the
+// caller's encoding of a positive outcome (the pipeline layer's exact
+// fixed-point/integer result codec), or a negative entry's error text —
+// so this package owns the container (header, per-entry framing,
+// ordering, checksum) and writes payloads as they are. On import the
+// caller passes a check function that validates each positive payload.
 //
 // # Layout
 //
@@ -22,7 +23,8 @@ package memo
 //	count   uint32 little-endian
 //	count records:
 //	  key     M, N int32; H0, H1, Aux uint64 (little-endian)
-//	  cost    int64
+//	  cost    int64 (the entry's cost at export; the importer
+//	          recomputes it from the payload length)
 //	  kind    byte (0 positive, 1 negative)
 //	  payload uint32 length + bytes (codec output, or error text)
 //	crc     uint64 little-endian CRC-64/ECMA of everything before it
@@ -39,11 +41,12 @@ package memo
 // the caller's codec). A reader rejects unknown container versions with
 // ErrSnapshotVersion and any framing or checksum damage with
 // ErrSnapshotCorrupt — callers treat both as "skip the snapshot and
-// start cold", never as fatal. An entry whose payload the value codec
-// rejects is skipped individually; the rest of the snapshot still
-// loads.
+// start cold", never as fatal. An entry whose payload the check
+// function rejects is skipped individually; the rest of the snapshot
+// still loads.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -92,91 +95,66 @@ func (c *Cache) CostUsed() int64 {
 
 // exported is the under-lock copy of one committed entry taken by
 // Export: everything needed to serialize the entry after the lock is
-// released. value is referenced, not copied — cached values are
+// released. The payload is referenced, not copied — payloads are
 // immutable by the package contract, so reading them outside the lock
 // is safe.
 type exported struct {
-	key   Key
-	cost  int64
-	value any
-	err   error
+	key     Key
+	payload []byte
+	neg     bool
 }
 
-// Export writes a snapshot of every committed entry to w. enc encodes a
-// positive entry's value; returning ok=false skips that entry (a value
-// the caller's codec does not cover), which is counted in the returned
-// skipped total. Negative entries are serialized as their error text
-// and need no codec.
+// Export writes a snapshot of every committed entry to w, payloads as
+// they are. An entry whose payload exceeds the container's sanity bound
+// (which an importer would reject) is left out and counted in the
+// returned skipped total.
 //
 // Export observes the cache under its lock only long enough to copy the
-// entry list (keys, costs and value references) — encoding and I/O all
-// happen outside the lock, so a snapshot of a large cache never stalls
+// entry list (keys and payload references) — framing and I/O all happen
+// outside the lock, so a snapshot of a large cache never stalls
 // concurrent solvers. Exporting is read-only: it does not touch LRU
 // recency order and perturbs no counter, so a mid-traffic export is
 // invisible to cache behaviour (unit-tested).
-func (c *Cache) Export(w io.Writer, enc func(value any) ([]byte, bool)) (written, skipped int, err error) {
+func (c *Cache) Export(w io.Writer) (written, skipped int, err error) {
 	c.mu.Lock()
 	entries := make([]exported, 0, c.stats.Entries)
 	// Tail (least recently used) first; see the layout notes above.
-	for e := c.tail; e != nil; e = e.prev {
-		entries = append(entries, exported{key: e.key, cost: e.cost, value: e.value, err: e.err})
-	}
-	c.mu.Unlock()
-
-	// Encode values first: entries the codec cannot express drop out of
-	// the count before the header is written.
-	type record struct {
-		exported
-		payload []byte
-		neg     bool
-	}
-	records := make([]record, 0, len(entries))
-	for _, e := range entries {
-		r := record{exported: e}
-		if e.err != nil {
-			r.neg = true
-			r.payload = []byte(e.err.Error())
-		} else {
-			p, ok := enc(e.value)
-			if !ok {
-				skipped++
-				continue
-			}
-			r.payload = p
-		}
-		if len(r.payload) > maxPayloadBytes {
+	for i := c.tail; i != none; i = c.slots[i].prev {
+		s := &c.slots[i]
+		if len(s.payload) > maxPayloadBytes {
 			skipped++
 			continue
 		}
-		records = append(records, r)
+		entries = append(entries, exported{key: s.key, payload: s.payload, neg: s.neg})
 	}
+	c.mu.Unlock()
 
 	cw := &crcWriter{w: w}
 	buf := make([]byte, 0, 64)
 	buf = append(buf, snapshotMagic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, snapshotVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(records)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
 	if _, err := cw.Write(buf); err != nil {
 		return 0, skipped, err
 	}
-	for _, r := range records {
+	for _, e := range entries {
 		buf = buf[:0]
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.key.Sig.M))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.key.Sig.N))
-		buf = binary.LittleEndian.AppendUint64(buf, r.key.Sig.H0)
-		buf = binary.LittleEndian.AppendUint64(buf, r.key.Sig.H1)
-		buf = binary.LittleEndian.AppendUint64(buf, r.key.Aux)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.cost))
-		if r.neg {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.key.Sig.M))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.key.Sig.N))
+		buf = binary.LittleEndian.AppendUint64(buf, e.key.Sig.H0)
+		buf = binary.LittleEndian.AppendUint64(buf, e.key.Sig.H1)
+		buf = binary.LittleEndian.AppendUint64(buf, e.key.Aux)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(entryCost(len(e.payload))))
+		if e.neg {
 			buf = append(buf, 1)
 		} else {
 			buf = append(buf, 0)
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.payload)))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.payload)))
 		if _, err := cw.Write(buf); err != nil {
 			return 0, skipped, err
 		}
-		if _, err := cw.Write(r.payload); err != nil {
+		if _, err := cw.Write(e.payload); err != nil {
 			return 0, skipped, err
 		}
 	}
@@ -185,7 +163,7 @@ func (c *Cache) Export(w io.Writer, enc func(value any) ([]byte, bool)) (written
 	if _, err := w.Write(foot[:]); err != nil {
 		return 0, skipped, err
 	}
-	return len(records), skipped, nil
+	return len(entries), skipped, nil
 }
 
 // crcWriter forwards to w while accumulating a CRC-64/ECMA of every
@@ -210,7 +188,7 @@ type ImportStats struct {
 	// SkippedExisting counts entries whose key was already present (the
 	// live entry wins), SkippedBudget entries dropped because the cache
 	// budget could not fit them (the coldest entries drop first), and
-	// SkippedDecode entries whose payload the value codec rejected.
+	// SkippedDecode entries whose payload the check function rejected.
 	SkippedExisting int
 	SkippedBudget   int
 	SkippedDecode   int
@@ -221,20 +199,22 @@ func (s ImportStats) Skipped() int {
 	return s.SkippedExisting + s.SkippedBudget + s.SkippedDecode
 }
 
-// Import loads a snapshot written by Export into the cache. dec decodes
-// a positive entry's payload back into a cache value; an entry dec
-// rejects is skipped, not fatal. A snapshot from an unknown container
-// version fails with ErrSnapshotVersion, framing or checksum damage
-// with ErrSnapshotCorrupt; in both cases the cache is left untouched.
+// Import loads a snapshot written by Export into the cache. check
+// validates a positive entry's payload (the caller's decoder); an entry
+// it rejects is skipped, not fatal. Each loaded entry is charged its
+// cost recomputed from its payload length, whatever cost the snapshot
+// recorded. A snapshot from an unknown container version fails with
+// ErrSnapshotVersion, framing or checksum damage with
+// ErrSnapshotCorrupt; in both cases the cache is left untouched.
 //
-// Entries already present in the cache are skipped (the live state
-// wins). When the snapshot does not fit the cache budget the
+// Entries already present in the cache, committed or in flight, are
+// skipped (the live state wins). When the snapshot does not fit the cache budget the
 // least-recently-used entries are dropped first, so a replica with a
 // smaller budget inherits the hottest slice of a bigger one's state.
 // Like Export, Import never holds the cache lock across I/O or
-// decoding: the snapshot is parsed and decoded first, then committed
+// validation: the snapshot is parsed and checked first, then committed
 // under one short critical section.
-func (c *Cache) Import(r io.Reader, dec func(payload []byte) (value any, err error)) (ImportStats, error) {
+func (c *Cache) Import(r io.Reader, check func(payload []byte) error) (ImportStats, error) {
 	var st ImportStats
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -258,54 +238,46 @@ func (c *Cache) Import(r io.Reader, dec func(payload []byte) (value any, err err
 		return st, fmt.Errorf("%w: implausible entry count %d", ErrSnapshotCorrupt, count)
 	}
 
-	type record struct {
-		key   Key
-		cost  int64
-		value any
-		err   error
-	}
-	records := make([]record, 0, count)
+	// Records reference their payloads inside data until the commit
+	// below copies each one it keeps into an allocation of its own, so
+	// a loaded entry never pins the whole snapshot buffer.
+	records := make([]exported, 0, count)
 	off := 12
 	for i := uint32(0); i < count; i++ {
 		// key (32) + cost (8) + kind (1) + payload length (4).
 		if len(body)-off < 45 {
 			return st, fmt.Errorf("%w: truncated record %d", ErrSnapshotCorrupt, i)
 		}
-		var rec record
+		var rec exported
 		rec.key.Sig.M = int32(binary.LittleEndian.Uint32(body[off:]))
 		rec.key.Sig.N = int32(binary.LittleEndian.Uint32(body[off+4:]))
 		rec.key.Sig.H0 = binary.LittleEndian.Uint64(body[off+8:])
 		rec.key.Sig.H1 = binary.LittleEndian.Uint64(body[off+16:])
 		rec.key.Aux = binary.LittleEndian.Uint64(body[off+24:])
-		rec.cost = int64(binary.LittleEndian.Uint64(body[off+32:]))
+		// body[off+32:off+40] is the recorded cost, superseded by the
+		// payload length.
 		kind := body[off+40]
 		plen := binary.LittleEndian.Uint32(body[off+41:])
 		off += 45
 		if plen > maxPayloadBytes || len(body)-off < int(plen) {
 			return st, fmt.Errorf("%w: truncated payload in record %d", ErrSnapshotCorrupt, i)
 		}
-		payload := body[off : off+int(plen)]
+		rec.payload = body[off : off+int(plen)]
 		off += int(plen)
 		switch kind {
 		case 0:
-			v, err := dec(payload)
-			if err != nil {
+			if check(rec.payload) != nil {
 				st.SkippedDecode++
 				continue
 			}
-			rec.value = v
 		case 1:
-			// Reconstructed rejections lose their concrete error type but
-			// keep their text; the solver layers only branch on nil-ness
-			// (and on cancellation, which is never snapshotted), so this
-			// is behaviour-preserving.
-			rec.err = errors.New(string(payload))
+			// A rejection is served as an error carrying its text, like
+			// any committed negative entry; the solver layers only
+			// branch on nil-ness (and on cancellation, which is never
+			// committed).
+			rec.neg = true
 		default:
 			return st, fmt.Errorf("%w: unknown entry kind %d in record %d", ErrSnapshotCorrupt, kind, i)
-		}
-		if rec.cost < 0 {
-			st.SkippedDecode++
-			continue
 		}
 		records = append(records, rec)
 	}
@@ -319,55 +291,36 @@ func (c *Cache) Import(r io.Reader, dec func(payload []byte) (value any, err err
 	if c.maxCost > 0 {
 		var need int64
 		for _, rec := range records {
-			need += rec.cost
+			need += entryCost(len(rec.payload))
 		}
 		for start < len(records) && need > c.maxCost {
-			need -= records[start].cost
+			need -= entryCost(len(records[start].payload))
 			st.SkippedBudget++
 			start++
 		}
 	}
+	kept := records[start:]
+	for i := range kept {
+		kept[i].payload = bytes.Clone(kept[i].payload)
+	}
 
 	c.mu.Lock()
-	for _, rec := range records[start:] {
-		if _, ok := c.entries[rec.key]; ok {
+	for _, rec := range kept {
+		_, committed := c.index[rec.key]
+		if _, inFlight := c.flights[rec.key]; committed || inFlight {
 			st.SkippedExisting++
 			continue
 		}
-		e := &entry{
-			key:       rec.key,
-			done:      closedChan,
-			committed: true,
-			value:     rec.value,
-			err:       rec.err,
-			cost:      rec.cost,
-		}
-		c.entries[rec.key] = e
-		c.link(e)
-		c.cost += e.cost
-		c.stats.Entries++
-		if e.err != nil {
-			c.stats.Negative++
-		}
+		c.insert(rec.key, rec.payload, rec.neg)
 		st.Loaded++
-		if rec.err != nil {
+		if rec.neg {
 			st.LoadedNegative++
 		}
 	}
 	// Imported entries count toward the budget like any commit; if live
 	// traffic raced a concurrent commit past the budget, trim back to it
 	// (the entries just linked at the head are the last to go).
-	if c.maxCost > 0 {
-		c.evict(nil)
-	}
+	c.evict(none)
 	c.mu.Unlock()
 	return st, nil
 }
-
-// closedChan is the done channel of entries that were never in flight:
-// imported entries are born committed.
-var closedChan = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()

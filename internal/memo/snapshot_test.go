@@ -7,36 +7,31 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc64"
-	"strconv"
 	"testing"
 )
 
-// testEnc/testDec round-trip string values, the stand-in for the
-// pipeline's result codec in these container-level tests.
-func testEnc(v any) ([]byte, bool) {
-	s, ok := v.(string)
-	if !ok {
-		return nil, false
-	}
-	return []byte(s), true
-}
-
-func testDec(p []byte) (any, error) {
-	return string(p), nil
-}
+// acceptAll is the check function of container-level tests: every
+// payload is valid.
+func acceptAll([]byte) error { return nil }
 
 func keyOf(i int) Key {
 	return Key{Sig: Sig{M: int32(i), N: int32(i + 1), H0: uint64(i) * 77, H1: uint64(i) * 131}, Aux: uint64(i)}
 }
 
-// fill commits n positive entries ("v0".."v<n-1>", cost 100 each) in
-// key order, so key n-1 is the most recently used.
+// vpay is the payload fill commits for key i: "v000".."v999", so every
+// entry has the same cost.
+func vpay(i int) []byte { return []byte(fmt.Sprintf("v%03d", i)) }
+
+// vcost is the cost of one fill entry.
+var vcost = entryCost(len(vpay(0)))
+
+// fill commits n positive entries (vpay(0)..vpay(n-1)) in key order, so
+// key n-1 is the most recently used.
 func fill(t *testing.T, c *Cache, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		v := "v" + strconv.Itoa(i)
-		if _, _, err := c.Do(context.Background(), keyOf(i), func() (any, int64, error) {
-			return v, 100, nil
+		if _, _, err := c.Do(context.Background(), keyOf(i), func() ([]byte, error) {
+			return vpay(i), nil
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -47,14 +42,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	src := New(0)
 	fill(t, src, 5)
 	rejection := errors.New("oracle: configuration program infeasible")
-	if _, _, err := src.Do(context.Background(), keyOf(100), func() (any, int64, error) {
-		return nil, 64, rejection
+	if _, _, err := src.Do(context.Background(), keyOf(100), func() ([]byte, error) {
+		return nil, rejection
 	}); err == nil {
 		t.Fatal("expected the negative compute to return its error")
 	}
 
 	var buf bytes.Buffer
-	written, skipped, err := src.Export(&buf, testEnc)
+	written, skipped, err := src.Export(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +58,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 
 	dst := New(0)
-	st, err := dst.Import(bytes.NewReader(buf.Bytes()), testDec)
+	st, err := dst.Import(bytes.NewReader(buf.Bytes()), acceptAll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,20 +68,20 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if dst.Len() != 6 || dst.CostUsed() != src.CostUsed() {
 		t.Fatalf("imported cache has %d entries / cost %d, want 6 / %d", dst.Len(), dst.CostUsed(), src.CostUsed())
 	}
-	// Every positive entry must serve a hit with the original value.
+	// Every positive entry must serve a hit with the original payload.
 	for i := 0; i < 5; i++ {
-		v, hit, err := dst.Do(context.Background(), keyOf(i), func() (any, int64, error) {
+		v, hit, err := dst.Do(context.Background(), keyOf(i), func() ([]byte, error) {
 			t.Fatalf("key %d recomputed after import", i)
-			return nil, 0, nil
+			return nil, nil
 		})
-		if err != nil || !hit || v != "v"+strconv.Itoa(i) {
-			t.Fatalf("key %d: v=%v hit=%v err=%v", i, v, hit, err)
+		if err != nil || !hit || !bytes.Equal(v, vpay(i)) {
+			t.Fatalf("key %d: v=%q hit=%v err=%v", i, v, hit, err)
 		}
 	}
 	// The negative entry must serve its rejection text without recompute.
-	_, hit, err := dst.Do(context.Background(), keyOf(100), func() (any, int64, error) {
+	_, hit, err := dst.Do(context.Background(), keyOf(100), func() ([]byte, error) {
 		t.Fatal("negative key recomputed after import")
-		return nil, 0, nil
+		return nil, nil
 	})
 	if !hit || err == nil || err.Error() != rejection.Error() {
 		t.Fatalf("negative key: hit=%v err=%v", hit, err)
@@ -110,13 +105,13 @@ func TestSnapshotPreservesRecency(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if _, _, err := src.Export(&buf, testEnc); err != nil {
+	if _, _, err := src.Export(&buf); err != nil {
 		t.Fatal(err)
 	}
 	// Budget for 3 of the 10 entries: must keep the 3 hottest
 	// (0 — just touched — then 9, then 8).
-	dst := New(300)
-	st, err := dst.Import(bytes.NewReader(buf.Bytes()), testDec)
+	dst := New(3 * vcost)
+	st, err := dst.Import(bytes.NewReader(buf.Bytes()), acceptAll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,9 +125,9 @@ func TestSnapshotPreservesRecency(t *testing.T) {
 	}
 	for _, cold := range []int{1, 2, 3} {
 		recomputed := false
-		dst.Do(context.Background(), keyOf(cold), func() (any, int64, error) { //nolint:errcheck
+		dst.Do(context.Background(), keyOf(cold), func() ([]byte, error) { //nolint:errcheck
 			recomputed = true
-			return "fresh", 100, nil
+			return vpay(cold), nil
 		})
 		if !recomputed {
 			t.Errorf("cold key %d unexpectedly survived the budget cut", cold)
@@ -144,12 +139,12 @@ func TestSnapshotPreservesRecency(t *testing.T) {
 // change neither the counters nor the LRU eviction order of the live
 // cache.
 func TestExportDoesNotPerturb(t *testing.T) {
-	c := New(500) // exactly 5 entries of cost 100
+	c := New(5 * vcost) // exactly 5 fill entries
 	fill(t, c, 5)
 	before := c.Stats()
 
 	var buf bytes.Buffer
-	if _, _, err := c.Export(&buf, testEnc); err != nil {
+	if _, _, err := c.Export(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if after := c.Stats(); after != before {
@@ -159,15 +154,15 @@ func TestExportDoesNotPerturb(t *testing.T) {
 	// One more commit must evict key 0 — the LRU victim an untouched
 	// cache would pick. If Export had touched entries, the victim would
 	// differ.
-	if _, _, err := c.Do(context.Background(), keyOf(50), func() (any, int64, error) {
-		return "new", 100, nil
+	if _, _, err := c.Do(context.Background(), keyOf(50), func() ([]byte, error) {
+		return vpay(50), nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	evicted := false
-	c.Do(context.Background(), keyOf(0), func() (any, int64, error) { //nolint:errcheck
+	c.Do(context.Background(), keyOf(0), func() ([]byte, error) { //nolint:errcheck
 		evicted = true
-		return "v0", 100, nil
+		return vpay(0), nil
 	})
 	if !evicted {
 		t.Fatal("post-export commit did not evict the pre-export LRU victim")
@@ -182,18 +177,18 @@ func TestImportSkipsExisting(t *testing.T) {
 	src := New(0)
 	fill(t, src, 3)
 	var buf bytes.Buffer
-	if _, _, err := src.Export(&buf, testEnc); err != nil {
+	if _, _, err := src.Export(&buf); err != nil {
 		t.Fatal(err)
 	}
 
 	dst := New(0)
-	// Pre-commit key 1 with a different value; the live entry must win.
-	if _, _, err := dst.Do(context.Background(), keyOf(1), func() (any, int64, error) {
-		return "live", 100, nil
+	// Pre-commit key 1 with a different payload; the live entry must win.
+	if _, _, err := dst.Do(context.Background(), keyOf(1), func() ([]byte, error) {
+		return []byte("live"), nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := dst.Import(bytes.NewReader(buf.Bytes()), testDec)
+	st, err := dst.Import(bytes.NewReader(buf.Bytes()), acceptAll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,8 +196,70 @@ func TestImportSkipsExisting(t *testing.T) {
 		t.Fatalf("import stats %+v, want 2 loaded / 1 existing-skipped", st)
 	}
 	v, hit, _ := dst.Do(context.Background(), keyOf(1), nil)
-	if !hit || v != "live" {
-		t.Fatalf("live entry overwritten by import: v=%v hit=%v", v, hit)
+	if !hit || string(v) != "live" {
+		t.Fatalf("live entry overwritten by import: v=%q hit=%v", v, hit)
+	}
+}
+
+// TestImportSkipsInFlight: a key being computed while a snapshot loads
+// is live state too; the import skips it and the claimant's commit is
+// the one entry for the key.
+func TestImportSkipsInFlight(t *testing.T) {
+	src := New(0)
+	fill(t, src, 3)
+	var buf bytes.Buffer
+	if _, _, err := src.Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dst := New(0)
+	claimed, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		dst.Do(context.Background(), keyOf(1), func() ([]byte, error) { //nolint:errcheck
+			close(claimed)
+			<-release
+			return []byte("live"), nil
+		})
+	}()
+	<-claimed
+	st, err := dst.Import(bytes.NewReader(buf.Bytes()), acceptAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	<-done
+	if st.Loaded != 2 || st.SkippedExisting != 1 {
+		t.Fatalf("import stats %+v, want 2 loaded / 1 existing-skipped", st)
+	}
+	if dst.Len() != 3 || dst.CostUsed() != 2*vcost+entryCost(len("live")) {
+		t.Fatalf("cache holds %d entries / cost %d after the claimant committed", dst.Len(), dst.CostUsed())
+	}
+	if v, hit, _ := dst.Do(context.Background(), keyOf(1), nil); !hit || string(v) != "live" {
+		t.Fatalf("in-flight key: v=%q hit=%v, want the claimant's commit", v, hit)
+	}
+}
+
+// TestImportRecomputesCost: the cost a snapshot records is not trusted;
+// each loaded entry is charged its payload length plus the fixed
+// overhead, like a live commit.
+func TestImportRecomputesCost(t *testing.T) {
+	src := New(0)
+	fill(t, src, 2)
+	var buf bytes.Buffer
+	if _, _, err := src.Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	// Record 0 starts after the 12-byte header; its cost follows the
+	// 32-byte key. Rewrite it and re-seal the checksum.
+	binary.LittleEndian.PutUint64(data[12+32:], 1<<40)
+	binary.LittleEndian.PutUint64(data[len(data)-8:], crc64.Checksum(data[:len(data)-8], crcTable))
+	dst := New(0)
+	if _, err := dst.Import(bytes.NewReader(data), acceptAll); err != nil {
+		t.Fatal(err)
+	}
+	if got := dst.CostUsed(); got != 2*vcost {
+		t.Fatalf("imported cost %d, want %d measured from the payloads", got, 2*vcost)
 	}
 }
 
@@ -210,7 +267,7 @@ func TestImportRejectsDamage(t *testing.T) {
 	src := New(0)
 	fill(t, src, 3)
 	var buf bytes.Buffer
-	if _, _, err := src.Export(&buf, testEnc); err != nil {
+	if _, _, err := src.Export(&buf); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -234,7 +291,7 @@ func TestImportRejectsDamage(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			data := tc.mut(append([]byte(nil), good...))
 			dst := New(0)
-			_, err := dst.Import(bytes.NewReader(data), testDec)
+			_, err := dst.Import(bytes.NewReader(data), acceptAll)
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("got %v, want %v", err, tc.want)
 			}
@@ -248,7 +305,7 @@ func TestImportRejectsDamage(t *testing.T) {
 	bad := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint32(bad[4:8], snapshotVersion+1)
 	binary.LittleEndian.PutUint64(bad[len(bad)-8:], crc64.Checksum(bad[:len(bad)-8], crcTable))
-	if _, err := New(0).Import(bytes.NewReader(bad), testDec); !errors.Is(err, ErrSnapshotVersion) {
+	if _, err := New(0).Import(bytes.NewReader(bad), acceptAll); !errors.Is(err, ErrSnapshotVersion) {
 		t.Fatalf("version mismatch reported %v, want ErrSnapshotVersion", err)
 	}
 }
@@ -259,19 +316,19 @@ func TestImportSkipsUndecodableValues(t *testing.T) {
 	src := New(0)
 	fill(t, src, 4)
 	var buf bytes.Buffer
-	if _, _, err := src.Export(&buf, testEnc); err != nil {
+	if _, _, err := src.Export(&buf); err != nil {
 		t.Fatal(err)
 	}
 	n := 0
-	pickyDec := func(p []byte) (any, error) {
+	pickyCheck := func(p []byte) error {
 		n++
 		if n == 2 {
-			return nil, fmt.Errorf("codec: unsupported payload")
+			return fmt.Errorf("codec: unsupported payload")
 		}
-		return string(p), nil
+		return nil
 	}
 	dst := New(0)
-	st, err := dst.Import(bytes.NewReader(buf.Bytes()), pickyDec)
+	st, err := dst.Import(bytes.NewReader(buf.Bytes()), pickyCheck)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,13 +342,12 @@ func TestImportSkipsUndecodableValues(t *testing.T) {
 func FuzzImport(f *testing.F) {
 	src := New(0)
 	for i := 0; i < 3; i++ {
-		v := "v" + strconv.Itoa(i)
-		src.Do(context.Background(), keyOf(i), func() (any, int64, error) { //nolint:errcheck
-			return v, 100, nil
+		src.Do(context.Background(), keyOf(i), func() ([]byte, error) { //nolint:errcheck
+			return vpay(i), nil
 		})
 	}
 	var seed bytes.Buffer
-	if _, _, err := src.Export(&seed, testEnc); err != nil {
+	if _, _, err := src.Export(&seed); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed.Bytes())
@@ -299,7 +355,7 @@ func FuzzImport(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := New(0)
-		st, err := c.Import(bytes.NewReader(data), testDec)
+		st, err := c.Import(bytes.NewReader(data), acceptAll)
 		if err != nil && c.Len() != 0 {
 			t.Fatalf("failed import left %d entries in the cache", c.Len())
 		}
@@ -307,24 +363,4 @@ func FuzzImport(f *testing.F) {
 			t.Fatalf("import reported %d loaded but cache holds %d", st.Loaded, c.Len())
 		}
 	})
-}
-
-// TestExportSkipsUnencodableValues: values outside the caller codec drop
-// out with a count, everything else still snapshots.
-func TestExportSkipsUnencodableValues(t *testing.T) {
-	c := New(0)
-	fill(t, c, 2)
-	if _, _, err := c.Do(context.Background(), keyOf(9), func() (any, int64, error) {
-		return 12345, 100, nil // an int; testEnc only handles strings
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	written, skipped, err := c.Export(&buf, testEnc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if written != 2 || skipped != 1 {
-		t.Fatalf("export wrote %d / skipped %d, want 2 / 1", written, skipped)
-	}
 }

@@ -6,13 +6,22 @@
 // integral dimension is a function of 1/epsilon, and branch-and-bound has
 // exactly that profile — worst-case cost exponential only in the number of
 // integer variables.
+//
+// A node's LP relaxation is the model's problem plus the node's chain of
+// branching bounds. Solve never materializes that problem: it hands the
+// chain to lp.Problem.SolveIn, which appends the bounds as rows after the
+// shared base rows inside an lp.Workspace. Each solve takes one workspace
+// from a package pool for its main loop, and each speculative helper
+// lane takes its own, so in steady state a node allocates little beyond
+// its relaxation's solution vector.
 package milp
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/lp"
@@ -117,17 +126,16 @@ type Solution struct {
 	Steals int
 	// SpecUsed counts adopted speculative LP results; see Steals.
 	SpecUsed int
+	// TimedOut reports that the search stopped on Options.TimeLimit.
+	// Every other stop depends only on the model and the options; this
+	// one also depends on machine load.
+	TimedOut bool
 }
 
-// bound is one branching decision: var <= val or var >= val.
-type boundChange struct {
-	v     int
-	upper bool
-	val   float64
-}
-
+// node is one open subproblem: the branching bounds from the root, each
+// var <= val or var >= val.
 type node struct {
-	bounds []boundChange
+	bounds []lp.Bound
 	lpObj  float64 // parent LP bound (priority)
 	depth  int
 	free   *node // free-list link, meaningful only while recycled
@@ -194,7 +202,7 @@ func (q *nodeQueue) pop() *node {
 // newNode hands out a node carrying the parent's bounds plus one extra
 // bound change, reusing a free-listed node (and its bounds capacity) when
 // available.
-func (q *nodeQueue) newNode(parent []boundChange, extra boundChange, lpObj float64, depth int) *node {
+func (q *nodeQueue) newNode(parent []lp.Bound, extra lp.Bound, lpObj float64, depth int) *node {
 	n := q.free
 	if n != nil {
 		q.free = n.free
@@ -216,6 +224,10 @@ func (q *nodeQueue) recycle(n *node) {
 	q.free = n
 }
 
+// workspaces pools the simplex workspaces of the main search loops and
+// the speculative helper lanes; a workspace is held for a whole solve.
+var workspaces = sync.Pool{New: func() any { return new(lp.Workspace) }}
+
 // Solve runs branch and bound and returns the best solution found. The
 // context is polled once per node: a canceled or expired ctx aborts the
 // search and returns ctx.Err(), discarding any incumbent — callers that
@@ -234,19 +246,26 @@ func Solve(ctx context.Context, m *Model, opt Options) (Solution, error) {
 		deadline = time.Now().Add(opt.TimeLimit)
 	}
 
-	isInt := make(map[int]bool, len(m.Integer))
-	for _, v := range m.Integer {
-		isInt[v] = true
-	}
-
 	var (
 		incumbent    []float64
 		incumbentObj = math.Inf(1)
 		haveInc      bool
+		timedOut     bool
 		nodes        int
 		pivots       int
 		bestBound    = math.Inf(1)
 	)
+
+	ws := workspaces.Get().(*lp.Workspace)
+	defer workspaces.Put(ws)
+	// One LP option set serves every node: during a node's solve pivots
+	// still holds the count before it, so the hook reports the same
+	// cumulative ticks a per-node closure over that count would.
+	lpOpt := lp.Options{MaxIters: opt.LPMaxIters}
+	if opt.Progress != nil {
+		lpOpt.Progress = func(iters int) error { return opt.Progress(nodes, pivots+iters) }
+	}
+	var rounder rounder
 
 	q := &nodeQueue{}
 	q.push(&node{lpObj: math.Inf(-1)})
@@ -272,6 +291,7 @@ func Solve(ctx context.Context, m *Model, opt Options) (Solution, error) {
 			break
 		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
+			timedOut = true
 			break
 		}
 		if err := ctx.Err(); err != nil {
@@ -312,20 +332,7 @@ func Solve(ctx context.Context, m *Model, opt Options) (Solution, error) {
 				}
 			}
 		} else {
-			prob := m.Prob.Clone()
-			for _, bc := range nd.bounds {
-				if bc.upper {
-					prob.AddConstraint([]lp.Term{{Var: bc.v, Coef: 1}}, lp.LE, bc.val)
-				} else {
-					prob.AddConstraint([]lp.Term{{Var: bc.v, Coef: 1}}, lp.GE, bc.val)
-				}
-			}
-			lpOpt := lp.Options{MaxIters: opt.LPMaxIters}
-			if opt.Progress != nil {
-				base := pivots
-				lpOpt.Progress = func(iters int) error { return opt.Progress(nodes, base+iters) }
-			}
-			res, err = prob.Solve(lpOpt)
+			res, err = m.Prob.SolveIn(ws, nd.bounds, lpOpt)
 		}
 		pivots += res.Iters
 		if err != nil {
@@ -355,10 +362,10 @@ func Solve(ctx context.Context, m *Model, opt Options) (Solution, error) {
 		// Rounding heuristic: a sum-preserving largest-remainder round
 		// of the integer variables often hits a feasible point directly
 		// (configuration LPs are near-integral), avoiding deep search.
-		if cand := roundHeuristic(res.X, m.Integer); !opt.DisableRounding && cand != nil && m.Prob.CheckFeasible(cand, 1e-6) {
+		if cand := rounder.round(res.X, m.Integer); !opt.DisableRounding && cand != nil && m.Prob.CheckFeasible(cand, 1e-6) {
 			obj := m.Prob.Objective(cand)
 			if !haveInc || obj < incumbentObj-1e-12 {
-				incumbent = cand
+				incumbent = slices.Clone(cand)
 				incumbentObj = obj
 				haveInc = true
 				if opt.StopAtFirst {
@@ -381,7 +388,7 @@ func Solve(ctx context.Context, m *Model, opt Options) (Solution, error) {
 		if branchVar < 0 {
 			// Integer feasible.
 			if res.Obj < incumbentObj-1e-12 || !haveInc {
-				incumbent = snap(res.X, isInt)
+				incumbent = snap(res.X, m.Integer)
 				incumbentObj = res.Obj
 				haveInc = true
 				if opt.StopAtFirst {
@@ -393,8 +400,8 @@ func Solve(ctx context.Context, m *Model, opt Options) (Solution, error) {
 		}
 
 		xv := res.X[branchVar]
-		q.push(q.newNode(nd.bounds, boundChange{v: branchVar, upper: true, val: math.Floor(xv)}, res.Obj, nd.depth+1))
-		q.push(q.newNode(nd.bounds, boundChange{v: branchVar, upper: false, val: math.Ceil(xv)}, res.Obj, nd.depth+1))
+		q.push(q.newNode(nd.bounds, lp.Bound{Var: branchVar, Upper: true, Val: math.Floor(xv)}, res.Obj, nd.depth+1))
+		q.push(q.newNode(nd.bounds, lp.Bound{Var: branchVar, Upper: false, Val: math.Ceil(xv)}, res.Obj, nd.depth+1))
 		q.recycle(nd)
 		if spec != nil {
 			spec.refresh(q)
@@ -412,25 +419,35 @@ func Solve(ctx context.Context, m *Model, opt Options) (Solution, error) {
 		if q.len() == 0 || bestBound >= incumbentObj-1e-9 {
 			status = StatusOptimal
 		}
-		return attach(Solution{Status: status, X: incumbent, Obj: incumbentObj, Nodes: nodes, Pivots: pivots, Bound: bestBound}), nil
+		return attach(Solution{Status: status, X: incumbent, Obj: incumbentObj, Nodes: nodes, Pivots: pivots, Bound: bestBound, TimedOut: timedOut}), nil
 	}
 	if q.len() == 0 {
 		return attach(Solution{Status: StatusInfeasible, Nodes: nodes, Pivots: pivots}), nil
 	}
-	return attach(Solution{Status: StatusLimit, Nodes: nodes, Pivots: pivots, Bound: bestBound}), nil
+	return attach(Solution{Status: StatusLimit, Nodes: nodes, Pivots: pivots, Bound: bestBound, TimedOut: timedOut}), nil
 }
 
-// roundHeuristic rounds the integer components of x while preserving
-// their total: all are floored, then the rounded total deficit is
-// distributed to the variables with the largest fractional parts. This
-// keeps aggregate rows like sum(x)=m satisfied and favours the columns
-// the LP already leaned on. Returns nil when x is already integral.
-func roundHeuristic(x []float64, integer []int) []float64 {
-	type frac struct {
-		v int
-		f float64
-	}
-	var fracs []frac
+// rounder is the largest-remainder rounding heuristic with buffers that
+// live for one search, so rounding a node's relaxation allocates nothing.
+type rounder struct {
+	fracs []frac
+	out   []float64
+}
+
+// frac is an integer variable's fractional part.
+type frac struct {
+	v int
+	f float64
+}
+
+// round rounds the integer components of x while preserving their
+// total: all are floored, then the rounded total deficit is distributed
+// to the variables with the largest fractional parts. This keeps
+// aggregate rows like sum(x)=m satisfied and favours the columns the LP
+// already leaned on. It returns nil when x is already integral; the
+// returned slice is the rounder's buffer, valid until the next call.
+func (r *rounder) round(x []float64, integer []int) []float64 {
+	fracs := r.fracs[:0]
 	total := 0.0
 	floorSum := 0.0
 	for _, v := range integer {
@@ -441,20 +458,26 @@ func roundHeuristic(x []float64, integer []int) []float64 {
 			fracs = append(fracs, frac{v, f})
 		}
 	}
+	r.fracs = fracs
 	if len(fracs) == 0 {
 		return nil
 	}
-	out := make([]float64, len(x))
-	copy(out, x)
+	out := append(r.out[:0], x...)
+	r.out = out
 	for _, v := range integer {
 		out[v] = math.Floor(x[v] + 1e-9)
 	}
 	deficit := int(math.Round(total - floorSum))
-	sort.Slice(fracs, func(i, j int) bool {
-		if fracs[i].f != fracs[j].f {
-			return fracs[i].f > fracs[j].f
+	// (f descending, v ascending) is a total order over distinct
+	// variables, so any sort yields the same prefix.
+	slices.SortFunc(fracs, func(a, b frac) int {
+		switch {
+		case a.f > b.f:
+			return -1
+		case a.f < b.f:
+			return 1
 		}
-		return fracs[i].v < fracs[j].v
+		return a.v - b.v
 	})
 	for i := 0; i < deficit && i < len(fracs); i++ {
 		out[fracs[i].v]++
@@ -463,10 +486,9 @@ func roundHeuristic(x []float64, integer []int) []float64 {
 }
 
 // snap rounds the integer components of x to exact integers.
-func snap(x []float64, isInt map[int]bool) []float64 {
-	out := make([]float64, len(x))
-	copy(out, x)
-	for v := range isInt {
+func snap(x []float64, integer []int) []float64 {
+	out := slices.Clone(x)
+	for _, v := range integer {
 		out[v] = math.Round(out[v])
 	}
 	return out

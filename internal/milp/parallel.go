@@ -49,7 +49,7 @@ var mainClaimed = &specTask{}
 // branching, so helpers must not alias them.
 type specItem struct {
 	key    string
-	bounds []boundChange
+	bounds []lp.Bound
 }
 
 // speculator coordinates the helper goroutines. The main loop publishes
@@ -91,15 +91,15 @@ func newSpeculator(prob *lp.Problem, helpers, lpMaxIters int) *speculator {
 
 // appendBoundsKey serializes a bounds chain. Chains are root-to-node
 // paths in the branching tree, so distinct nodes have distinct keys.
-func appendBoundsKey(buf []byte, bounds []boundChange) []byte {
+func appendBoundsKey(buf []byte, bounds []lp.Bound) []byte {
 	for _, bc := range bounds {
-		buf = binary.AppendUvarint(buf, uint64(bc.v))
-		if bc.upper {
+		buf = binary.AppendUvarint(buf, uint64(bc.Var))
+		if bc.Upper {
 			buf = append(buf, 1)
 		} else {
 			buf = append(buf, 0)
 		}
-		buf = binary.AppendUvarint(buf, math.Float64bits(bc.val))
+		buf = binary.AppendUvarint(buf, math.Float64bits(bc.Val))
 	}
 	return buf
 }
@@ -123,7 +123,7 @@ func (s *speculator) refresh(q *nodeQueue) {
 		if _, seen := s.tasks[string(buf)]; seen {
 			continue
 		}
-		bounds := make([]boundChange, len(nd.bounds))
+		bounds := make([]lp.Bound, len(nd.bounds))
 		copy(bounds, nd.bounds)
 		items = append(items, specItem{key: string(buf), bounds: bounds})
 	}
@@ -136,7 +136,7 @@ func (s *speculator) refresh(q *nodeQueue) {
 // take hands the main loop the speculative task for a node, or nil when
 // none exists — in which case the node is marked main-claimed and must
 // be solved inline.
-func (s *speculator) take(bounds []boundChange) *specTask {
+func (s *speculator) take(bounds []lp.Bound) *specTask {
 	s.keyBuf = appendBoundsKey(s.keyBuf[:0], bounds)
 	s.mu.Lock()
 	t := s.tasks[string(s.keyBuf)]
@@ -154,10 +154,22 @@ func (s *speculator) take(bounds []boundChange) *specTask {
 }
 
 // run is one helper goroutine: claim an unclaimed frontier candidate,
-// solve its LP relaxation (no Progress hook — the main loop replays the
-// tick sequence on adoption), publish, repeat.
+// solve its LP relaxation in the lane's own workspace (no Progress hook
+// beyond the halt poll — the main loop replays the tick sequence on
+// adoption), publish, repeat.
 func (s *speculator) run() {
 	defer s.wg.Done()
+	ws := workspaces.Get().(*lp.Workspace)
+	defer workspaces.Put(ws)
+	opt := lp.Options{
+		MaxIters: s.maxIters,
+		Progress: func(int) error {
+			if s.halt.Load() {
+				return errSpecStale
+			}
+			return nil
+		},
+	}
 	for {
 		s.mu.Lock()
 		var it specItem
@@ -184,23 +196,7 @@ func (s *speculator) run() {
 		s.steals++
 		s.mu.Unlock()
 
-		prob := s.prob.Clone()
-		for _, bc := range it.bounds {
-			if bc.upper {
-				prob.AddConstraint([]lp.Term{{Var: bc.v, Coef: 1}}, lp.LE, bc.val)
-			} else {
-				prob.AddConstraint([]lp.Term{{Var: bc.v, Coef: 1}}, lp.GE, bc.val)
-			}
-		}
-		t.res, t.err = prob.Solve(lp.Options{
-			MaxIters: s.maxIters,
-			Progress: func(int) error {
-				if s.halt.Load() {
-					return errSpecStale
-				}
-				return nil
-			},
-		})
+		t.res, t.err = s.prob.SolveIn(ws, it.bounds, opt)
 		close(t.done)
 	}
 }

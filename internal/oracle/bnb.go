@@ -12,8 +12,9 @@ import (
 // materialized MILP of the Built model with internal/milp, exactly as the
 // pipeline did before the oracle layer existed. It handles both cfgmilp
 // modes and arbitrary pattern spaces; its work is bounded by the
-// deterministic Limits.MILP.MaxNodes budget (plus the wall-clock
-// TimeLimit backstop, the one load-dependent limit in the pipeline).
+// deterministic Limits.MILP.MaxNodes budget (plus a caller-set
+// wall-clock TimeLimit, the one load-dependent limit, which it reports
+// as ErrTimeLimit).
 type BnB struct {
 	// tick, when set by the portfolio, is the race clock: it receives the
 	// cumulative logical work after every expanded node and aborts the
@@ -72,6 +73,9 @@ func (bk BnB) Solve(ctx context.Context, b *cfgmilp.Built, lim Limits) (*cfgmilp
 	case milp.StatusInfeasible:
 		return nil, st, fmt.Errorf("%w (branch and bound exhausted the search space)", ErrInfeasible)
 	default:
+		if sol.TimedOut {
+			return nil, st, fmt.Errorf("%w (bnb stopped after %d nodes, %v)", ErrTimeLimit, sol.Nodes, opt.TimeLimit)
+		}
 		return nil, st, fmt.Errorf("%w (bnb stopped after %d nodes)", ErrLimit, sol.Nodes)
 	}
 }

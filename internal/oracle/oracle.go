@@ -110,14 +110,14 @@ type Selection struct {
 func DefaultPortfolio() []Kind { return []Kind{KindCfgDP, KindBnB} }
 
 // Limits carries the per-solve resource budgets. All budgets are
-// deterministic work counts (nodes, DP states) except the MILP
-// wall-clock backstop, which is the one load-dependent limit in the
-// pipeline (see milp.Options.TimeLimit).
+// deterministic work counts (nodes, DP states) except a caller-set MILP
+// wall-clock limit (milp.Options.TimeLimit, off by default), the one
+// load-dependent limit.
 type Limits struct {
 	// MILP tunes the branch-and-bound backend; StopAtFirst is forced on
 	// by the bnb backend (the configuration program is a feasibility
-	// problem). MaxNodes and TimeLimit must be resolved by the caller
-	// (the pipeline applies its own defaults).
+	// problem). MaxNodes must be resolved by the caller (the pipeline
+	// applies its own default); a zero TimeLimit means none.
 	MILP milp.Options
 	// MaxStates bounds the configuration DP's state expansions. Zero
 	// means DefaultMaxStates.
@@ -186,6 +186,13 @@ type Stats struct {
 // the priority-cap ladder may retry with a smaller cap.
 var ErrLimit = errors.New("oracle: work budget exhausted")
 
+// ErrTimeLimit reports that the branch-and-bound search stopped on a
+// caller-set wall-clock limit (milp.Options.TimeLimit) before deciding
+// feasibility. The ladder retries it like ErrLimit, but unlike every
+// other outcome it depends on machine load, not only on the model, so it
+// must never be memoized or shipped to another replica.
+var ErrTimeLimit = errors.New("oracle: wall-clock time limit reached")
+
 // ErrInfeasible reports that the configuration program of this guess has
 // no integer solution — the guess is below the transformed optimum.
 var ErrInfeasible = errors.New("oracle: configuration program infeasible")
@@ -198,12 +205,14 @@ var ErrUnsupported = errors.New("oracle: model not supported by this backend")
 // Backend is one oracle engine. Solve decides the configuration program
 // in b and returns its plan: a nil error means feasible, with the plan
 // realizing the demand block; otherwise the error wraps ErrInfeasible,
-// ErrLimit or ErrUnsupported (or the context's error on cancellation).
+// ErrLimit, ErrTimeLimit or ErrUnsupported (or the context's error on
+// cancellation).
 // Implementations must be stateless and safe for concurrent use —
 // speculative guess evaluation and the portfolio run several solves at
 // once — and deterministic: for a fixed model and limits the returned
 // plan and stats must not depend on wall-clock or machine load (the
-// MILP TimeLimit backstop is the documented exception).
+// caller-set MILP TimeLimit is the documented exception, reported as
+// ErrTimeLimit).
 type Backend interface {
 	Name() string
 	Solve(ctx context.Context, b *cfgmilp.Built, lim Limits) (*cfgmilp.Plan, Stats, error)

@@ -83,11 +83,10 @@ const parallelRaceThreshold = 256
 // in list order, where a later backend starts with the deadline already
 // posted and so aborts at its very first tick when it has already lost.
 //
-// The one caveat is inherited from bnb: its wall-clock TimeLimit
-// backstop can turn a would-be definitive outcome into a limit outcome
-// under extreme load, the same caveat sequential solves have (see
-// core.Options.Speculate); on the instances of this repo's experiment
-// suite the deterministic node budget always binds first.
+// The one caveat is inherited from bnb: a caller-set wall-clock
+// TimeLimit (none by default) can turn a would-be definitive outcome
+// into a limit outcome under load, the same caveat sequential solves
+// have (see core.Options.Speculate).
 type Portfolio struct {
 	// Backends is the raced set, in tie-break order.
 	Backends []Backend
@@ -232,17 +231,21 @@ func (p Portfolio) adjudicate(ctx context.Context, outs []raceOutcome) (*cfgmilp
 		}
 	}
 	if winner < 0 {
-		// Nobody decided the model. Surface a limit if any backend hit
-		// one (the pipeline's degradation ladder reacts to it), else the
-		// first backend's error.
+		// Nobody decided the model. Surface a wall-clock stop if any
+		// backend hit one (without the load it might have decided, so
+		// the outcome must not be memoized), else a limit if any backend
+		// hit one (the pipeline's degradation ladder reacts to both),
+		// else the first backend's error.
 		for i := range outs {
 			agg.LoserNodes += outs[i].stats.Nodes
 			agg.LoserStates += outs[i].stats.States
 			agg.LoserTime += outs[i].elapsed
 		}
-		for i := range outs {
-			if errors.Is(outs[i].err, ErrLimit) {
-				return nil, agg, outs[i].err
+		for _, limit := range []error{ErrTimeLimit, ErrLimit} {
+			for i := range outs {
+				if errors.Is(outs[i].err, limit) {
+					return nil, agg, outs[i].err
+				}
 			}
 		}
 		return nil, agg, outs[0].err

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -23,11 +24,12 @@ import (
 // experiment suite and tests use it to measure per-lemma quantities
 // (pattern counts, placement heights, repair work).
 //
-// A result served from the memo carries only its serving projection
-// (see serving): the counters and Final's machine assignment. Its
-// artifact pointers (Scaled, Info, RelInfo, RelSpace, Transformed,
-// Space, Placed) are nil; the run that produced the entry returned
-// them to its own caller only.
+// A result served from the memo is decoded from the entry's payload
+// (see EncodeResult): the counters and Final's machine assignment,
+// bound to the requesting instance and guess. Its artifact pointers
+// (Scaled, Info, RelInfo, RelSpace, Transformed, Space, Placed) are
+// nil; the run that produced the entry returned them to its own caller
+// only.
 type Result struct {
 	// Guess is the makespan guess the pipeline ran with.
 	Guess float64
@@ -139,18 +141,21 @@ type Metrics struct {
 // All stages from Classify on are deterministic functions of that
 // combined key, so a key's accept/reject outcome, its statistics and
 // its final machine assignment are all reusable verbatim — the memo
-// keeps exactly that serving projection (Result.serving); only the
-// guess scalar (and, across requests, the original-instance binding of
-// the final schedule) differs — see Result.cloneFor. Concurrent
-// evaluations of equal-key guesses are deduplicated in flight by the
-// cache: the first claims the key and runs, later ones wait for its
-// outcome instead of running a duplicate pipeline. A rejection is
-// committed as a negative entry and served like any other outcome;
-// cancellation errors are never memoized (the claim is abandoned and the
-// next evaluation recomputes) — see internal/memo for the exact
-// semantics. The one caveat mirrors the speculation caveat in core: a
-// guess decided by the MILP's wall-clock TimeLimit backstop rather than
-// its deterministic node budget could cache a load-dependent outcome.
+// keeps exactly those, as the snapshot codec's payload (EncodeResult),
+// and a hit decodes them into a fresh Result; only the guess scalar
+// (and, across requests, the original-instance binding of the final
+// schedule) differs. Concurrent evaluations of equal-key guesses are
+// deduplicated in flight by the cache: the first claims the key and
+// runs, later ones wait for its outcome instead of running a duplicate
+// pipeline. A rejection is committed as a negative entry (its text) and
+// served like any other outcome. Two outcomes are never memoized:
+// cancellation errors (the claim is abandoned and the next evaluation
+// recomputes), and any ladder one of whose rungs a caller-set MILP
+// wall-clock TimeLimit stopped (oracle.ErrTimeLimit; the pipeline sets
+// none) — without the load that rung might have decided, so the outcome
+// is not a function of the key; the evaluations already waiting on it
+// share it, later ones recompute. See internal/memo for the exact
+// semantics.
 //
 // An Engine is safe for concurrent use; speculative guess evaluation
 // shares one engine across its pipelines, and the serving layer shares
@@ -160,11 +165,6 @@ type Engine struct {
 	fam     family.Family
 	cache   *memo.Cache
 	cfgHash uint64
-	// arenas pools scratch arenas, one leased per pipeline execution
-	// (speculative guesses run several at once, each with its own). In
-	// steady state every run reuses warmed slabs and the per-guess
-	// allocation churn of the oracle and the placer disappears.
-	arenas sync.Pool
 
 	mu      sync.Mutex
 	metrics Metrics
@@ -189,7 +189,6 @@ func New(cfg Config) *Engine {
 		cfg:     cfg,
 		fam:     fam,
 		cfgHash: configHash(cfg),
-		arenas:  sync.Pool{New: func() any { return new(scratch.Arena) }},
 		metrics: Metrics{
 			StageTime: make(map[string]time.Duration),
 		},
@@ -245,7 +244,7 @@ func (e *Engine) Run(ctx context.Context, in *sched.Instance, guess float64) (*R
 		e.mu.Lock()
 		e.metrics.Runs++
 		e.mu.Unlock()
-		res, err := e.runLadder(ctx, st)
+		res, _, err := e.runLadder(ctx, st)
 		if res != nil {
 			res.Signature = sig
 		}
@@ -253,29 +252,42 @@ func (e *Engine) Run(ctx context.Context, in *sched.Instance, guess float64) (*R
 	}
 
 	key := memo.Key{Sig: memo.Sig(sig), Aux: e.auxFor(in)}
-	var fresh *Result
-	v, hit, err := e.cache.Do(ctx, key, func() (any, int64, error) {
+	var (
+		claimed  bool
+		fresh    *Result
+		freshErr error
+	)
+	payload, hit, err := e.cache.Do(ctx, key, func() ([]byte, error) {
 		e.mu.Lock()
 		e.metrics.CacheMisses++
 		e.metrics.Runs++
 		e.mu.Unlock()
-		res, err := e.runLadder(ctx, st)
-		if err != nil {
-			return nil, rejectionCost, err
+		claimed = true
+		res, transient, err := e.runLadder(ctx, st)
+		if res != nil {
+			res.Signature = sig
 		}
-		res.Signature = sig
-		fresh = res
-		entry := res.serving()
-		return entry, resultCost(entry), nil
-	})
-	if !hit {
-		// This call claimed the key: fresh is this engine's own run with
-		// every artifact, or err is its rejection (or this caller's ctx
-		// error from waiting).
-		if err != nil {
+		fresh, freshErr = res, err
+		switch {
+		case memo.IsCancellation(err):
+			return nil, err
+		case transient && err != nil:
+			return nil, fmt.Errorf("%w (%w)", err, memo.ErrTransient)
+		case transient:
+			return EncodeResult(res), memo.ErrTransient
+		case err != nil:
 			return nil, err
 		}
-		return fresh, nil
+		return EncodeResult(res), nil
+	})
+	if !hit {
+		// Either this call claimed the key — fresh is this engine's own
+		// run with every artifact, or freshErr its rejection — or err is
+		// this caller's ctx error from waiting.
+		if claimed {
+			return fresh, freshErr
+		}
+		return nil, err
 	}
 	e.mu.Lock()
 	e.metrics.CacheHits++
@@ -286,7 +298,24 @@ func (e *Engine) Run(ctx context.Context, in *sched.Instance, guess float64) (*R
 		// mistaken for a fresh evaluation of guess B.
 		return nil, fmt.Errorf("eptas: guess %g: memoized rejection: %w", guess, err)
 	}
-	return v.(*Result).cloneFor(guess, in), nil
+	// Bind the entry to this guess and instance: under a shared cache it
+	// may have been produced by a different request whose instance
+	// merely scale-rounds to the same signature, and the machine
+	// assignment (a pure function of the key) is exactly as valid for
+	// in, while makespans must be computed from in's own sizes.
+	// MILPNodes and OracleStats are served as recorded on purpose: the
+	// uncached path would re-run the identical deterministic oracle solve
+	// and count the same work, so aggregated statistics match the
+	// unmemoized search exactly.
+	r, err := DecodeResult(payload)
+	if err != nil {
+		return nil, fmt.Errorf("eptas: guess %g: memo entry: %w", guess, err)
+	}
+	r.Guess, r.Signature, r.CacheHit = guess, sig, true
+	if r.Final != nil {
+		r.Final.Inst = in
+	}
+	return r, nil
 }
 
 // auxFor returns the auxiliary key half for in under this engine's
@@ -312,19 +341,28 @@ func (e *Engine) auxFor(in *sched.Instance) uint64 {
 	return h
 }
 
+// arenas pools scratch arenas, one leased per pipeline execution
+// (speculative guesses and concurrent requests run several at once,
+// each with its own). The pool is shared by every engine, so in steady
+// state a run reuses slabs an earlier solve already grew and the
+// per-guess allocation churn of the oracle and the placer disappears.
+var arenas = sync.Pool{New: func() any { return new(scratch.Arena) }}
+
 // runLadder runs the Classify..Lift stages, degrading the priority cap on
-// pattern explosions and MILP resource limits. The run leases a scratch
-// arena from the engine pool; it is reset and returned when the ladder
-// finishes, which is sound because no Result artifact lives in arena
-// memory (plans, schedules and stats are all heap values — see
+// pattern explosions and MILP resource limits. transient reports that a
+// rung stopped on a caller-set MILP wall-clock limit, which makes the
+// outcome depend on machine load, whatever it is. The run leases a
+// scratch arena from the package pool; it is reset and returned when
+// the ladder finishes, which is sound because no Result artifact lives
+// in arena memory (plans, schedules and stats are all heap values — see
 // scratch.Arena).
-func (e *Engine) runLadder(ctx context.Context, st *State) (*Result, error) {
-	ar := e.arenas.Get().(*scratch.Arena)
+func (e *Engine) runLadder(ctx context.Context, st *State) (res *Result, transient bool, err error) {
+	ar := arenas.Get().(*scratch.Arena)
 	st.Arena = ar
 	defer func() {
 		st.Arena = nil
 		ar.Reset()
-		e.arenas.Put(ar)
+		arenas.Put(ar)
 	}()
 	caps := []int{e.cfg.BPrimeOverride}
 	if e.cfg.BPrimeOverride == 0 && !e.cfg.AllPriority {
@@ -339,7 +377,7 @@ func (e *Engine) runLadder(ctx context.Context, st *State) (*Result, error) {
 	var lastErr error
 	for i, bp := range caps {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, transient, err
 		}
 		st.resetRung()
 		st.BPrime = bp
@@ -355,14 +393,15 @@ func (e *Engine) runLadder(ctx context.Context, st *State) (*Result, error) {
 		}
 		err := e.runRung(ctx, st)
 		if err == nil {
-			return st.result(i + 1), nil
+			return st.result(i + 1), transient, nil
 		}
 		lastErr = err
+		transient = transient || errors.Is(err, oracle.ErrTimeLimit)
 		if !RetryWithSmallerCap(err) {
-			return nil, err
+			return nil, transient, err
 		}
 	}
-	return nil, lastErr
+	return nil, transient, lastErr
 }
 
 // runRung executes one ladder attempt: every stage after Scale, in order,
@@ -441,80 +480,6 @@ func (r *Result) summarize() {
 		r.Parts |= PartRelSpace
 		r.Patterns = r.RelSpace.TotalPatterns()
 	}
-}
-
-// serving returns the serving projection of r — what a memo entry
-// keeps: the counters and a copy of the final machine assignment,
-// bound to no instance (a hit rebinds it, see cloneFor).
-func (r *Result) serving() *Result {
-	e := &Result{
-		Guess:        r.Guess,
-		Signature:    r.Signature,
-		Attempts:     r.Attempts,
-		IntegerVars:  r.IntegerVars,
-		MILPNodes:    r.MILPNodes,
-		OracleStats:  r.OracleStats,
-		PlaceStats:   r.PlaceStats,
-		LiftStats:    r.LiftStats,
-		Parts:        r.Parts,
-		K:            r.K,
-		Q:            r.Q,
-		BPrime:       r.BPrime,
-		PriorityBags: r.PriorityBags,
-		Patterns:     r.Patterns,
-	}
-	if r.Final != nil {
-		e.Final = &sched.Schedule{Machine: append([]int(nil), r.Final.Machine...)}
-	}
-	return e
-}
-
-// cloneFor adapts a memo entry (a serving projection) to a new guess
-// with the same memo key, evaluated on instance in. The final
-// schedule's machine slice is copied so callers of different guesses
-// never alias mutable state, and its instance is bound to in — under a
-// shared cache the entry may have been produced by a different request
-// whose instance merely scale-rounds to the same signature, and the
-// machine assignment (a pure function of the memo key) is exactly as
-// valid for in, while makespans must be computed from in's own sizes.
-// MILPNodes and OracleStats are kept as-is on purpose: the uncached
-// path would re-run the identical deterministic oracle solve and count
-// the same work, so aggregated statistics match the unmemoized search
-// exactly.
-func (r *Result) cloneFor(guess float64, in *sched.Instance) *Result {
-	c := *r
-	c.Guess = guess
-	c.CacheHit = true
-	if r.Final != nil {
-		c.Final = &sched.Schedule{
-			Inst:    in,
-			Machine: append([]int(nil), r.Final.Machine...),
-		}
-	}
-	return &c
-}
-
-// rejectionCost is the retention cost charged for a committed negative
-// entry: a map slot, an entry struct and an error chain.
-const rejectionCost = 256
-
-// entryOverhead is the retention cost charged for a committed positive
-// entry besides its assignment: the Result and Schedule structs, the
-// cache's entry struct and its map slot.
-const entryOverhead = 640
-
-// resultCost is the retention footprint in bytes, for the shared
-// cache's cost accounting, of a memo entry: a serving projection (see
-// Result.serving), which holds nothing but its fixed-size fields and
-// the final machine assignment. It is an estimate, not an exact
-// measurement — the cache budget is a sizing knob, not a hard memory
-// limit.
-func resultCost(r *Result) int64 {
-	c := int64(entryOverhead)
-	if r.Final != nil {
-		c += int64(len(r.Final.Machine)) * 8
-	}
-	return c
 }
 
 // hashMix folds x into h with the SplitMix64 permutation; used to build

@@ -21,7 +21,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/cfgmilp"
 	"repro/internal/classify"
@@ -285,6 +284,14 @@ func (solveOracleStage) Run(ctx context.Context, st *State) error {
 // oracleLimits resolves the per-guess oracle budgets from the config
 // and the current ladder rung's node budget. Shared by every family
 // shape so a family cannot silently run under different limits.
+//
+// Every default budget is a work count, so a guess's outcome is a
+// function of its memo key alone, however loaded the machine. No
+// wall-clock limit is set: callers bound a solve's time with their
+// context's deadline, and a cancellation is never memoized. A caller
+// that sets Config.MILP.TimeLimit opts into a load-dependent limit,
+// which the oracle reports as ErrTimeLimit and the engine never
+// memoizes.
 func (st *State) oracleLimits() oracle.Limits {
 	lim := oracle.Limits{MILP: st.Cfg.MILP}
 	if lim.MILP.MaxNodes <= 0 {
@@ -293,14 +300,6 @@ func (st *State) oracleLimits() oracle.Limits {
 		// keeps rejected guesses cheap. The DP state budget mirrors it
 		// at the logical-time exchange rate (see oracle.Limits).
 		lim.MILP.MaxNodes = 500
-	}
-	if lim.MILP.TimeLimit <= 0 {
-		// A guess that cannot be decided quickly is treated as rejected;
-		// the binary search then moves on. This bounds the worst case on
-		// pathologically large pattern spaces. The node budgets above and
-		// below are what normally bind — this wall-clock backstop is the
-		// only load-dependent limit in the pipeline.
-		lim.MILP.TimeLimit = 2 * time.Second
 	}
 	if st.NodeBudget > 0 && st.NodeBudget < lim.MILP.MaxNodes {
 		lim.MILP.MaxNodes = st.NodeBudget
@@ -457,15 +456,16 @@ func (relLiftStage) Run(_ context.Context, st *State) error {
 }
 
 // RetryWithSmallerCap reports whether a pipeline failure may be cured by
-// a smaller priority cap: pattern-space explosions and oracle work-budget
-// limits both shrink with fewer priority bags. Genuine infeasibility is
-// not retried — reducing the cap relaxes the program further, and the
-// binary search treats the guess as too low either way.
+// a smaller priority cap: pattern-space explosions, oracle work-budget
+// limits and a caller-set MILP wall-clock limit all shrink with fewer
+// priority bags. Genuine infeasibility is not retried — reducing the cap
+// relaxes the program further, and the binary search treats the guess as
+// too low either way.
 func RetryWithSmallerCap(err error) bool {
 	if _, tooMany := err.(pattern.ErrTooManyPatterns); tooMany {
 		return true
 	}
-	return errors.Is(err, oracle.ErrLimit)
+	return errors.Is(err, oracle.ErrLimit) || errors.Is(err, oracle.ErrTimeLimit)
 }
 
 // ladderNodeBudget bounds branch-and-bound nodes on non-final ladder
@@ -473,6 +473,6 @@ func RetryWithSmallerCap(err error) bool {
 // few dives, so this is generous for a rung that is going to succeed,
 // while keeping a rung that would blow up cheap to abandon. Unlike a
 // wall-clock budget it is load-independent, at the cost of a larger
-// worst case: a rung whose individual nodes are slow now runs until the
-// node budget or the MILP TimeLimit backstop, whichever comes first.
+// worst case: a rung whose individual nodes are slow runs until the
+// node budget (or the caller's deadline) stops it.
 const ladderNodeBudget = 150

@@ -1,14 +1,19 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
 	"errors"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/greedy"
+	"repro/internal/memo"
+	"repro/internal/milp"
+	"repro/internal/numeric"
+	"repro/internal/oracle"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -67,11 +72,14 @@ func TestEngineMemoHit(t *testing.T) {
 	if !second.CacheHit {
 		t.Fatal("identical guess missed the memo")
 	}
-	// The memo keeps only the serving projection: a hit must report
-	// exactly what the producing run reports through it, and carry none
-	// of the producer's artifacts.
-	if got, want := second.serving(), first.serving(); !reflect.DeepEqual(got, want) {
-		t.Errorf("cache hit's serving projection %+v differs from the producer's %+v", got, want)
+	// The memo keeps only the codec's payload: a hit must report exactly
+	// what the producing run encodes, under the same signature, and
+	// carry none of the producer's artifacts.
+	if got, want := EncodeResult(second), EncodeResult(first); !bytes.Equal(got, want) {
+		t.Errorf("cache hit encodes to %x, the producer to %x", got, want)
+	}
+	if second.Signature != first.Signature || second.Final.Inst != in {
+		t.Errorf("cache hit has signature %+v and instance %p, want %+v and %p", second.Signature, second.Final.Inst, first.Signature, in)
 	}
 	if first.Space == nil || first.Parts != PartInfo|PartSpace || first.Patterns != len(first.Space.Patterns) {
 		t.Errorf("fresh run: parts %b, %d patterns, space %v", first.Parts, first.Patterns, first.Space != nil)
@@ -258,6 +266,83 @@ func TestEngineStageTimes(t *testing.T) {
 	for _, name := range StageNames() {
 		if _, ok := m.StageTime[name]; !ok {
 			t.Errorf("no stage time recorded for %s", name)
+		}
+	}
+}
+
+// TestEngineWallClockStopNotMemoized: a guess whose MILP stops on a
+// caller-set wall-clock limit is rejected with oracle.ErrTimeLimit after
+// the whole ladder, and the outcome is never committed — a later
+// evaluation of the same key runs the pipeline again.
+func TestEngineWallClockStopNotMemoized(t *testing.T) {
+	in, guess := testInstanceAndGuess(t)
+	shared := memo.New(1 << 20)
+	e := New(Config{Eps: 0.5, Cache: shared, MILP: milp.Options{TimeLimit: time.Nanosecond}})
+	for i := 0; i < 2; i++ {
+		if _, err := e.Run(context.Background(), in, guess); !errors.Is(err, oracle.ErrTimeLimit) {
+			t.Fatalf("run %d: err %v, want oracle.ErrTimeLimit", i, err)
+		}
+	}
+	if st := shared.Stats(); st.Entries != 0 || st.Negative != 0 {
+		t.Fatalf("wall-clock rejection was memoized: %+v", st)
+	}
+	if m := e.Metrics(); m.Runs != 2 || m.CacheHits != 0 {
+		t.Fatalf("metrics = runs %d hits %d, want 2 runs and no hit", m.Runs, m.CacheHits)
+	}
+}
+
+// TestDefaultLimitsAreWorkCounts pins the determinism contract of the
+// oracle budgets: by default every limit is a work count, so a guess's
+// outcome, and with it every memo entry, depends on its key alone and
+// never on machine load. Wall-clock time is the caller's context
+// deadline.
+func TestDefaultLimitsAreWorkCounts(t *testing.T) {
+	st := &State{Cfg: Config{Eps: 0.5}}
+	lim := st.oracleLimits()
+	if lim.MILP.TimeLimit != 0 {
+		t.Fatalf("default MILP wall-clock limit %v, want none", lim.MILP.TimeLimit)
+	}
+	if lim.MILP.MaxNodes <= 0 {
+		t.Fatalf("default node budget %d, want a bound", lim.MILP.MaxNodes)
+	}
+}
+
+// TestEngineHitSignature: a hit reports its key's signature, whether the
+// entry was committed live or imported from a snapshot.
+func TestEngineHitSignature(t *testing.T) {
+	in, guess := testInstanceAndGuess(t)
+	shared := memo.New(1 << 20)
+	e := New(Config{Eps: 0.5, Cache: shared})
+	first, err := e.Run(context.Background(), in, guess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Signature == (numeric.Key{}) {
+		t.Fatal("fresh run has a zero signature")
+	}
+	live, err := e.Run(context.Background(), in, guess)
+	if err != nil || !live.CacheHit {
+		t.Fatalf("second run: hit=%v err=%v", live != nil && live.CacheHit, err)
+	}
+
+	var buf bytes.Buffer
+	if _, _, err := shared.Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	imported := memo.New(1 << 20)
+	if _, err := imported.Import(&buf, func(p []byte) error { _, err := DecodeResult(p); return err }); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := New(Config{Eps: 0.5, Cache: imported}).Run(context.Background(), in, guess)
+	if err != nil || !warm.CacheHit {
+		t.Fatalf("run on the imported cache: hit=%v err=%v", warm != nil && warm.CacheHit, err)
+	}
+	for name, r := range map[string]*Result{"live": live, "imported": warm} {
+		if r.Signature != first.Signature {
+			t.Errorf("%s hit has signature %+v, want %+v", name, r.Signature, first.Signature)
+		}
+		if !bytes.Equal(EncodeResult(r), EncodeResult(first)) {
+			t.Errorf("%s hit differs from the producing run", name)
 		}
 	}
 }

@@ -1,24 +1,26 @@
 package pipeline
 
-// Snapshot value codec: the serialization of one memoized pipeline
-// outcome, used by the memo snapshot tier (internal/memo) to persist a
-// replica's warm cache and ship it between replicas.
+// Result codec: the serialization of one memoized pipeline outcome. It
+// is the one format of a memo entry, in memory and on disk: the engine
+// commits a run's encoding to the cache (internal/memo), decodes it on
+// every hit, and the memo snapshot tier writes the same bytes to
+// persist a replica's warm cache and ship it between replicas.
 //
-// What is serialized is the *serving projection* of a Result — exactly
-// what a memo entry holds (see Result.serving) and a cache hit feeds
-// back into a solve: the final machine assignment (exact integers,
-// rebindable to any signature-equivalent instance via Result.cloneFor)
-// plus every counter the solver statistics absorb (oracle work,
-// classification constants, placement and lift repairs, pattern-space
-// sizes). Intermediate artifacts (the scaled instance, the enumerated
-// pattern space, the transformation) are in no memo entry and so not
-// in a snapshot: a decoded Result serves warm requests bit-identically
-// — the snapshot differential test at the repository root proves it
-// corpus-wide — but is not a substitute for a fresh RunPipeline when a
-// caller wants to inspect intermediates. Everything on the wire is
-// integral (counts, exact fixed-point-derived assignments) except the
-// backend name; no floats are serialized, so the payload is
-// platform-independent by construction.
+// What is serialized is what a cache hit feeds back into a solve: the
+// final machine assignment (exact integers, rebound on a hit to the
+// requesting, signature-equivalent instance) plus every counter the
+// solver statistics absorb (oracle work, classification constants,
+// placement and lift repairs, pattern-space sizes). The guess and the
+// signature are not: a hit takes them from the request and the memo
+// key. Intermediate artifacts (the scaled instance, the enumerated
+// pattern space, the transformation) are in no memo entry: a decoded
+// Result serves warm requests bit-identically — the snapshot
+// differential test at the repository root proves it corpus-wide — but
+// is not a substitute for a fresh RunPipeline when a caller wants to
+// inspect intermediates. Everything on the wire is integral (counts,
+// exact fixed-point-derived assignments) except the backend name; no
+// floats are serialized, so the payload is platform-independent by
+// construction.
 //
 // The payload's first byte is its codec version; DecodeResult rejects
 // unknown versions, which the memo importer treats as a per-entry skip
@@ -26,6 +28,7 @@ package pipeline
 // changes.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -50,9 +53,15 @@ var ErrSnapshotCodec = errors.New("pipeline: bad result snapshot payload")
 // assignment.
 const hasFinal = 1 << 4
 
-// EncodeResult serializes the serving projection of r.
+// EncodeResult serializes the memoized part of r (see the codec notes
+// above) into a slice of its own, sized to fit.
 func EncodeResult(r *Result) []byte {
-	buf := make([]byte, 0, 64+10*len(finalMachine(r)))
+	var tmp [256]byte
+	return bytes.Clone(appendResult(tmp[:0], r))
+}
+
+// appendResult appends the encoding of r to buf.
+func appendResult(buf []byte, r *Result) []byte {
 	buf = append(buf, resultCodecVersion)
 	buf = putUvarint(buf, uint64(r.Attempts))
 	buf = putUvarint(buf, uint64(r.IntegerVars))
@@ -109,16 +118,21 @@ func EncodeResult(r *Result) []byte {
 	return buf
 }
 
-// DecodeResult reconstructs the serving projection encoded by
-// EncodeResult: the same kind of Result a memo entry holds, serving
+// DecodeResult reconstructs a Result encoded by EncodeResult, serving
 // memo hits bit-identically to the original (final assignment, all
-// absorbed statistics).
+// absorbed statistics). Guess, Signature and the final schedule's
+// instance are left for the caller to bind.
 func DecodeResult(payload []byte) (*Result, error) {
 	d := &decoder{buf: payload}
 	if v := d.byte(); v != resultCodecVersion {
 		return nil, fmt.Errorf("%w: codec version %d, want %d", ErrSnapshotCodec, v, resultCodecVersion)
 	}
-	r := &Result{}
+	// One allocation holds the result and its final schedule.
+	rs := &struct {
+		r     Result
+		final sched.Schedule
+	}{}
+	r := &rs.r
 	r.Attempts = int(d.uvarint())
 	r.IntegerVars = int(d.uvarint())
 	r.MILPNodes = int(d.uvarint())
@@ -181,10 +195,11 @@ func DecodeResult(payload []byte) (*Result, error) {
 		for i := range machine {
 			machine[i] = int(d.varint())
 		}
-		// Inst is deliberately nil: a cache hit rebinds the schedule to
-		// the requesting instance (Result.cloneFor), and the producing
-		// instance never crosses the snapshot boundary.
-		r.Final = &sched.Schedule{Machine: machine}
+		// Inst is deliberately nil: a cache hit binds the schedule to
+		// the requesting instance, and the producing instance never
+		// crosses the memo boundary.
+		rs.final.Machine = machine
+		r.Final = &rs.final
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -193,35 +208,6 @@ func DecodeResult(payload []byte) (*Result, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCodec, len(d.buf)-d.off)
 	}
 	return r, nil
-}
-
-// SnapshotEncoder adapts EncodeResult to the memo.Cache.Export codec
-// contract: values that are not pipeline Results (a cache shared with
-// some future layer) are skipped, not errors.
-func SnapshotEncoder() func(value any) ([]byte, bool) {
-	return func(value any) ([]byte, bool) {
-		r, ok := value.(*Result)
-		if !ok || r == nil {
-			return nil, false
-		}
-		return EncodeResult(r), true
-	}
-}
-
-// SnapshotDecoder adapts DecodeResult to the memo.Cache.Import codec
-// contract.
-func SnapshotDecoder() func(payload []byte) (any, error) {
-	return func(payload []byte) (any, error) {
-		return DecodeResult(payload)
-	}
-}
-
-// finalMachine sizes the encoder's buffer hint.
-func finalMachine(r *Result) []int {
-	if r.Final == nil {
-		return nil
-	}
-	return r.Final.Machine
 }
 
 func putUvarint(buf []byte, v uint64) []byte {

@@ -31,16 +31,16 @@ import (
 // the sequential baseline the others must reproduce bit for bit.
 var workerCounts = []int{1, 2, 4, 8}
 
-// withSlowWallClock raises the MILP's wall-clock backstop far beyond
-// anything this suite can hit. The determinism contract is conditioned
-// on the *logical* budgets (node, pivot and DP-state counts) binding:
-// the 2s wall-clock backstop is documented as the pipeline's only
-// load-dependent limit, and under the race detector on a loaded runner
-// the large fixtures can trip it at some worker counts and not others,
-// legitimately steering the classification ladder down different rungs.
-// Disabling it here makes the suite assert exactly the contract the
-// parallel oracle promises — identical results whenever the same
-// logical budgets decide — instead of flaking on machine speed.
+// withSlowWallClock sets a MILP wall-clock limit far beyond anything
+// this suite can hit. The determinism contract is conditioned on the
+// *logical* budgets (node, pivot and DP-state counts) binding: a
+// wall-clock limit is the one load-dependent limit, and under the race
+// detector on a loaded runner the large fixtures could trip a tight one
+// at some worker counts and not others, legitimately steering the
+// classification ladder down different rungs. The pipeline sets none
+// by default; the explicit, unreachable limit keeps the suite asserting
+// exactly the contract the parallel oracle promises — identical results
+// whenever the same logical budgets decide — whatever that default is.
 func withSlowWallClock() Option {
 	return func(o *core.Options) { o.MILP.TimeLimit = 10 * time.Minute }
 }
