@@ -8,8 +8,11 @@ all: ci
 build:
 	$(GO) build ./...
 
+# vet also fails when gofmt would reformat any Go file in the tree.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -118,13 +121,18 @@ pgo:
 # fuzz runs each native fuzz target for a short burst (go test -fuzz
 # takes one target per run): the solver's numeric boundary, the
 # canonical-instance decoder against its encoding/json reference,
-# /v1/solve bodies through decode and the coalescing key, memo snapshot
-# import, memo result payload decode, and the simplex's bound rows
-# against the row-slice reference.
+# deltas through ReadDelta and Apply, the /v1/solve request fast path
+# against its encoding/json reference, /v1/solve and /v1/resolve bodies
+# through decode and the coalescing key, memo snapshot import, memo
+# result payload decode, and the simplex's bound rows against the
+# row-slice reference.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSolveEPTAS -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzInstanceJSON -fuzztime 30s ./internal/sched
+	$(GO) test -run '^$$' -fuzz '^FuzzDelta$$' -fuzztime 30s ./internal/sched
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSolveRequest$$' -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzSolveRequest -fuzztime 30s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzResolveRequest$$' -fuzztime 30s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzImport -fuzztime 30s ./internal/memo
 	$(GO) test -run '^$$' -fuzz FuzzDecodeResult -fuzztime 30s ./internal/pipeline
 	$(GO) test -run '^$$' -fuzz FuzzSolveBounds -fuzztime 30s ./internal/lp

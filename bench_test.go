@@ -741,6 +741,49 @@ func benchWireDecode(b *testing.B, path, family string) {
 	}
 }
 
+func BenchmarkCodecWireEncodeSolveResult(b *testing.B) {
+	benchWireEncode(b, "testdata/adversarial_m8_n24.json", FamilyBags)
+}
+
+// BenchmarkCodecWireEncodeSolveResultLarge encodes the answer to the
+// largest warm-serving request of the decode benchmark (m=192, n=288
+// related machines): 288 assignments and 192 machine loads.
+func BenchmarkCodecWireEncodeSolveResultLarge(b *testing.B) {
+	benchWireEncode(b, "testdata/large_related_m192_n288.json", FamilyRelated)
+}
+
+// benchWireEncode measures the response encoding of the solved instance
+// at path into a reused buffer, as the server encodes every answer.
+func benchWireEncode(b *testing.B, path string, fam Family) {
+	f, err := os.Open(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in, err := sched.ReadInstance(f)
+	f.Close()
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := SolveEPTAS(in, 0.5, WithFamily(fam))
+	if err != nil {
+		b.Fatal(err)
+	}
+	doc := wire.FromResult(res, false, 1500*time.Microsecond)
+	var buf bytes.Buffer
+	if err := wire.Encode(&buf, doc); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := wire.Encode(&buf, doc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- Incremental re-solve: churn-trace replay ---
 //
 // The Resolve benchmarks replay the committed churn traces

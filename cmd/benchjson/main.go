@@ -45,8 +45,8 @@ import (
 // micro-benchmarks out of the default snapshot), the oracle-backend
 // benchmarks (BenchmarkOracleBnB/CfgDP/Portfolio), the sibling
 // problem families (BenchmarkFamilyRelated/Identical), the serving
-// codecs (BenchmarkCodec*: snapshot export/import and wire decode —
-// the per-request and per-warm-start overheads of the sharded
+// codecs (BenchmarkCodec*: snapshot export/import, wire decode and
+// encode — the per-request and per-warm-start overheads of the sharded
 // service) and the incremental re-solve replays
 // (BenchmarkResolve{LowChurn,HighChurn,FromScratch}: warm churn-trace
 // replay against its cold baseline) and the adaptive-solving admission
@@ -73,9 +73,11 @@ const pgoProfile = "default.pgo"
 // production cost, the speculative search, the three oracle backends on
 // the DP-favoring few-patterns fixture, and one end-to-end solve per
 // sibling problem family (related on the committed speed fixture,
-// identical on the bimodal workload), the three churn-trace replays
-// (warm low/high churn plus the from-scratch baseline) and the
-// adaptive planner's per-request decision overhead.
+// identical on the bimodal workload), the memo snapshot codec, the
+// wire request decode and response encode at a small and a large
+// instance, the three churn-trace replays (warm low/high churn plus the
+// from-scratch baseline) and the adaptive planner's per-request
+// decision overhead.
 // Benchmarks outside this list still land in snapshots but never fail
 // the comparison.
 var tracked = []string{
@@ -96,6 +98,9 @@ var tracked = []string{
 	"BenchmarkCodecSnapshotExport",
 	"BenchmarkCodecSnapshotImport",
 	"BenchmarkCodecWireDecodeSolveRequest",
+	"BenchmarkCodecWireDecodeSolveRequestLarge",
+	"BenchmarkCodecWireEncodeSolveResult",
+	"BenchmarkCodecWireEncodeSolveResultLarge",
 	"BenchmarkResolveLowChurn",
 	"BenchmarkResolveHighChurn",
 	"BenchmarkResolveFromScratch",

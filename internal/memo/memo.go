@@ -15,12 +15,14 @@
 // # Layout
 //
 // A committed entry is its key, its payload bytes and two int32 links in
-// a slab of slots, found through a map from key to slot number. The
-// payload is the only pointer an entry holds (a negative entry's payload
-// is its error text), so each entry is one small heap object for the
-// garbage collector to mark, and the payload is exactly what a snapshot
-// writes (see Export): memory and snapshots share one format. In-flight
-// claims live in a separate map and are the only state with a channel.
+// a slab of slots, found through a map from key to slot number. Past
+// its first 4,096 slots the slab grows by whole chunks of 4,096 and
+// never copies the slots it holds (see Cache.chunks). The payload is
+// the only pointer an entry holds (a negative entry's payload is its
+// error text), so each entry is one small heap object for the garbage
+// collector to mark, and the payload is exactly what a snapshot writes
+// (see Export): memory and snapshots share one format. In-flight claims
+// live in a separate map and are the only state with a channel.
 //
 // # Singleflight
 //
@@ -161,6 +163,14 @@ type flight struct {
 	err     error
 }
 
+// chunkBits sets the slab's chunk size: slot i lives at
+// chunks[i>>chunkBits][i&chunkMask].
+const (
+	chunkBits  = 12
+	chunkSlots = 1 << chunkBits
+	chunkMask  = chunkSlots - 1
+)
+
 // Cache is a bounded memo; see the package documentation. The zero
 // value is not usable — use New.
 type Cache struct {
@@ -168,13 +178,40 @@ type Cache struct {
 	maxCost int64
 	cost    int64
 	index   map[Key]int32
-	slots   []slot
+	// chunks is the slab, n the number of slots in use. Growing the
+	// slab adds a chunk of chunkSlots slots and never copies the slots
+	// already there, so a large cache does not briefly hold its slab
+	// twice; only the first chunk grows by append, up to chunkSlots, so
+	// a small private memo stays small.
+	chunks [][]slot
+	n      int32
 	// free heads the list of unused slots, linked through next. The
 	// LRU list runs from head (most recently used) to tail (the
 	// eviction candidate).
 	free, head, tail int32
 	flights          map[Key]*flight
 	stats            Stats
+}
+
+// slot returns slot i of the slab.
+func (c *Cache) slot(i int32) *slot {
+	return &c.chunks[i>>chunkBits][i&chunkMask]
+}
+
+// grow adds one slot to the slab and returns its index.
+func (c *Cache) grow() int32 {
+	i := c.n
+	switch {
+	case i < chunkSlots:
+		if len(c.chunks) == 0 {
+			c.chunks = append(c.chunks, nil)
+		}
+		c.chunks[0] = append(c.chunks[0], slot{})
+	case i&chunkMask == 0:
+		c.chunks = append(c.chunks, make([]slot, chunkSlots))
+	}
+	c.n++
+	return i
 }
 
 // New returns a cache bounded to maxCost total bytes: an entry costs
@@ -229,7 +266,7 @@ func (c *Cache) Do(ctx context.Context, k Key, fn func() (payload []byte, err er
 		if i, ok := c.index[k]; ok {
 			c.stats.Hits++
 			c.touch(i)
-			s := &c.slots[i]
+			s := c.slot(i)
 			payload, neg := s.payload, s.neg
 			c.mu.Unlock()
 			if neg {
@@ -325,12 +362,11 @@ func (c *Cache) release(k Key, f *flight) {
 func (c *Cache) insert(k Key, payload []byte, neg bool) int32 {
 	i := c.free
 	if i != none {
-		c.free = c.slots[i].next
+		c.free = c.slot(i).next
 	} else {
-		c.slots = append(c.slots, slot{})
-		i = int32(len(c.slots) - 1)
+		i = c.grow()
 	}
-	c.slots[i] = slot{key: k, payload: payload, neg: neg}
+	*c.slot(i) = slot{key: k, payload: payload, neg: neg}
 	c.index[k] = i
 	c.link(i)
 	c.cost += entryCost(len(payload))
@@ -343,11 +379,11 @@ func (c *Cache) insert(k Key, payload []byte, neg bool) int32 {
 
 // link inserts slot i at the LRU head.
 func (c *Cache) link(i int32) {
-	s := &c.slots[i]
+	s := c.slot(i)
 	s.prev = none
 	s.next = c.head
 	if c.head != none {
-		c.slots[c.head].prev = i
+		c.slot(c.head).prev = i
 	}
 	c.head = i
 	if c.tail == none {
@@ -357,14 +393,14 @@ func (c *Cache) link(i int32) {
 
 // unlink removes slot i from the LRU list.
 func (c *Cache) unlink(i int32) {
-	s := &c.slots[i]
+	s := c.slot(i)
 	if s.prev != none {
-		c.slots[s.prev].next = s.next
+		c.slot(s.prev).next = s.next
 	} else {
 		c.head = s.next
 	}
 	if s.next != none {
-		c.slots[s.next].prev = s.prev
+		c.slot(s.next).prev = s.prev
 	} else {
 		c.tail = s.prev
 	}
@@ -384,7 +420,7 @@ func (c *Cache) touch(i int32) {
 // and puts it on the free list.
 func (c *Cache) remove(i int32) {
 	c.unlink(i)
-	s := &c.slots[i]
+	s := c.slot(i)
 	delete(c.index, s.key)
 	c.cost -= entryCost(len(s.payload))
 	c.stats.Entries--

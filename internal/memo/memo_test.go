@@ -304,10 +304,42 @@ func TestEvictedSlotsReused(t *testing.T) {
 	if st := c.Stats(); st.Entries != 4 || st.Evictions != 996 {
 		t.Fatalf("stats = %+v, want 4 entries after 996 evictions", st)
 	}
-	if len(c.slots) > 5 {
-		t.Fatalf("slab grew to %d slots for 4 live entries", len(c.slots))
+	if c.n > 5 {
+		t.Fatalf("slab grew to %d slots for 4 live entries", c.n)
 	}
 	for i := 996; i < 1000; i++ {
+		if v, hit := mustDo(t, c, key(i), nil); !hit || tagOf(v) != i {
+			t.Fatalf("key %d: hit=%v tag %d", i, hit, tagOf(v))
+		}
+	}
+}
+
+// TestSlotAddressStable: growing the slab never moves a slot of a full
+// chunk, so the cache never holds two copies of its slots. Every slot
+// of the first chunk (filled by append) and the first slot of the
+// second (allocated whole) keep their address through 100,000 further
+// inserts.
+func TestSlotAddressStable(t *testing.T) {
+	c := New(0)
+	for i := 0; i <= chunkSlots; i++ {
+		mustDo(t, c, key(i), func() ([]byte, error) { return pay(i, 8), nil })
+	}
+	addrs := make([]*slot, chunkSlots+1)
+	for i := range addrs {
+		addrs[i] = c.slot(int32(i))
+	}
+	for i := chunkSlots + 1; i <= chunkSlots+100000; i++ {
+		mustDo(t, c, key(i), func() ([]byte, error) { return pay(i, 8), nil })
+	}
+	for i, a := range addrs {
+		if c.slot(int32(i)) != a {
+			t.Fatalf("slot %d moved while the slab grew", i)
+		}
+	}
+	if got := int(c.n); got != chunkSlots+100001 {
+		t.Fatalf("slab holds %d slots, want %d", got, chunkSlots+100001)
+	}
+	for _, i := range []int{0, chunkSlots - 1, chunkSlots, chunkSlots + 100000} {
 		if v, hit := mustDo(t, c, key(i), nil); !hit || tagOf(v) != i {
 			t.Fatalf("key %d: hit=%v tag %d", i, hit, tagOf(v))
 		}

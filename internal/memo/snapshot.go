@@ -119,8 +119,8 @@ func (c *Cache) Export(w io.Writer) (written, skipped int, err error) {
 	c.mu.Lock()
 	entries := make([]exported, 0, c.stats.Entries)
 	// Tail (least recently used) first; see the layout notes above.
-	for i := c.tail; i != none; i = c.slots[i].prev {
-		s := &c.slots[i]
+	for i := c.tail; i != none; i = c.slot(i).prev {
+		s := c.slot(i)
 		if len(s.payload) > maxPayloadBytes {
 			skipped++
 			continue

@@ -58,7 +58,7 @@ type dpWrite struct {
 // and read by the main lane after observing done (acquire).
 type dpSpec struct {
 	c      int
-	gen    int   // len(writeLog) snapshot at task start
+	gen    int // len(writeLog) snapshot at task start
 	status int
 	rel    int64
 	xs     []int

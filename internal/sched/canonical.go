@@ -2,12 +2,31 @@ package sched
 
 import (
 	"bytes"
-	"strconv"
+
+	"repro/internal/jsonscan"
 )
 
 // decodeCanonical is the one-pass fast path of Instance.UnmarshalJSON.
 // It decodes data straight into an Instance when data is a canonical
-// instance document:
+// instance document (see ScanInstance) and nothing follows it but
+// whitespace.
+//
+// ok is false for every other input, including inputs the reference
+// decoder accepts; the caller then runs decodeReference, which stays
+// the only judge of errors. Whenever ok is true the result equals what
+// decodeReference returns for data, bit for bit — FuzzInstanceJSON
+// checks both halves of that contract.
+func decodeCanonical(data []byte) (Instance, bool) {
+	s := jsonscan.New(data)
+	in, ok := ScanInstance(&s)
+	if !ok || !s.AtEnd() {
+		return Instance{}, false
+	}
+	return in, true
+}
+
+// ScanInstance decodes the canonical instance document at the scanner's
+// position, without validating it:
 //
 //   - one JSON object whose keys are among "machines", "num_bags",
 //     "speeds" and "jobs", each at most once;
@@ -18,15 +37,13 @@ import (
 //   - integers in JSON integer grammar that fit an int, floats in JSON
 //     number grammar within float64 range, and no null anywhere.
 //
-// ok is false for every other input, including inputs the reference
-// decoder accepts; the caller then runs decodeReference, which stays
-// the only judge of errors. Whenever ok is true the result equals what
-// decodeReference returns for data, bit for bit — FuzzInstanceJSON
-// checks both halves of that contract.
-func decodeCanonical(data []byte) (in Instance, ok bool) {
-	s := canonScanner{data: data}
+// ok is false for every other input. When ok is true the Instance is
+// what the reference decoder yields for the same object. The request
+// decoder of internal/wire reads the instance of a /v1/solve body with
+// it, so the two fast paths share one grammar.
+func ScanInstance(s *jsonscan.Scanner) (in Instance, ok bool) {
 	var seen uint8
-	ok = s.object(func(key []byte) bool {
+	ok = s.Object(func(key []byte) bool {
 		var bit uint8
 		switch string(key) {
 		case "machines":
@@ -47,18 +64,17 @@ func decodeCanonical(data []byte) (in Instance, ok bool) {
 		var ok bool
 		switch bit {
 		case 1:
-			in.Machines, ok = s.int()
+			in.Machines, ok = s.Int()
 		case 2:
-			in.NumBags, ok = s.int()
+			in.NumBags, ok = s.Int()
 		case 4:
-			in.Speeds, ok = s.speeds()
+			in.Speeds, ok = scanSpeeds(s)
 		case 8:
-			in.Jobs, ok = s.jobs()
+			in.Jobs, ok = scanJobs(s)
 		}
 		return ok
 	})
-	s.skipSpace()
-	if !ok || s.pos != len(data) {
+	if !ok {
 		return Instance{}, false
 	}
 	if in.Jobs == nil {
@@ -84,180 +100,38 @@ func extendBags(in *Instance) {
 // document can never allocate much more than its own size.
 const minJobText = len(`{"size":1}`) + 1
 
-// canonScanner reads a canonical instance document left to right.
-// Every method skips leading whitespace and reports false on anything
-// outside the canonical grammar.
-type canonScanner struct {
-	data []byte
-	pos  int
-}
-
-func (s *canonScanner) skipSpace() {
-	for s.pos < len(s.data) {
-		switch s.data[s.pos] {
-		case ' ', '\t', '\n', '\r':
-			s.pos++
-		default:
-			return
-		}
+// scanSpeeds reads the "speeds" array, sized up front from the commas
+// before the next ']', so it costs one allocation. Like encoding/json it
+// yields an empty, non-nil slice for [].
+func scanSpeeds(s *jsonscan.Scanner) ([]float64, bool) {
+	rest := s.Rest()
+	n := 1
+	if end := bytes.IndexByte(rest, ']'); end >= 0 {
+		n += bytes.Count(rest[:end], []byte{','})
 	}
-}
-
-// consume skips whitespace and then c, reporting whether c was next.
-func (s *canonScanner) consume(c byte) bool {
-	s.skipSpace()
-	if s.pos < len(s.data) && s.data[s.pos] == c {
-		s.pos++
-		return true
-	}
-	return false
-}
-
-// object scans one JSON object, calling member with each key once the
-// scanner sits before that key's value; member decodes the value and
-// reports whether it could.
-func (s *canonScanner) object(member func(key []byte) bool) bool {
-	if !s.consume('{') {
-		return false
-	}
-	if s.consume('}') {
-		return true
-	}
-	for {
-		key, ok := s.key()
-		if !ok || !member(key) {
-			return false
-		}
-		if !s.consume(',') {
-			return s.consume('}')
-		}
-	}
-}
-
-// array scans one JSON array, calling elem once per element.
-func (s *canonScanner) array(elem func() bool) bool {
-	if !s.consume('[') {
-		return false
-	}
-	if s.consume(']') {
-		return true
-	}
-	for {
-		if !elem() {
-			return false
-		}
-		if !s.consume(',') {
-			return s.consume(']')
-		}
-	}
-}
-
-// key reads a quoted member name and its colon. Names with escapes or
-// control bytes are not canonical.
-func (s *canonScanner) key() ([]byte, bool) {
-	if !s.consume('"') {
-		return nil, false
-	}
-	start := s.pos
-	for i := start; i < len(s.data); i++ {
-		switch c := s.data[i]; {
-		case c == '"':
-			s.pos = i + 1
-			return s.data[start:i], s.consume(':')
-		case c == '\\' || c < 0x20:
-			return nil, false
-		}
-	}
-	return nil, false
-}
-
-// number reads one token of JSON number grammar,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns its text
-// and whether it is an integer (no fraction, no exponent).
-func (s *canonScanner) number() (tok []byte, integer, ok bool) {
-	s.skipSpace()
-	d, i := s.data, s.pos
-	if i < len(d) && d[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(d) && d[i] == '0':
-		i++
-	case i < len(d) && '1' <= d[i] && d[i] <= '9':
-		i = digits(d, i)
-	default:
-		return nil, false, false
-	}
-	integer = true
-	if i < len(d) && d[i] == '.' {
-		integer = false
-		if i++; i == len(d) || !isDigit(d[i]) {
-			return nil, false, false
-		}
-		i = digits(d, i)
-	}
-	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
-		integer = false
-		if i++; i < len(d) && (d[i] == '+' || d[i] == '-') {
-			i++
-		}
-		if i == len(d) || !isDigit(d[i]) {
-			return nil, false, false
-		}
-		i = digits(d, i)
-	}
-	tok, s.pos = d[s.pos:i], i
-	return tok, integer, true
-}
-
-// int reads an integer that fits an int, exactly as encoding/json
-// decodes one into an int field.
-func (s *canonScanner) int() (int, bool) {
-	tok, integer, ok := s.number()
-	if !ok || !integer {
-		return 0, false
-	}
-	n, err := strconv.ParseInt(string(tok), 10, strconv.IntSize)
-	return int(n), err == nil
-}
-
-// float reads a number within float64 range, exactly as encoding/json
-// decodes one into a float64 field.
-func (s *canonScanner) float() (float64, bool) {
-	tok, _, ok := s.number()
-	if !ok {
-		return 0, false
-	}
-	f, err := strconv.ParseFloat(string(tok), 64)
-	return f, err == nil
-}
-
-// speeds reads the "speeds" array. Like encoding/json it yields an
-// empty, non-nil slice for [].
-func (s *canonScanner) speeds() ([]float64, bool) {
-	out := []float64{}
-	ok := s.array(func() bool {
-		f, ok := s.float()
+	out := make([]float64, 0, n)
+	ok := s.Array(func() bool {
+		f, ok := s.Float()
 		out = append(out, f)
 		return ok
 	})
 	return out, ok
 }
 
-// jobs reads the "jobs" array, sized up front from the number of
+// scanJobs reads the "jobs" array, sized up front from the number of
 // objects ahead (capped by minJobText), so a canonical document costs
 // one allocation for all its jobs.
-func (s *canonScanner) jobs() ([]Job, bool) {
-	rest := s.data[s.pos:]
+func scanJobs(s *jsonscan.Scanner) ([]Job, bool) {
+	rest := s.Rest()
 	n := bytes.Count(rest, []byte{'{'})
 	if limit := len(rest) / minJobText; n > limit {
 		n = limit
 	}
 	out := make([]Job, 0, n)
-	ok := s.array(func() bool {
+	ok := s.Array(func() bool {
 		var j Job
 		var seen uint8
-		ok := s.object(func(key []byte) bool {
+		ok := s.Object(func(key []byte) bool {
 			var bit uint8
 			switch string(key) {
 			case "id":
@@ -277,12 +151,12 @@ func (s *canonScanner) jobs() ([]Job, bool) {
 			switch bit {
 			case 1:
 				var id int
-				id, ok = s.int()
+				id, ok = s.Int()
 				j.ID = JobID(id)
 			case 2:
-				j.Size, ok = s.float()
+				j.Size, ok = s.Float()
 			case 4:
-				j.Bag, ok = s.int()
+				j.Bag, ok = s.Int()
 			}
 			return ok
 		})
@@ -290,14 +164,4 @@ func (s *canonScanner) jobs() ([]Job, bool) {
 		return ok
 	})
 	return out, ok
-}
-
-func isDigit(c byte) bool { return '0' <= c && c <= '9' }
-
-// digits returns the index of the first non-digit at or after i.
-func digits(d []byte, i int) int {
-	for i < len(d) && isDigit(d[i]) {
-		i++
-	}
-	return i
 }

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -160,4 +162,52 @@ func TestDeltaApplyValidatesPost(t *testing.T) {
 	if _, _, err := (&Delta{}).Apply(base); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("expected duplicate-id error, got %v", err)
 	}
+}
+
+// FuzzDelta drives arbitrary delta documents through ReadDelta and
+// Apply on two fixture bases, one with identical and one with related
+// machines: neither may panic, and a nil error implies the post-delta
+// instance passes Validate and the base is left as it was.
+//
+//	go test -run '^$' -fuzz FuzzDelta -fuzztime 30s ./internal/sched
+func FuzzDelta(f *testing.F) {
+	for _, d := range []string{
+		`{"add":[{"ID":10,"Size":2.5,"Bag":1}],"remove":[1],"resize":[{"id":0,"size":5}],"rebag":[{"id":3,"bag":4}]}`,
+		`{"machines":-2}`,
+		`{"machines":2,"add_speeds":[1,0.5]}`,
+		`{"machines":1,"add_speeds":[-1]}`,
+		`{"remove":[0,0]}`,
+		`{"resize":[{"id":99,"size":1}]}`,
+		`{"rebag":[{"id":0,"bag":9223372036854775807}]}`,
+		`{"add":[{"ID":0,"Size":1,"Bag":0}]}`,
+		`{"machines":-9223372036854775808}`,
+		`{"nope":1}`,
+		`{}`,
+	} {
+		f.Add([]byte(d))
+	}
+	related := deltaBase()
+	related.Speeds = []float64{1, 2, 4}
+	bases := []*Instance{deltaBase(), related}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := ReadDelta(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, base := range bases {
+			before := *base
+			before.Jobs = append([]Job(nil), base.Jobs...)
+			before.Speeds = append([]float64(nil), base.Speeds...)
+			post, _, err := d.Apply(base)
+			if !reflect.DeepEqual(*base, before) {
+				t.Fatalf("Apply(%s) changed its base", data)
+			}
+			if err != nil {
+				continue
+			}
+			if verr := post.Validate(); verr != nil {
+				t.Fatalf("Apply(%s) returned an invalid instance: %v", data, verr)
+			}
+		}
+	})
 }

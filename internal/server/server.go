@@ -41,10 +41,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
@@ -353,13 +353,13 @@ func (s *Server) resolve(in *sched.Instance, req wire.SolveSpec) (*spec, error) 
 	// because adaptive requests with different budgets may legitimately
 	// get different answers. The timeout is not: every request bounds
 	// its own wait for a shared solve (see flight.do).
-	w.word(math.Float64bits(eps))
+	w.float(eps)
 	w.word(uint64(backend))
 	w.text(fam.Name())
 	w.flag(req.NoCache)
 	w.word(uint64(oracleWorkers))
 	w.word(uint64(req.DeadlineMS))
-	w.word(math.Float64bits(req.MinQuality))
+	w.float(req.MinQuality)
 	w.flag(req.Adaptive)
 	sp := &spec{in: in, opt: opt, fam: fam.Name()}
 	w.sum(sp.key[:0])
@@ -395,6 +395,16 @@ func (w *keyWriter) flag(b bool) {
 	}
 }
 
+// float encodes f's bits with -0 folded into +0: the two mean the same
+// to every knob and prior fact, and json.Marshal drops a -0 omitempty
+// field, so a re-encoded body keeps its key.
+func (w *keyWriter) float(f float64) {
+	if f == 0 {
+		f = 0
+	}
+	w.word(math.Float64bits(f))
+}
+
 func (w *keyWriter) text(s string) {
 	w.word(uint64(len(s)))
 	w.h.Write(w.buf)
@@ -411,13 +421,43 @@ func (w *keyWriter) instance(in *sched.Instance) {
 	w.word(uint64(in.NumBags))
 	w.word(uint64(len(in.Speeds)))
 	for _, s := range in.Speeds {
-		w.word(math.Float64bits(s))
+		w.float(s)
 	}
 	w.word(uint64(len(in.Jobs)))
 	for _, j := range in.Jobs {
 		w.word(uint64(j.ID))
-		w.word(math.Float64bits(j.Size))
+		w.float(j.Size)
 		w.word(uint64(j.Bag))
+	}
+}
+
+// delta encodes d as each edit list's length and entries (add, remove,
+// resize, rebag), then the machine adjustment and the added speeds.
+func (w *keyWriter) delta(d *sched.Delta) {
+	w.word(uint64(len(d.Add)))
+	for _, j := range d.Add {
+		w.word(uint64(j.ID))
+		w.float(j.Size)
+		w.word(uint64(j.Bag))
+	}
+	w.word(uint64(len(d.Remove)))
+	for _, id := range d.Remove {
+		w.word(uint64(id))
+	}
+	w.word(uint64(len(d.Resize)))
+	for _, r := range d.Resize {
+		w.word(uint64(r.ID))
+		w.float(r.Size)
+	}
+	w.word(uint64(len(d.Rebag)))
+	for _, r := range d.Rebag {
+		w.word(uint64(r.ID))
+		w.word(uint64(r.Bag))
+	}
+	w.word(uint64(d.Machines))
+	w.word(uint64(len(d.AddSpeeds)))
+	for _, sp := range d.AddSpeeds {
+		w.float(sp)
 	}
 }
 
@@ -505,12 +545,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	rspec := req.EffectiveSpec()
 	sp, err := s.resolve(req.Instance, rspec)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, wire.ErrorResponse{Error: err.Error()})
+		WriteJSON(w, http.StatusBadRequest, wire.ErrorResponse{Error: err.Error()})
 		return
 	}
 	ctx, cancel, err := s.solveContext(r, rspec)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, wire.ErrorResponse{Error: err.Error()})
+		WriteJSON(w, http.StatusBadRequest, wire.ErrorResponse{Error: err.Error()})
 		return
 	}
 	defer cancel()
@@ -520,11 +560,16 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	elapsed := time.Since(start)
 	if !admitted {
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, wire.ErrorResponse{Error: "queue full"})
+		WriteJSON(w, http.StatusServiceUnavailable, wire.ErrorResponse{Error: "queue full"})
 		return
 	}
 	if out.Err != nil {
 		s.writeSolveError(w, out.Err)
+		return
+	}
+	body, err := encode(wire.FromResult(out.Result, shared, elapsed))
+	if err != nil {
+		s.writeSolveError(w, err)
 		return
 	}
 	s.solves.Add(1)
@@ -532,7 +577,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.recordFamily(sp.fam, elapsed)
 	s.recordOracle(out.Result.Stats)
 	s.recordQuality(sp.opt.Adaptive, out.Result.Quality)
-	writeJSON(w, http.StatusOK, wire.FromResult(out.Result, shared, elapsed))
+	send(w, http.StatusOK, body)
 }
 
 // resolveDelta validates a resolve request and builds its spec plus the
@@ -564,16 +609,22 @@ func (s *Server) resolveDelta(req *wire.ResolveRequest) (*spec, *core.Result, er
 		prior.Schedule = &sched.Schedule{Inst: req.Instance, Machine: req.PriorAssignment}
 	}
 
-	h := sha256.New()
-	h.Write(sp.key[:])
-	db, err := json.Marshal(req.Delta)
-	if err != nil {
-		return nil, nil, err
+	// The resolve's key hashes the plain solve's key, a tag, the delta
+	// and every prior fact, so it never equals a plain solve's key.
+	w := newKeyWriter()
+	for i := 0; i < len(sp.key); i += 8 {
+		w.word(binary.LittleEndian.Uint64(sp.key[i:]))
 	}
-	h.Write(db)
-	fmt.Fprintf(h, "|resolve|%x|%x|%v|%v", math.Float64bits(req.PriorMakespan),
-		math.Float64bits(req.PriorGuess), req.Repair, req.PriorAssignment)
-	h.Sum(sp.key[:0])
+	w.text("resolve")
+	w.delta(&req.Delta)
+	w.float(req.PriorMakespan)
+	w.float(req.PriorGuess)
+	w.flag(req.Repair)
+	w.word(uint64(len(req.PriorAssignment)))
+	for _, m := range req.PriorAssignment {
+		w.word(uint64(m))
+	}
+	w.sum(sp.key[:0])
 	return sp, prior, nil
 }
 
@@ -585,12 +636,12 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 	}
 	sp, prior, err := s.resolveDelta(&req)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, wire.ErrorResponse{Error: err.Error()})
+		WriteJSON(w, http.StatusBadRequest, wire.ErrorResponse{Error: err.Error()})
 		return
 	}
 	ctx, cancel, err := s.solveContext(r, req.EffectiveSpec())
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, wire.ErrorResponse{Error: err.Error()})
+		WriteJSON(w, http.StatusBadRequest, wire.ErrorResponse{Error: err.Error()})
 		return
 	}
 	defer cancel()
@@ -600,11 +651,16 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 	elapsed := time.Since(start)
 	if !admitted {
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, wire.ErrorResponse{Error: "queue full"})
+		WriteJSON(w, http.StatusServiceUnavailable, wire.ErrorResponse{Error: "queue full"})
 		return
 	}
 	if out.Err != nil {
 		s.writeSolveError(w, out.Err)
+		return
+	}
+	body, err := encode(wire.FromResolveResult(out.Result, shared, elapsed))
+	if err != nil {
+		s.writeSolveError(w, err)
 		return
 	}
 	s.solves.Add(1)
@@ -616,7 +672,7 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 	s.recordFamily(sp.fam, elapsed)
 	s.recordOracle(out.Result.Stats)
 	s.recordQuality(sp.opt.Adaptive, out.Result.Quality)
-	writeJSON(w, http.StatusOK, wire.FromResolveResult(out.Result, shared, elapsed))
+	send(w, http.StatusOK, body)
 }
 
 // recordFamily feeds the per-family counters of one successful solve.
@@ -658,7 +714,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Instances) == 0 {
-		writeJSON(w, http.StatusBadRequest, wire.ErrorResponse{Error: "missing \"instances\""})
+		WriteJSON(w, http.StatusBadRequest, wire.ErrorResponse{Error: "missing \"instances\""})
 		return
 	}
 	bspec := req.EffectiveSpec()
@@ -666,14 +722,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, in := range req.Instances {
 		sp, err := s.resolve(in, bspec)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, wire.ErrorResponse{Error: fmt.Sprintf("instance %d: %v", i, err)})
+			WriteJSON(w, http.StatusBadRequest, wire.ErrorResponse{Error: fmt.Sprintf("instance %d: %v", i, err)})
 			return
 		}
 		specs[i] = sp
 	}
 	ctx, cancel, err := s.solveContext(r, bspec)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, wire.ErrorResponse{Error: err.Error()})
+		WriteJSON(w, http.StatusBadRequest, wire.ErrorResponse{Error: err.Error()})
 		return
 	}
 	defer cancel()
@@ -719,7 +775,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}(i, sp)
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusOK, wire.BatchResponse{Outcomes: items, ElapsedUS: time.Since(start).Microseconds()})
+	if err := WriteJSON(w, http.StatusOK, wire.BatchResponse{Outcomes: items, ElapsedUS: time.Since(start).Microseconds()}); err != nil {
+		s.countSolveError(err)
+	}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -728,16 +786,16 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("window"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
-			writeJSON(w, http.StatusBadRequest, wire.ErrorResponse{Error: "\"window\" must be a positive integer"})
+			WriteJSON(w, http.StatusBadRequest, wire.ErrorResponse{Error: "\"window\" must be a positive integer"})
 			return
 		}
 		window = n
 	}
-	writeJSON(w, http.StatusOK, s.statsPayload(window))
+	WriteJSON(w, http.StatusOK, s.statsPayload(window))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
 		"uptime_s": time.Since(s.start).Seconds(),
 	})
@@ -880,7 +938,7 @@ func (s *Server) statsPayload(window int) map[string]any {
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	if err := wire.Decode(body, dst); err != nil {
-		writeJSON(w, http.StatusBadRequest, wire.ErrorResponse{Error: err.Error()})
+		WriteJSON(w, http.StatusBadRequest, wire.ErrorResponse{Error: err.Error()})
 		return false
 	}
 	return true
@@ -897,13 +955,13 @@ func (s *Server) writeSolveError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, plan.ErrUnattainable):
 		s.unattainable.Add(1)
-		writeJSON(w, http.StatusUnprocessableEntity, wire.ErrorResponse{Error: "unattainable: " + err.Error()})
+		WriteJSON(w, http.StatusUnprocessableEntity, wire.ErrorResponse{Error: "unattainable: " + err.Error()})
 	case errors.Is(err, context.DeadlineExceeded):
-		writeJSON(w, http.StatusGatewayTimeout, wire.ErrorResponse{Error: "solve deadline exceeded"})
+		WriteJSON(w, http.StatusGatewayTimeout, wire.ErrorResponse{Error: "solve deadline exceeded"})
 	case errors.Is(err, context.Canceled):
-		writeJSON(w, http.StatusServiceUnavailable, wire.ErrorResponse{Error: "request canceled"})
+		WriteJSON(w, http.StatusServiceUnavailable, wire.ErrorResponse{Error: "request canceled"})
 	default:
-		writeJSON(w, http.StatusUnprocessableEntity, wire.ErrorResponse{Error: err.Error()})
+		WriteJSON(w, http.StatusUnprocessableEntity, wire.ErrorResponse{Error: err.Error()})
 	}
 }
 
@@ -914,8 +972,50 @@ func (s *Server) countSolveError(err error) {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+// bodyPool recycles response buffers. A buffer grown past
+// maxPooledBody is dropped, so one large response does not pin its
+// memory.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 64 << 10
+
+// encode writes v's wire encoding into a pooled buffer, which send
+// returns to the pool. On error no buffer is held.
+func encode(v any) (*bytes.Buffer, error) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if err := wire.Encode(buf, v); err != nil {
+		bodyPool.Put(buf)
+		return nil, err
+	}
+	return buf, nil
+}
+
+// send writes an encoded body with its Content-Length in one write and
+// recycles the buffer.
+func send(w http.ResponseWriter, status int, body *bytes.Buffer) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(body.Len()))
 	w.WriteHeader(status)
-	wire.Encode(w, v) //nolint:errcheck // the client may be gone; nothing to do
+	w.Write(body.Bytes()) //nolint:errcheck // the client may be gone; nothing to do
+	if body.Cap() <= maxPooledBody {
+		bodyPool.Put(body)
+	}
+}
+
+// WriteJSON sends v as the wire encoding with the given status. The
+// body is encoded before the header goes out, so a document that does
+// not encode (a non-finite float) is answered with 422 and an
+// ErrorResponse naming the value instead of a truncated 200; the
+// encoding error is returned for the caller to count. The shard router
+// answers through it too.
+func WriteJSON(w http.ResponseWriter, status int, v any) error {
+	body, err := encode(v)
+	if err != nil {
+		status = http.StatusUnprocessableEntity
+		body, _ = encode(wire.ErrorResponse{Error: err.Error()}) // a string always encodes
+	}
+	send(w, status, body)
+	return err
 }

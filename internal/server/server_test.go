@@ -19,6 +19,7 @@ import (
 	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/sched"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -175,6 +176,81 @@ func TestSolveBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/solve status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestSolveNonFiniteAnswer: a valid instance whose makespan overflows to
+// +Inf cannot be encoded. The body is encoded before the header goes
+// out, so the client gets 422 with an error document naming the value
+// (not a 200 with an empty body), and the solve counts as an error.
+func TestSolveNonFiniteAnswer(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	for name, body := range map[string]string{
+		"huge jobs":  `{"instance":{"machines":1,"jobs":[{"id":0,"size":1e308,"bag":0},{"id":1,"size":1e308,"bag":1}]}}`,
+		"tiny speed": `{"instance":{"machines":1,"speeds":[5e-324],"jobs":[{"id":0,"size":1,"bag":0}]},"family":"related"}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			before := s.solveErrors.Load()
+			resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusUnprocessableEntity {
+				t.Fatalf("status %d, body %q; want 422", resp.StatusCode, raw)
+			}
+			if resp.ContentLength != int64(len(raw)) {
+				t.Fatalf("Content-Length %d for a %d-byte body", resp.ContentLength, len(raw))
+			}
+			var doc wire.ErrorResponse
+			if err := wire.Unmarshal(raw, &doc); err != nil {
+				t.Fatalf("error body %q does not decode: %v", raw, err)
+			}
+			if !strings.Contains(doc.Error, "+Inf") {
+				t.Fatalf("error %q does not name the non-finite value", doc.Error)
+			}
+			if got := s.solveErrors.Load() - before; got != 1 {
+				t.Fatalf("counted %d solve errors, want 1", got)
+			}
+		})
+	}
+}
+
+// TestSolveContentLength: a solve response is sent in one piece with its
+// Content-Length, also when it is larger than the 2 KiB net/http
+// buffers before it falls back to chunked encoding, and its bytes are
+// the reference encoding of the decoded document.
+func TestSolveContentLength(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	in := workload.MustGenerate(workload.Spec{Family: workload.Bimodal, Machines: 4, Jobs: 400, Bags: 8, Seed: 3})
+	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(mustJSON(map[string]any{"instance": in, "eps": 0.5})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || resp.ContentLength != int64(len(raw)) || len(raw) <= 2048 {
+		t.Fatalf("status %d, Content-Length %d for a %d-byte body", resp.StatusCode, resp.ContentLength, len(raw))
+	}
+	var res wire.SolveResult
+	if err := wire.Unmarshal(raw, &res); err != nil {
+		t.Fatal(err)
+	}
+	var ref bytes.Buffer
+	enc := json.NewEncoder(&ref)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(&res); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, ref.Bytes()) {
+		t.Fatalf("response\n%s\nreference encoding\n%s", raw, ref.Bytes())
 	}
 }
 

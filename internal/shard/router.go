@@ -579,13 +579,17 @@ func (rt *Router) rejectBadRequest(w http.ResponseWriter, err error) {
 }
 
 func copyResponse(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	w.Write(body) //nolint:errcheck // the client may be gone
 }
 
+// writeWire answers exactly as a replica does: the body is encoded into
+// a pooled buffer before the header goes out and is sent with its
+// Content-Length, and a document that does not encode becomes a 422
+// (see server.WriteJSON).
 func writeWire(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	wire.Encode(w, v) //nolint:errcheck // the client may be gone
+	server.WriteJSON(w, status, v) //nolint:errcheck // only a merged batch can fail, and it answers 422 itself
 }

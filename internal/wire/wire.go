@@ -16,6 +16,22 @@
 // Decoding is strict everywhere: unknown fields and trailing data are
 // errors, so a typo'd knob fails loudly instead of silently selecting a
 // default, and every front end rejects exactly the same bodies.
+//
+// encoding/json is the reference codec. Two hand-written fast paths
+// sit in front of it for the per-request documents of /v1/solve. A
+// canonical SolveRequest body — the instance and the flat or nested
+// knobs, each key once, spelled exactly and unescaped, no null,
+// integers in integer grammar, a valid instance, no trailing data — is
+// decoded in one pass with the instance scanner internal/sched uses
+// (internal/jsonscan). Any other body (escapes, case-folded or
+// duplicate keys, null, unknown keys, trailing data, an invalid
+// instance) is declined to encoding/json, which stays the only judge of
+// request errors; FuzzDecodeSolveRequest holds the fast path to the
+// reference's result. A *SolveResult is written by an append encoder
+// whose bytes equal the reference's indented output, and which fails
+// where it fails, on a non-finite float
+// (TestAppendSolveResultMatchesReference). Every other document,
+// batch and resolve bodies included, goes through encoding/json.
 package wire
 
 import (
@@ -308,8 +324,39 @@ var ErrTrailingData = errors.New("wire: trailing data after JSON body")
 
 // Decode reads one strict JSON document from r into dst: unknown fields
 // and trailing data are errors. Transport limits (maximum body size)
-// are the caller's job — wrap r before decoding.
+// are the caller's job — wrap r before decoding. A *SolveRequest is read
+// to the end of r into a pooled buffer and decoded as Unmarshal does;
+// every other document streams through encoding/json.
 func Decode(r io.Reader, dst any) error {
+	req, ok := dst.(*SolveRequest)
+	if !ok {
+		return decodeReference(r, dst)
+	}
+	buf := getBuffer()
+	defer putBuffer(buf)
+	if _, err := buf.ReadFrom(r); err != nil {
+		return err
+	}
+	return Unmarshal(buf.Bytes(), req)
+}
+
+// Unmarshal is Decode over a byte slice. A canonical /v1/solve body
+// decoded into a zero *SolveRequest takes the one-pass fast path (see
+// decodeSolveRequest); everything else, and every error, is
+// encoding/json's.
+func Unmarshal(data []byte, dst any) error {
+	if req, ok := dst.(*SolveRequest); ok && *req == (SolveRequest{}) {
+		if fast, ok := decodeSolveRequest(data); ok {
+			*req = fast
+			return nil
+		}
+	}
+	return decodeReference(bytes.NewReader(data), dst)
+}
+
+// decodeReference is the encoding/json decoder behind Decode and
+// Unmarshal, the judge of every request error.
+func decodeReference(r io.Reader, dst any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
@@ -321,18 +368,42 @@ func Decode(r io.Reader, dst any) error {
 	return nil
 }
 
-// Unmarshal is Decode over a byte slice.
-func Unmarshal(data []byte, dst any) error {
-	return Decode(bytes.NewReader(data), dst)
-}
-
 // Encode writes v to w as indented JSON, the canonical response
-// encoding of every front end.
+// encoding of every front end: the bytes of a json.Encoder with
+// SetIndent("", "  "). A *SolveResult is appended by a hand-written
+// encoder that writes those same bytes and fails on the same values
+// (a non-finite float); every other document goes through
+// encoding/json. On error nothing is written to w.
 func Encode(w io.Writer, v any) error {
+	if r, ok := v.(*SolveResult); ok && r != nil {
+		return encodeSolveResult(w, r)
+	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
 		return fmt.Errorf("wire: encode: %w", err)
+	}
+	return nil
+}
+
+// encodeSolveResult appends r to w's spare capacity when w is a
+// *bytes.Buffer, and to a pooled buffer written to w in one call
+// otherwise.
+func encodeSolveResult(w io.Writer, r *SolveResult) error {
+	buf, direct := w.(*bytes.Buffer)
+	if !direct {
+		buf = getBuffer()
+		defer putBuffer(buf)
+	}
+	b, err := appendSolveResult(buf.AvailableBuffer(), r)
+	if err != nil {
+		return fmt.Errorf("wire: encode: %w", err)
+	}
+	buf.Write(b)
+	if !direct {
+		if _, err := w.Write(buf.Bytes()); err != nil {
+			return fmt.Errorf("wire: encode: %w", err)
+		}
 	}
 	return nil
 }
