@@ -30,16 +30,6 @@ race:
 family-diff:
 	$(GO) test -race -run '^TestFamily' . ./internal/pipeline ./internal/server
 
-# workers-diff is the parallel-oracle differential suite under the race
-# detector: every committed fixture, every oracle backend, every
-# problem family, at oracle worker counts 1/2/4/8, must produce
-# bit-identical makespans, schedules and decision statistics (plus the
-# intra-backend determinism tests of internal/milp and internal/oracle).
-# The full race leg already includes these tests; this named gate lets
-# CI and bisects point a speculation regression at itself.
-workers-diff:
-	$(GO) test -race -run 'TestOracleWorkers|TestCfgDPWorkers|TestBnBWorkers|TestParallel' . ./internal/oracle ./internal/milp
-
 # shard-diff is the sharded-serving differential suite under the race
 # detector: the consistent-hash router must be answer-invisible against
 # a single replica under concurrent clients, and a memo snapshot
@@ -54,7 +44,7 @@ shard-diff:
 
 # resolve-diff is the incremental re-solve differential suite under the
 # race detector: every committed churn trace replayed across every
-# oracle backend × family × worker count must produce answers
+# oracle backend × family must produce answers
 # bit-identical to from-scratch solves of each post-delta instance while
 # running strictly fewer pipeline executions over the trace, and the
 # placement-repair fast path must either certify its schedule against
@@ -113,7 +103,7 @@ bench-compare:
 # refactors; the profile is data, not code, so a stale one degrades
 # gracefully to smaller wins.
 pgo:
-	$(GO) test -run '^$$' -bench 'Benchmark(Ex[A-Z]|Oracle|Family|Codec|Resolve|Planner)' \
+	$(GO) test -run '^$$' -bench 'Benchmark(Ex[A-Z]|Oracle|SolveLarge|Family|Codec|Resolve|Planner)' \
 		-cpuprofile pgo.cpu.out .
 	mv pgo.cpu.out default.pgo
 	rm -f repro.test bagsched.test
@@ -124,8 +114,8 @@ pgo:
 # deltas through ReadDelta and Apply, the /v1/solve request fast path
 # against its encoding/json reference, /v1/solve and /v1/resolve bodies
 # through decode and the coalescing key, memo snapshot import, memo
-# result payload decode, and the simplex's bound rows against the
-# row-slice reference.
+# result payload decode, the simplex's bound rows against the
+# row-slice reference, and planner cost-model snapshot import.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSolveEPTAS -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzInstanceJSON -fuzztime 30s ./internal/sched
@@ -136,6 +126,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzImport -fuzztime 30s ./internal/memo
 	$(GO) test -run '^$$' -fuzz FuzzDecodeResult -fuzztime 30s ./internal/pipeline
 	$(GO) test -run '^$$' -fuzz FuzzSolveBounds -fuzztime 30s ./internal/lp
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanImport$$' -fuzztime 30s ./internal/plan
 
 # cover is the CI coverage leg: the race-mode test run with an atomic
 # coverage profile, failing when total statement coverage drops below
@@ -178,4 +169,4 @@ slo-replay:
 
 # ci is what .github/workflows/ci.yml runs (plus a non-blocking
 # bench-compare step); the coverage matrix leg swaps race for cover.
-ci: vet build race family-diff workers-diff shard-diff resolve-diff plan-diff bench-smoke
+ci: vet build race family-diff shard-diff resolve-diff plan-diff bench-smoke

@@ -41,7 +41,8 @@
 //     up to three speculative makespan guesses concurrently (on
 //     multi-core machines, by default). The consumed guess sequence,
 //     Stats and schedule are identical to the sequential search;
-//     WithSpeculation tunes or disables it.
+//     WithSpeculation tunes or disables it. Each guess's oracle solve
+//     itself runs on one goroutine.
 //
 // For example:
 //
@@ -246,9 +247,6 @@ type Spec struct {
 	// PriorityCap caps the Definition 2 constant b' (0 = theoretical
 	// value). See WithPriorityCap.
 	PriorityCap int
-	// OracleWorkers sets concurrent lanes per oracle solve (0 or 1 =
-	// sequential). See WithOracleWorkers.
-	OracleWorkers int
 	// Speculation controls speculative guess evaluation (0 = auto, 1 =
 	// sequential). See WithSpeculation.
 	Speculation int
@@ -296,7 +294,6 @@ func (s Spec) Options() []Option {
 		o.MILP.MaxNodes = s.MILPNodes
 		o.MaxGuesses = s.MaxGuesses
 		o.BPrimeOverride = s.PriorityCap
-		o.OracleWorkers = s.OracleWorkers
 		o.Speculate = s.Speculation
 		o.Cache = s.Cache
 		o.DisableMemo = s.DisableMemo
@@ -370,30 +367,16 @@ func WithPriorityCap(bprime int) Option {
 	return func(o *core.Options) { o.BPrimeOverride = bprime }
 }
 
-// WithOracleWorkers sets the number of concurrent lanes a single oracle
-// solve may use (default 1, sequential): helper lanes speculatively
-// solve LP relaxations ahead of the branch-and-bound loop and explore
-// root subtrees ahead of the configuration DP, and the main lane adopts
-// their results only when provably identical to what it would have
-// computed itself. Results — the schedule, the makespan, and every
-// decision statistic — are bit-for-bit identical at any worker count;
-// the knob trades CPU for latency on large single instances. It
-// composes with WithSpeculation (parallelism across guesses) and with
-// batching (parallelism across instances); on a saturated batch
-// workload extra oracle workers mostly add contention, so prefer it for
-// interactive or few-instance workloads.
-func WithOracleWorkers(n int) Option {
-	return func(o *core.Options) { o.OracleWorkers = n }
-}
-
 // WithSpeculation controls speculative parallel guess evaluation in the
 // binary search: 1 forces the strictly sequential search; any larger
 // value (all treated alike) evaluates the current midpoint plus its two
 // possible successors concurrently. The default (0) speculates whenever
-// more than one CPU is available. Speculation does not change the result
-// — only wall-clock time: every per-guess budget is a deterministic work
-// count, and wall-clock time is bounded only by the context's deadline,
-// whose expiry fails the solve instead of flipping a guess.
+// more than one CPU is available. It is the only parallelism inside one
+// solve: each guess's oracle solve is sequential. Speculation does not
+// change the result — only wall-clock time: every per-guess budget is a
+// deterministic work count, and wall-clock time is bounded only by the
+// context's deadline, whose expiry fails the solve instead of flipping
+// a guess.
 func WithSpeculation(n int) Option {
 	return func(o *core.Options) { o.Speculate = n }
 }

@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"io"
 	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -522,34 +521,17 @@ func BenchmarkOracleBnB(b *testing.B)       { benchOracleBackend(b, oracle.KindB
 func BenchmarkOracleCfgDP(b *testing.B)     { benchOracleBackend(b, oracle.KindCfgDP) }
 func BenchmarkOraclePortfolio(b *testing.B) { benchOracleBackend(b, oracle.KindPortfolio) }
 
-// --- Parallel oracle: intra-solve worker lanes on the large corpus ---
+// --- Large corpus: the m=256 bimodal fixture ---
 //
-// The BenchmarkOracleParallel family is the scaling curve of the
-// speculative worker lanes (internal/milp parallel.go, internal/oracle
-// cfgdp_parallel.go) on the large-instance fixture class. The lane count
-// follows GOMAXPROCS, so
-//
-//	go test -bench BenchmarkOracleParallel -cpu 1,2,4,8
-//
-// sweeps workers 1, 2, 4 and 8 — the -N suffix on each benchmark line is
-// the lane count, and cmd/benchjson records it in the result identity.
-// The -cpu 1 leg runs the exact sequential code path (workers<=1 never
-// touches the speculation machinery), so the curve's first point doubles
-// as the no-regression baseline. Results are bit-identical at every
-// point on the curve (TestOracleWorkersDifferentialCorpus); only the
-// wall clock may move. On a single-core machine the curve is flat to
-// slightly negative — speculative lanes can only trade spare cores for
-// latency.
+// Its configuration program has 466 patterns, so every simplex solve in
+// the branch-and-bound is expensive; the three benchmarks time bnb and
+// cfgdp on that program and the full EPTAS solve around them.
 
-// benchOracleParallel solves one prebuilt configuration program with as
-// many worker lanes as GOMAXPROCS allows.
-func benchOracleParallel(b *testing.B, path string, kind oracle.Kind) {
+// benchOracleLarge solves one prebuilt configuration program.
+func benchOracleLarge(b *testing.B, path string, kind oracle.Kind) {
 	built := benchOracleModelFrom(b, path)
 	backend := oracle.For(oracle.Selection{Backend: kind})
-	lim := oracle.Limits{
-		MILP:    milp.Options{MaxNodes: 500, StopAtFirst: true, TimeLimit: 10 * time.Minute},
-		Workers: runtime.GOMAXPROCS(0),
-	}
+	lim := oracle.Limits{MILP: milp.Options{MaxNodes: 500, StopAtFirst: true, TimeLimit: 10 * time.Minute}}
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -562,25 +544,17 @@ func benchOracleParallel(b *testing.B, path string, kind oracle.Kind) {
 	}
 }
 
-// BenchmarkOracleParallelBnBLarge is the headline scaling benchmark: the
-// m=256 bimodal fixture's configuration program has 466 patterns, so
-// every simplex solve in the branch-and-bound is expensive and the
-// speculative sibling-LP lanes have real work to steal.
-func BenchmarkOracleParallelBnBLarge(b *testing.B) {
-	benchOracleParallel(b, "testdata/large_bimodal_m256_n384.json", oracle.KindBnB)
+func BenchmarkOracleBnBLarge(b *testing.B) {
+	benchOracleLarge(b, "testdata/large_bimodal_m256_n384.json", oracle.KindBnB)
 }
 
-// BenchmarkOracleParallelCfgDPLarge sweeps the same program through the
-// configuration DP's speculative root-subtree lanes.
-func BenchmarkOracleParallelCfgDPLarge(b *testing.B) {
-	benchOracleParallel(b, "testdata/large_bimodal_m256_n384.json", oracle.KindCfgDP)
+func BenchmarkOracleCfgDPLarge(b *testing.B) {
+	benchOracleLarge(b, "testdata/large_bimodal_m256_n384.json", oracle.KindCfgDP)
 }
 
-// BenchmarkOracleParallelSolveLarge is the end-to-end view: a full EPTAS
-// solve of the large bimodal fixture with the per-solve worker knob set
-// from GOMAXPROCS, amortizing the oracle speedup over the sequential
-// pipeline stages around it.
-func BenchmarkOracleParallelSolveLarge(b *testing.B) {
+// BenchmarkSolveLarge is the end-to-end view: a full sequential EPTAS
+// solve of the large bimodal fixture.
+func BenchmarkSolveLarge(b *testing.B) {
 	f, err := os.Open("testdata/large_bimodal_m256_n384.json")
 	if err != nil {
 		b.Fatal(err)
@@ -590,11 +564,10 @@ func BenchmarkOracleParallelSolveLarge(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	workers := runtime.GOMAXPROCS(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveEPTAS(in, 0.5, WithOracleWorkers(workers), WithSpeculation(1)); err != nil {
+		if _, err := SolveEPTAS(in, 0.5, WithSpeculation(1)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -880,11 +853,11 @@ func BenchmarkPlannerDecision(b *testing.B) {
 		{0.9, 5 * time.Millisecond},
 	} {
 		m.Observe(plan.Key{Family: "bags", Size: plan.SizeClass(24), Rung: plan.RungEPTAS,
-			EpsIdx: plan.EpsIndex(o.eps), Backend: "bnb", Workers: 1}, o.d)
+			EpsIdx: plan.EpsIndex(o.eps), Backend: "bnb"}, o.d)
 	}
 	m.Observe(plan.Key{Family: "bags", Size: plan.SizeClass(24), Rung: plan.RungLPT}, 300*time.Microsecond)
 	req := plan.Request{Family: "bags", Jobs: 24, Machines: 8, Eps: 0.1,
-		Backend: "bnb", Workers: 1, Budget: 150 * time.Millisecond}
+		Backend: "bnb", Budget: 150 * time.Millisecond}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -5,9 +5,10 @@ package bagsched
 // each committed fixture and each oracle backend, the uncached solve
 // (memo off), the default private-memo solve, a cold shared-cache solve
 // and a fully warm shared-cache solve must agree bit for bit — makespan,
-// schedule and decision statistics. The warm solve additionally must be
-// served entirely from the cache (zero pipeline runs), which is the
-// cross-request reuse the solver service is built on.
+// schedule and decision statistics. A sequential warm solve additionally
+// must be served entirely from the cache (zero pipeline runs), which is
+// the cross-request reuse the solver service is built on; a speculative
+// warm solve must still give the same answer.
 
 import (
 	"path/filepath"
@@ -65,7 +66,11 @@ func TestSharedCacheDifferentialCorpus(t *testing.T) {
 					}
 					assertSameOutcome(t, "shared cache (cold) vs uncached", uncached, cold)
 
-					warm, err := SolveEPTAS(in, eps, append([]Option{WithSharedCache(shared)}, base...)...)
+					// The pipeline count is asserted on a sequential search:
+					// a speculative one may launch again a successor the cold
+					// search abandoned before it committed, and PipelineRuns
+					// counts abandoned work by design.
+					warm, err := SolveEPTAS(in, eps, append([]Option{WithSharedCache(shared), WithSpeculation(1)}, base...)...)
 					if err != nil {
 						t.Fatalf("shared cache (warm): %v", err)
 					}
@@ -77,6 +82,11 @@ func TestSharedCacheDifferentialCorpus(t *testing.T) {
 					if warm.Stats.Guesses > 0 && warm.Stats.CacheHits == 0 {
 						t.Errorf("warm shared-cache solve reported no cache hits over %d guesses", warm.Stats.Guesses)
 					}
+					spec, err := SolveEPTAS(in, eps, append([]Option{WithSharedCache(shared)}, base...)...)
+					if err != nil {
+						t.Fatalf("shared cache (warm, default speculation): %v", err)
+					}
+					assertSameOutcome(t, "shared cache (warm, default speculation) vs uncached", uncached, spec)
 				})
 			}
 			st := shared.Stats()

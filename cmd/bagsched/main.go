@@ -7,19 +7,18 @@
 //	         [-eps 0.5] [-backend bnb|cfgdp|portfolio]
 //	         [-family bags|identical|related]
 //	         [-in instance.json] [-out schedule.json]
-//	         [-oracle-workers N] [-timeout 30s] [-v]
+//	         [-timeout 30s] [-v]
 //	bagsched -batch dir [-eps 0.5] [-backend ...] [-family ...]
-//	         [-workers N] [-oracle-workers N] [-timeout 5m]
+//	         [-workers N] [-timeout 5m]
 //	bagsched serve [-addr :8080] [-workers N] [-cache-bytes N]
 //	         [-backend bnb] [-eps 0.5] [-queue-depth N] [-max-timeout 2m]
-//	         [-max-oracle-workers N] [-snapshot cache.bgms]
-//	         [-plan-snapshot plan.json]
+//	         [-snapshot cache.bgms] [-plan-snapshot plan.json]
 //	bagsched route -replicas http://h1:8080,http://h2:8080[,...]
 //	         [-addr :8090] [-vnodes 64] [-policy hash|random] [-eps 0.5]
 //	         [-health-interval 1s]
 //	bagsched resolve -delta delta.json [-in instance.json] [-eps 0.5]
 //	         [-backend ...] [-family ...] [-repair] [-compare]
-//	         [-out schedule.json] [-oracle-workers N] [-timeout 30s] [-v]
+//	         [-out schedule.json] [-timeout 30s] [-v]
 //
 // In batch mode every instance JSON in dir (files matching *.json,
 // excluding earlier *.schedule.json outputs) is solved with the EPTAS on
@@ -60,13 +59,6 @@
 // array). The serve subcommand takes no -family flag — the service
 // selects the family per request via the "family" field of the solve
 // body.
-//
-// -oracle-workers parallelizes *inside* each oracle solve (speculative
-// LP relaxations in bnb, speculative root subtrees in cfgdp). Results
-// are bit-identical at any worker count; the knob only trades CPU for
-// latency. It composes with -workers (parallelism across batch
-// instances), but on a saturated batch pool extra oracle lanes mostly
-// add contention.
 //
 // -timeout bounds the solver's wall-clock time via context cancellation
 // (eptas and daswiese; in batch mode the deadline covers the whole
@@ -125,7 +117,6 @@ func main() {
 	outPath := flag.String("out", "", "write the schedule JSON here (default: stdout summary only)")
 	batchDir := flag.String("batch", "", "solve every instance JSON in this directory on a worker pool")
 	workers := flag.Int("workers", 0, "batch worker count (0 = GOMAXPROCS)")
-	oracleWorkers := flag.Int("oracle-workers", 0, "concurrent lanes per oracle solve (eptas; <=1 = sequential, results identical)")
 	timeout := flag.Duration("timeout", 0, "abort the solve after this long (eptas/daswiese; 0 = no limit)")
 	verbose := flag.Bool("v", false, "print per-machine loads (and, for eptas, per-stage timing and cache report)")
 	flag.Parse()
@@ -140,9 +131,6 @@ func main() {
 	backend, err := bagsched.ParseBackend(*backendName)
 	if err == nil && backend != bagsched.BackendBnB && *algo != "eptas" {
 		err = fmt.Errorf("-backend applies to -algo eptas only (got %q)", *algo)
-	}
-	if err == nil && *oracleWorkers > 1 && *algo != "eptas" {
-		err = fmt.Errorf("-oracle-workers applies to -algo eptas only (got %q)", *algo)
 	}
 	var fam bagsched.Family
 	if err == nil {
@@ -161,7 +149,7 @@ func main() {
 			case *verbose:
 				err = fmt.Errorf("-v is not supported in batch mode")
 			default:
-				err = runBatch(ctx, *batchDir, *algo, *eps, backend, fam, *workers, *oracleWorkers)
+				err = runBatch(ctx, *batchDir, *algo, *eps, backend, fam, *workers)
 			}
 		} else if *workers != 0 {
 			err = fmt.Errorf("-workers applies to batch mode only (use -batch)")
@@ -169,7 +157,7 @@ func main() {
 			if *timeout > 0 && *algo != "eptas" && *algo != "daswiese" {
 				err = fmt.Errorf("-timeout supports -algo eptas or daswiese only (got %q; use -algo exact's own limit instead)", *algo)
 			} else {
-				err = run(ctx, *algo, *eps, backend, fam, *inPath, *outPath, *oracleWorkers, *verbose)
+				err = run(ctx, *algo, *eps, backend, fam, *inPath, *outPath, *verbose)
 			}
 		}
 	}
@@ -181,7 +169,7 @@ func main() {
 
 // runBatch solves every instance JSON in dir concurrently and writes each
 // schedule alongside its instance.
-func runBatch(ctx context.Context, dir, algo string, eps float64, backend bagsched.OracleBackend, fam bagsched.Family, workers, oracleWorkers int) error {
+func runBatch(ctx context.Context, dir, algo string, eps float64, backend bagsched.OracleBackend, fam bagsched.Family, workers int) error {
 	if algo != "eptas" {
 		return fmt.Errorf("batch mode supports -algo eptas only (got %q)", algo)
 	}
@@ -208,7 +196,7 @@ func runBatch(ctx context.Context, dir, algo string, eps float64, backend bagsch
 	pool := bagsched.NewPool(workers)
 	start := time.Now()
 	outs := pool.SolveEPTASContext(ctx, ins, eps,
-		bagsched.WithBackend(backend), bagsched.WithFamily(fam), bagsched.WithOracleWorkers(oracleWorkers))
+		bagsched.WithBackend(backend), bagsched.WithFamily(fam))
 	elapsed := time.Since(start)
 
 	failed := 0
@@ -268,7 +256,7 @@ func batchInputs(dir string) ([]string, error) {
 	return paths, nil
 }
 
-func run(ctx context.Context, algo string, eps float64, backend bagsched.OracleBackend, fam bagsched.Family, inPath, outPath string, oracleWorkers int, verbose bool) error {
+func run(ctx context.Context, algo string, eps float64, backend bagsched.OracleBackend, fam bagsched.Family, inPath, outPath string, verbose bool) error {
 	var in *sched.Instance
 	var err error
 	if inPath == "-" {
@@ -294,7 +282,7 @@ func run(ctx context.Context, algo string, eps float64, backend bagsched.OracleB
 	switch algo {
 	case "eptas":
 		res, err := bagsched.SolveEPTASContext(ctx, in, eps,
-			bagsched.WithBackend(backend), bagsched.WithFamily(fam), bagsched.WithOracleWorkers(oracleWorkers))
+			bagsched.WithBackend(backend), bagsched.WithFamily(fam))
 		if err != nil {
 			return err
 		}
@@ -384,10 +372,6 @@ func printEngineReport(st bagsched.Stats) {
 			fmt.Printf("  races: %d won by %s; outraced losers burned %d nodes, %d states, %s\n",
 				st.OracleRaces, st.OracleBackend, st.OracleLoserNodes, st.OracleLoserStates,
 				st.OracleLoserTime.Round(time.Microsecond))
-		}
-		if st.OracleWorkers > 1 {
-			fmt.Printf("  workers: %d lanes; %d speculative units claimed, %d adopted\n",
-				st.OracleWorkers, st.OracleSteals, st.OracleSpecUsed)
 		}
 	}
 }

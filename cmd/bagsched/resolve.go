@@ -28,7 +28,6 @@ func runResolve(args []string) error {
 	outPath := fs.String("out", "", "write the post-delta schedule JSON here")
 	repair := fs.Bool("repair", false, "enable the placement-repair fast path (certificate-checked, not bit-identical)")
 	compare := fs.Bool("compare", false, "also solve the post-delta instance from scratch and verify bit-identity")
-	oracleWorkers := fs.Int("oracle-workers", 0, "concurrent lanes per oracle solve (<=1 = sequential, results identical)")
 	timeout := fs.Duration("timeout", 0, "abort after this long (covers prior solve and re-solve; 0 = no limit)")
 	verbose := fs.Bool("v", false, "print per-machine loads of the re-solved schedule")
 	if err := fs.Parse(args); err != nil {
@@ -66,10 +65,7 @@ func runResolve(args []string) error {
 		defer cancel()
 	}
 
-	opts := []bagsched.Option{
-		bagsched.WithBackend(backend), bagsched.WithFamily(fam),
-		bagsched.WithOracleWorkers(*oracleWorkers),
-	}
+	opts := []bagsched.Option{bagsched.WithBackend(backend), bagsched.WithFamily(fam)}
 	priorStart := time.Now()
 	prior, err := bagsched.SolveEPTASContext(ctx, in, *eps, opts...)
 	if err != nil {

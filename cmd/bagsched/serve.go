@@ -34,7 +34,6 @@ func runServe(args []string) error {
 	backendName := fs.String("backend", "bnb", "default oracle backend: bnb, cfgdp or portfolio (requests may override)")
 	eps := fs.Float64("eps", server.DefaultEps, "default accuracy parameter in (0,1) (requests may override)")
 	maxTimeout := fs.Duration("max-timeout", server.DefaultMaxTimeout, "upper clamp on per-request solve timeouts")
-	maxOracleWorkers := fs.Int("max-oracle-workers", 0, "upper clamp on per-request oracle_workers (0 = GOMAXPROCS divided by -workers)")
 	snapshotPath := fs.String("snapshot", "", "cache snapshot file: warm-start the cache from it on boot, persist the cache to it on graceful shutdown")
 	planSnapshotPath := fs.String("plan-snapshot", "", "planner cost-model snapshot file: warm-start the adaptive planner from it on boot, persist it on graceful shutdown")
 	if err := fs.Parse(args); err != nil {
@@ -56,14 +55,13 @@ func runServe(args []string) error {
 	planner := bagsched.NewPlanModel()
 	loadPlanSnapshot(planner, *planSnapshotPath)
 	srv := server.New(server.Config{
-		Workers:          *workers,
-		QueueDepth:       *queueDepth,
-		Cache:            cache,
-		Eps:              *eps,
-		Backend:          backend,
-		MaxTimeout:       *maxTimeout,
-		MaxOracleWorkers: *maxOracleWorkers,
-		Planner:          planner,
+		Workers:    *workers,
+		QueueDepth: *queueDepth,
+		Cache:      cache,
+		Eps:        *eps,
+		Backend:    backend,
+		MaxTimeout: *maxTimeout,
+		Planner:    planner,
 	})
 	srv.PublishExpvar()
 	if warmed {

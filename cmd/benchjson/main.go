@@ -10,15 +10,10 @@
 //
 // By default it runs the EPTAS hot-path benchmarks (the EX suite of
 // bench_test.go) once each and writes BENCH_<YYYY-MM-DD>.json in the
-// current directory. The parallel-oracle scaling family
-// (BenchmarkOracleParallel*) runs in a dedicated pass at -cpu 1,2,4,8,
-// and the GOMAXPROCS value of each line — the worker-lane count — is
-// recorded as part of the result identity. With -compare it instead
-// runs the tracked hot-path benchmarks fresh (the parallel family again
-// across its -cpu sweep, matched point by point), diffs their ns/op
-// against the latest committed BENCH_*.json snapshot, writes no file,
-// and exits non-zero when any tracked benchmark regressed by more than
-// the threshold (default 25%).
+// current directory. With -compare it instead runs the tracked hot-path
+// benchmarks fresh, diffs their ns/op against the latest committed
+// BENCH_*.json snapshot, writes no file, and exits non-zero when any
+// tracked benchmark regressed by more than the threshold (default 25%).
 // It shells out to "go test -bench", so it needs the go toolchain — the
 // same requirement as building the repo.
 package main
@@ -43,7 +38,9 @@ import (
 // (BenchmarkExF1, ExT*, ExS*, ExL*, ExB*, ExA* — an uppercase letter
 // after "Ex" keeps BenchmarkExactSolver and other substrate
 // micro-benchmarks out of the default snapshot), the oracle-backend
-// benchmarks (BenchmarkOracleBnB/CfgDP/Portfolio), the sibling
+// benchmarks (BenchmarkOracleBnB/CfgDP/Portfolio, and
+// BenchmarkOracleBnBLarge/CfgDPLarge with the full solve
+// BenchmarkSolveLarge on the m=256 fixture), the sibling
 // problem families (BenchmarkFamilyRelated/Identical), the serving
 // codecs (BenchmarkCodec*: snapshot export/import, wire decode and
 // encode — the per-request and per-warm-start overheads of the sharded
@@ -52,17 +49,7 @@ import (
 // replay against its cold baseline) and the adaptive-solving admission
 // overhead (BenchmarkPlannerDecision: one cost-model Decide call, the
 // fixed per-request cost of SLO-aware serving).
-const defaultBench = "Benchmark(Ex[A-Z]|Oracle|Family|Codec|Resolve|Planner)"
-
-// The BenchmarkOracleParallel family scales its worker-lane count with
-// GOMAXPROCS, so its numbers are only meaningful at a pinned -cpu value:
-// snapshots and compares run it in a dedicated pass over parallelCPUs
-// and record the lane count in each result's identity. (It is excluded
-// from the main pass, where GOMAXPROCS is whatever the machine has.)
-const (
-	parallelBench = "BenchmarkOracleParallel"
-	parallelCPUs  = "1,2,4,8"
-)
+const defaultBench = "Benchmark(Ex[A-Z]|Oracle|SolveLarge|Family|Codec|Resolve|Planner)"
 
 // pgoProfile is the committed profile-guided-optimization profile at the
 // repository root; see the pgo target in the Makefile.
@@ -71,7 +58,9 @@ const pgoProfile = "default.pgo"
 // tracked lists the hot-path benchmarks bench-compare gates on: the
 // pattern-enumeration stage, the end-to-end EPTAS solves that dominate
 // production cost, the speculative search, the three oracle backends on
-// the DP-favoring few-patterns fixture, and one end-to-end solve per
+// the DP-favoring few-patterns fixture, bnb and cfgdp on the m=256
+// fixture's configuration program and the full m=256 solve
+// (BenchmarkSolveLarge), one end-to-end solve per
 // sibling problem family (related on the committed speed fixture,
 // identical on the bimodal workload), the memo snapshot codec, the
 // wire request decode and response encode at a small and a large
@@ -92,9 +81,9 @@ var tracked = []string{
 	"BenchmarkOraclePortfolio",
 	"BenchmarkFamilyRelated",
 	"BenchmarkFamilyIdentical",
-	"BenchmarkOracleParallelBnBLarge",
-	"BenchmarkOracleParallelCfgDPLarge",
-	"BenchmarkOracleParallelSolveLarge",
+	"BenchmarkOracleBnBLarge",
+	"BenchmarkOracleCfgDPLarge",
+	"BenchmarkSolveLarge",
 	"BenchmarkCodecSnapshotExport",
 	"BenchmarkCodecSnapshotImport",
 	"BenchmarkCodecWireDecodeSolveRequest",
@@ -123,12 +112,8 @@ type Snapshot struct {
 // Result is one benchmark line. The allocation fields are always present
 // (-benchmem is always passed), so a genuine 0 B/op survives in the JSON
 // and trajectory diffs can rely on the columns existing. CPU is the
-// GOMAXPROCS suffix of the line (the -8 in "BenchmarkFoo-8"); it is part
-// of the result's identity — the parallel-oracle benchmarks scale their
-// worker lanes with GOMAXPROCS, so the same name at different -cpu
-// values measures different configurations. 0 means the line carried no
-// suffix (GOMAXPROCS was 1 and -cpu was not passed), which comparisons
-// treat as a wildcard so snapshots predating this field stay usable.
+// GOMAXPROCS suffix of the line (the -8 in "BenchmarkFoo-8"); 0 means
+// the line carried none (GOMAXPROCS was 1).
 type Result struct {
 	Name     string  `json:"name"`
 	CPU      int     `json:"cpu,omitempty"`
@@ -192,19 +177,14 @@ func main() {
 
 // runBench shells out to go test -bench and parses the result lines.
 // With count > 1 the minimum ns/op per benchmark is kept (the most
-// noise-resistant statistic for regression gating). A non-empty cpus
-// string is passed through as -cpu, making GOMAXPROCS — and with it the
-// parallel oracle's worker-lane count — part of each result's identity.
-func runBench(bench, benchtime string, count int, cpus string) ([]Result, error) {
+// noise-resistant statistic for regression gating).
+func runBench(bench, benchtime string, count int) ([]Result, error) {
 	args := []string{"test",
 		"-run", "^$",
 		"-bench", bench,
 		"-benchtime", benchtime,
 		"-count", strconv.Itoa(count),
 		"-benchmem",
-	}
-	if cpus != "" {
-		args = append(args, "-cpu", cpus)
 	}
 	// Build with the committed profile when one exists (make pgo
 	// regenerates it), so snapshots and compares measure the binary that
@@ -259,28 +239,13 @@ func run(bench, benchtime string, count int, out string) error {
 	if out == "" {
 		out = fmt.Sprintf("BENCH_%s.json", date)
 	}
-	results, err := runBench(bench, benchtime, count, "")
+	results, err := runBench(bench, benchtime, count)
 	if err != nil {
 		return err
 	}
 	if len(results) == 0 {
 		return fmt.Errorf("no benchmark results matched %q", bench)
 	}
-	// The parallel-oracle family only means something at a pinned lane
-	// count: drop whatever the main pass measured at ambient GOMAXPROCS
-	// and re-run it across the tracked -cpu sweep.
-	kept := results[:0]
-	for _, r := range results {
-		if !strings.HasPrefix(r.Name, parallelBench) {
-			kept = append(kept, r)
-		}
-	}
-	results = kept
-	par, err := runBench("^"+parallelBench, benchtime, count, parallelCPUs)
-	if err != nil {
-		return err
-	}
-	results = append(results, par...)
 	snap := Snapshot{
 		Date:      date,
 		GoVersion: runtime.Version(),
@@ -335,16 +300,11 @@ func latestSnapshot() (string, *Snapshot, error) {
 	return path, &snap, nil
 }
 
-// lookup resolves a benchmark identity in a result set: the exact
-// (name, cpu) pair first, then the cpu-less form (snapshots written
-// before CPU joined the identity, or lines from a 1-core run), then —
-// for results that are the only entry under their name — any cpu, so
-// non-parallel benchmarks stay comparable across machines with
-// different core counts.
-func lookup(set map[string]Result, byName map[string][]Result, name string, cpu int) (Result, bool) {
-	if r, ok := set[Result{Name: name, CPU: cpu}.key()]; ok {
-		return r, true
-	}
+// lookup resolves a benchmark name in a result set: its cpu-less entry
+// (a line from a 1-core run) first, then — when it is the only entry
+// under its name — that entry at any cpu, so benchmarks stay comparable
+// across machines with different core counts.
+func lookup(set map[string]Result, byName map[string][]Result, name string) (Result, bool) {
 	if r, ok := set[Result{Name: name}.key()]; ok {
 		return r, true
 	}
@@ -366,8 +326,6 @@ func index(results []Result) (map[string]Result, map[string][]Result) {
 
 // runCompare diffs a fresh run of the tracked benchmarks against the
 // latest committed snapshot and fails on a >threshold ns/op regression.
-// The parallel-oracle family is compared point by point along its -cpu
-// sweep; everything else at whatever GOMAXPROCS both runs used.
 func runCompare(benchtime string, count int, threshold float64) error {
 	path, base, err := latestSnapshot()
 	if err != nil {
@@ -375,60 +333,32 @@ func runCompare(benchtime string, count int, threshold float64) error {
 	}
 	baseSet, baseByName := index(base.Results)
 
-	var serial, parallel []string
-	for _, name := range tracked {
-		if strings.HasPrefix(name, parallelBench) {
-			parallel = append(parallel, name)
-		} else {
-			serial = append(serial, name)
-		}
-	}
-	fresh, err := runBench("^("+strings.Join(serial, "|")+")$", benchtime, count, "")
+	fresh, err := runBench("^("+strings.Join(tracked, "|")+")$", benchtime, count)
 	if err != nil {
 		return err
-	}
-	if len(parallel) > 0 {
-		par, err := runBench("^("+strings.Join(parallel, "|")+")$", benchtime, count, parallelCPUs)
-		if err != nil {
-			return err
-		}
-		fresh = append(fresh, par...)
 	}
 	curSet, curByName := index(fresh)
 
 	fmt.Printf("\nbench-compare against %s (threshold %.0f%%):\n", path, (threshold-1)*100)
 	var regressions []string
-	compareOne := func(name string, cpu int) {
-		label := name
-		if cpu > 0 {
-			label = fmt.Sprintf("%s-%d", name, cpu)
-		}
-		old, okOld := lookup(baseSet, baseByName, name, cpu)
-		now, okNow := lookup(curSet, curByName, name, cpu)
+	for _, name := range tracked {
+		old, okOld := lookup(baseSet, baseByName, name)
+		now, okNow := lookup(curSet, curByName, name)
 		switch {
 		case !okNow:
 			// A tracked benchmark that no longer runs is itself a
 			// regression — this is how the gate notices rotted benchmarks.
-			regressions = append(regressions, fmt.Sprintf("%s: missing from fresh run", label))
+			regressions = append(regressions, fmt.Sprintf("%s: missing from fresh run", name))
 		case !okOld:
-			fmt.Printf("  %-36s %12.0f ns/op (new, no baseline)\n", label, now.NsPerOp)
+			fmt.Printf("  %-36s %12.0f ns/op (new, no baseline)\n", name, now.NsPerOp)
 		default:
 			ratio := now.NsPerOp / old.NsPerOp
 			verdict := "ok"
 			if ratio > threshold {
 				verdict = "REGRESSION"
-				regressions = append(regressions, fmt.Sprintf("%s: %.0f -> %.0f ns/op (%.2fx)", label, old.NsPerOp, now.NsPerOp, ratio))
+				regressions = append(regressions, fmt.Sprintf("%s: %.0f -> %.0f ns/op (%.2fx)", name, old.NsPerOp, now.NsPerOp, ratio))
 			}
-			fmt.Printf("  %-36s %12.0f -> %10.0f ns/op  %5.2fx  %s\n", label, old.NsPerOp, now.NsPerOp, ratio, verdict)
-		}
-	}
-	for _, name := range serial {
-		compareOne(name, 0)
-	}
-	for _, name := range parallel {
-		for _, cpu := range strings.Split(parallelCPUs, ",") {
-			c, _ := strconv.Atoi(cpu)
-			compareOne(name, c)
+			fmt.Printf("  %-36s %12.0f -> %10.0f ns/op  %5.2fx  %s\n", name, old.NsPerOp, now.NsPerOp, ratio, verdict)
 		}
 	}
 	if len(regressions) > 0 {

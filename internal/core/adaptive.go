@@ -119,7 +119,6 @@ func planAdmission(ctx context.Context, in *sched.Instance, opt *Options) (*plan
 		Jobs:       len(in.Jobs),
 		Machines:   in.Machines,
 		Eps:        opt.Eps,
-		Workers:    normWorkers(opt.OracleWorkers),
 		Budget:     budget,
 		MinQuality: opt.MinQuality,
 	}
@@ -162,12 +161,10 @@ func observeSolve(opt Options, in *sched.Instance, res *Result, elapsed time.Dur
 		k.Rung = opt.Heuristic
 	} else {
 		// Keyed by the *requested* backend (a portfolio's per-guess race
-		// winners vary), the eps the search actually ran at, and the
-		// lane count.
+		// winners vary) and the eps the search actually ran at.
 		k.Rung = plan.RungEPTAS
 		k.EpsIdx = plan.EpsIndex(opt.Eps)
 		k.Backend = opt.Oracle.Backend.String()
-		k.Workers = normWorkers(opt.OracleWorkers)
 	}
 	opt.Planner.Observe(k, elapsed)
 }
@@ -205,11 +202,4 @@ func familyName(opt Options) string {
 		return "bags"
 	}
 	return opt.Family.Name()
-}
-
-func normWorkers(w int) int {
-	if w < 1 {
-		return 1
-	}
-	return w
 }

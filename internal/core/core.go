@@ -57,14 +57,6 @@ type Options struct {
 	// the exact configuration DP, or a deterministic portfolio race of
 	// both. See internal/oracle.
 	Oracle oracle.Selection
-	// OracleWorkers is the number of concurrent lanes a single oracle
-	// solve may use (speculative LP relaxations in branch-and-bound,
-	// speculative root subtrees in the configuration DP); <= 1 means
-	// sequential. Unlike Speculate it parallelizes *inside* one guess,
-	// and the two compose. Results are bit-identical at any value — the
-	// oracle's parallel schemes are result-transparent by construction —
-	// so this is a throughput knob, never a result knob.
-	OracleWorkers int
 	// MaxGuesses bounds the binary-search decisions (default 40).
 	MaxGuesses int
 	// AllPriority disables priority-bag selection and the instance
@@ -200,15 +192,6 @@ type Stats struct {
 	OracleLoserNodes  int
 	OracleLoserStates int64
 	OracleLoserTime   time.Duration
-	// OracleWorkers is the lane count oracle solves ran with (1 when
-	// sequential); OracleSteals and OracleSpecUsed total, over all
-	// accepted guesses, the speculative work units claimed by helper
-	// lanes and the subset the main lane adopted. Utilization telemetry:
-	// load-dependent like the Loser* fields, excluded from the Decision
-	// projection.
-	OracleWorkers  int
-	OracleSteals   int64
-	OracleSpecUsed int64
 	// K, Q, BPrime are the classification parameters of the last
 	// accepted guess.
 	K, Q, BPrime int
@@ -254,7 +237,6 @@ type Stats struct {
 func (s Stats) Decision() Stats {
 	s.PipelineRuns, s.CacheHits, s.CacheMisses, s.StageTime = 0, 0, 0, nil
 	s.OracleLoserNodes, s.OracleLoserStates, s.OracleLoserTime = 0, 0, 0
-	s.OracleWorkers, s.OracleSteals, s.OracleSpecUsed = 0, 0, 0
 	return s
 }
 
@@ -537,7 +519,6 @@ func pipelineConfig(opt Options) pipeline.Config {
 		PatternLimit:   opt.PatternLimit,
 		MILP:           opt.MILP,
 		Oracle:         opt.Oracle,
-		OracleWorkers:  opt.OracleWorkers,
 		AllPriority:    opt.AllPriority,
 		BPrimeOverride: opt.BPrimeOverride,
 		Cache:          opt.Cache,
@@ -570,11 +551,6 @@ func (s *Stats) absorb(pr *PipelineResult) {
 	s.OracleLoserNodes += pr.OracleStats.LoserNodes
 	s.OracleLoserStates += pr.OracleStats.LoserStates
 	s.OracleLoserTime += pr.OracleStats.LoserTime
-	if pr.OracleStats.Workers > s.OracleWorkers {
-		s.OracleWorkers = pr.OracleStats.Workers
-	}
-	s.OracleSteals += pr.OracleStats.Steals
-	s.OracleSpecUsed += pr.OracleStats.SpecUsed
 	if pr.Parts&(pipeline.PartSpace|pipeline.PartRelSpace) != 0 {
 		s.Patterns = pr.Patterns
 	}

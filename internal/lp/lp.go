@@ -16,7 +16,7 @@
 // The tableau is one flat row-major []float64 built once per solve in a
 // Workspace, together with the right-hand side, the basis and the
 // objective row. A workspace is reused across solves — branch and bound
-// holds one per search lane — so a warm solve allocates only its
+// holds one per search — so a warm solve allocates only its
 // returned X. SolveIn also takes a list of single-variable Bounds that
 // it appends as rows after the problem's own, which is how a
 // branch-and-bound node solves its relaxation without copying the
@@ -568,7 +568,7 @@ func (t *tableau) pivot(row, col int, z []float64, zb *float64) {
 
 // axpy sets a[j] -= f*x[j] for every j < len(a): the row update of a
 // pivot, nearly all of a simplex solve's time on wide tableaux. It only
-// touches rows of one workspace, which a single search lane owns, so it
+// touches rows of one workspace, which a single search owns, so it
 // is exempt from race instrumentation: checking every element made the
 // simplex several times slower under -race, enough to push the
 // repository's race-detector suites past the test timeout.

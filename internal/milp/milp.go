@@ -11,8 +11,7 @@
 // branching bounds. Solve never materializes that problem: it hands the
 // chain to lp.Problem.SolveIn, which appends the bounds as rows after the
 // shared base rows inside an lp.Workspace. Each solve takes one workspace
-// from a package pool for its main loop, and each speculative helper
-// lane takes its own, so in steady state a node allocates little beyond
+// from a package pool, so in steady state a node allocates little beyond
 // its relaxation's solution vector.
 package milp
 
@@ -83,15 +82,6 @@ type Options struct {
 	// DisableRounding turns off the largest-remainder rounding heuristic
 	// (used by the EX-A2 ablation to quantify its effect).
 	DisableRounding bool
-	// Workers sets the number of concurrent LP-evaluation lanes,
-	// including the main search loop; values <= 1 run the plain
-	// sequential search. Extra lanes speculatively solve the LP
-	// relaxations of open frontier nodes while the main loop keeps the
-	// exact sequential pop/prune/branch order and replays each adopted
-	// relaxation's per-pivot Progress sequence, so the returned
-	// Solution — status, X, Nodes, Pivots, Bound, and every Progress
-	// tick — is bit-identical for any worker count. See parallel.go.
-	Workers int
 	// Progress, when non-nil, is invoked once per expanded node and once
 	// per simplex pivot inside each node's LP solve, with the cumulative
 	// node and pivot counts so far. A non-nil return aborts the search
@@ -118,14 +108,6 @@ type Solution struct {
 	Pivots int
 	// Bound is the best proven lower bound on the objective.
 	Bound float64
-	// Steals is the number of LP relaxations claimed by speculative
-	// helper lanes, and SpecUsed the subset the main loop adopted.
-	// Both are zero for sequential solves, and — unlike every field
-	// above — depend on scheduling, so they are utilization telemetry
-	// only and must never feed result-affecting decisions.
-	Steals int
-	// SpecUsed counts adopted speculative LP results; see Steals.
-	SpecUsed int
 	// TimedOut reports that the search stopped on Options.TimeLimit.
 	// Every other stop depends only on the model and the options; this
 	// one also depends on machine load.
@@ -224,8 +206,8 @@ func (q *nodeQueue) recycle(n *node) {
 	q.free = n
 }
 
-// workspaces pools the simplex workspaces of the main search loops and
-// the speculative helper lanes; a workspace is held for a whole solve.
+// workspaces pools the simplex workspaces of the searches; a workspace
+// is held for a whole solve.
 var workspaces = sync.Pool{New: func() any { return new(lp.Workspace) }}
 
 // Solve runs branch and bound and returns the best solution found. The
@@ -270,21 +252,6 @@ func Solve(ctx context.Context, m *Model, opt Options) (Solution, error) {
 	q := &nodeQueue{}
 	q.push(&node{lpObj: math.Inf(-1)})
 
-	// Workers > 1 spawns speculative LP helpers; attach stamps their
-	// utilization counters onto solutions the caller will see. The
-	// sequential path (spec == nil) is untouched.
-	var spec *speculator
-	if opt.Workers > 1 {
-		spec = newSpeculator(m.Prob, opt.Workers-1, opt.LPMaxIters)
-		defer spec.stop()
-	}
-	attach := func(s Solution) Solution {
-		if spec != nil {
-			s.Steals, s.SpecUsed = spec.counts()
-		}
-		return s
-	}
-
 	rootBound := math.Inf(-1)
 	for q.len() > 0 {
 		if nodes >= opt.MaxNodes {
@@ -309,31 +276,7 @@ func Solve(ctx context.Context, m *Model, opt Options) (Solution, error) {
 			}
 		}
 
-		var t *specTask
-		if spec != nil {
-			t = spec.take(nd.bounds)
-		}
-		var res lp.Result
-		var err error
-		if t != nil {
-			// A helper solved this node's relaxation. Adopt it and
-			// replay the per-pivot Progress sequence the inline solve
-			// would have produced: the simplex is deterministic and its
-			// hook observational, so (res, err) and the tick stream are
-			// exactly what the sequential path computes.
-			<-t.done
-			res, err = t.res, t.err
-			if opt.Progress != nil {
-				base := pivots
-				for i := 1; i <= res.Iters; i++ {
-					if perr := opt.Progress(nodes, base+i); perr != nil {
-						return Solution{}, perr
-					}
-				}
-			}
-		} else {
-			res, err = m.Prob.SolveIn(ws, nd.bounds, lpOpt)
-		}
+		res, err := m.Prob.SolveIn(ws, nd.bounds, lpOpt)
 		pivots += res.Iters
 		if err != nil {
 			return Solution{}, err
@@ -369,7 +312,7 @@ func Solve(ctx context.Context, m *Model, opt Options) (Solution, error) {
 				incumbentObj = obj
 				haveInc = true
 				if opt.StopAtFirst {
-					return attach(Solution{Status: StatusFeasible, X: incumbent, Obj: incumbentObj, Nodes: nodes, Pivots: pivots, Bound: rootBound}), nil
+					return Solution{Status: StatusFeasible, X: incumbent, Obj: incumbentObj, Nodes: nodes, Pivots: pivots, Bound: rootBound}, nil
 				}
 			}
 		}
@@ -392,7 +335,7 @@ func Solve(ctx context.Context, m *Model, opt Options) (Solution, error) {
 				incumbentObj = res.Obj
 				haveInc = true
 				if opt.StopAtFirst {
-					return attach(Solution{Status: StatusFeasible, X: incumbent, Obj: incumbentObj, Nodes: nodes, Pivots: pivots, Bound: rootBound}), nil
+					return Solution{Status: StatusFeasible, X: incumbent, Obj: incumbentObj, Nodes: nodes, Pivots: pivots, Bound: rootBound}, nil
 				}
 			}
 			q.recycle(nd)
@@ -403,9 +346,6 @@ func Solve(ctx context.Context, m *Model, opt Options) (Solution, error) {
 		q.push(q.newNode(nd.bounds, lp.Bound{Var: branchVar, Upper: true, Val: math.Floor(xv)}, res.Obj, nd.depth+1))
 		q.push(q.newNode(nd.bounds, lp.Bound{Var: branchVar, Upper: false, Val: math.Ceil(xv)}, res.Obj, nd.depth+1))
 		q.recycle(nd)
-		if spec != nil {
-			spec.refresh(q)
-		}
 	}
 
 	if q.len() == 0 {
@@ -419,12 +359,12 @@ func Solve(ctx context.Context, m *Model, opt Options) (Solution, error) {
 		if q.len() == 0 || bestBound >= incumbentObj-1e-9 {
 			status = StatusOptimal
 		}
-		return attach(Solution{Status: status, X: incumbent, Obj: incumbentObj, Nodes: nodes, Pivots: pivots, Bound: bestBound, TimedOut: timedOut}), nil
+		return Solution{Status: status, X: incumbent, Obj: incumbentObj, Nodes: nodes, Pivots: pivots, Bound: bestBound, TimedOut: timedOut}, nil
 	}
 	if q.len() == 0 {
-		return attach(Solution{Status: StatusInfeasible, Nodes: nodes, Pivots: pivots}), nil
+		return Solution{Status: StatusInfeasible, Nodes: nodes, Pivots: pivots}, nil
 	}
-	return attach(Solution{Status: StatusLimit, Nodes: nodes, Pivots: pivots, Bound: bestBound, TimedOut: timedOut}), nil
+	return Solution{Status: StatusLimit, Nodes: nodes, Pivots: pivots, Bound: bestBound, TimedOut: timedOut}, nil
 }
 
 // rounder is the largest-remainder rounding heuristic with buffers that

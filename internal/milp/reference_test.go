@@ -258,8 +258,7 @@ func refSnap(x []float64, isInt map[int]bool) []float64 {
 	return out
 }
 
-// sameSolution reports whether two solutions agree bit for bit, the
-// scheduling-dependent telemetry aside.
+// sameSolution reports whether two solutions agree bit for bit.
 func sameSolution(a, b Solution) bool {
 	if a.Status != b.Status || a.Nodes != b.Nodes || a.Pivots != b.Pivots || a.TimedOut != b.TimedOut ||
 		math.Float64bits(a.Obj) != math.Float64bits(b.Obj) || math.Float64bits(a.Bound) != math.Float64bits(b.Bound) ||
@@ -275,8 +274,8 @@ func sameSolution(a, b Solution) bool {
 }
 
 // TestSolveMatchesReference runs random MILPs under varied options
-// through Solve (sequential and with helper lanes) and the reference,
-// comparing solutions and the full Progress tick stream.
+// through Solve and the reference, comparing solutions and the full
+// Progress tick stream.
 func TestSolveMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	errAbort := errors.New("abort")
@@ -307,22 +306,19 @@ func TestSolveMatchesReference(t *testing.T) {
 		ropt := opt
 		ropt.Progress = hook(&wantTicks)
 		want, wantErr := refSolve(context.Background(), spec, ropt)
-		for _, workers := range []int{1, 3} {
-			var gotTicks [][2]int
-			gopt := opt
-			gopt.Workers = workers
-			gopt.Progress = hook(&gotTicks)
-			got, gotErr := Solve(context.Background(), spec.model(), gopt)
-			if (gotErr == nil) != (wantErr == nil) || !sameSolution(got, want) {
-				t.Fatalf("trial %d, %d workers: Solve = %+v, %v; reference %+v, %v", trial, workers, got, gotErr, want, wantErr)
-			}
-			if len(gotTicks) != len(wantTicks) {
-				t.Fatalf("trial %d, %d workers: %d progress ticks, reference %d", trial, workers, len(gotTicks), len(wantTicks))
-			}
-			for i := range gotTicks {
-				if gotTicks[i] != wantTicks[i] {
-					t.Fatalf("trial %d, %d workers: tick %d = %v, reference %v", trial, workers, i, gotTicks[i], wantTicks[i])
-				}
+		var gotTicks [][2]int
+		gopt := opt
+		gopt.Progress = hook(&gotTicks)
+		got, gotErr := Solve(context.Background(), spec.model(), gopt)
+		if (gotErr == nil) != (wantErr == nil) || !sameSolution(got, want) {
+			t.Fatalf("trial %d: Solve = %+v, %v; reference %+v, %v", trial, got, gotErr, want, wantErr)
+		}
+		if len(gotTicks) != len(wantTicks) {
+			t.Fatalf("trial %d: %d progress ticks, reference %d", trial, len(gotTicks), len(wantTicks))
+		}
+		for i := range gotTicks {
+			if gotTicks[i] != wantTicks[i] {
+				t.Fatalf("trial %d: tick %d = %v, reference %v", trial, i, gotTicks[i], wantTicks[i])
 			}
 		}
 		if wantErr == nil {

@@ -32,11 +32,6 @@ func (bk BnB) Solve(ctx context.Context, b *cfgmilp.Built, lim Limits) (*cfgmilp
 	st := Stats{Backend: "bnb", Raced: 1}
 	opt := lim.MILP
 	opt.StopAtFirst = true
-	opt.Workers = lim.Workers
-	st.Workers = lim.Workers
-	if st.Workers < 1 {
-		st.Workers = 1
-	}
 	var seenNodes, seenPivots int
 	if bk.tick != nil {
 		// Any definitive outcome costs at least one node, so the node
@@ -66,7 +61,6 @@ func (bk BnB) Solve(ctx context.Context, b *cfgmilp.Built, lim Limits) (*cfgmilp
 		return nil, st, err
 	}
 	st.Nodes, st.Pivots = sol.Nodes, sol.Pivots
-	st.Steals, st.SpecUsed = int64(sol.Steals), int64(sol.SpecUsed)
 	switch sol.Status {
 	case milp.StatusOptimal, milp.StatusFeasible:
 		return b.Decode(sol), st, nil

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/cfgmilp"
 	"repro/internal/numeric"
@@ -88,15 +87,8 @@ func (bk CfgDP) Solve(ctx context.Context, b *cfgmilp.Built, lim Limits) (*cfgmi
 		return nil, st, fmt.Errorf("%w (pattern space lacks the empty pattern)", ErrUnsupported)
 	}
 	d := newDPSolver(b, lim.maxStates(), bk.tick, lim.Arena)
-	workers := lim.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	found, err := d.dfsRoot(ctx, workers)
+	found, err := d.dfs(ctx, 0, d.m, d.slotRes, d.avoidRes, d.area)
 	st.States = d.states
-	st.Workers = workers
-	st.Steals = d.steals
-	st.SpecUsed = d.specUsed
 	if err != nil {
 		return nil, st, err
 	}
@@ -163,16 +155,6 @@ type dpSolver struct {
 
 	infeasible map[string]struct{}
 	keyBuf     []byte
-
-	// Parallel-mode fields, nil/zero for sequential solves. memoMu
-	// guards worker reads of infeasible against main-loop inserts;
-	// writeLog records the hash of every inserted key so speculative
-	// subtree results can be validated (see cfgdp_parallel.go); steals
-	// and specUsed are utilization telemetry.
-	memoMu   *sync.RWMutex
-	writeLog []uint64
-	steals   int64
-	specUsed int64
 }
 
 // newDPSolver builds the solver's demand tables and scratch buffers.
@@ -277,7 +259,7 @@ func newDPSolver(b *cfgmilp.Built, maxStates int64, tick tickFunc, arena *scratc
 func (d *dpSolver) dfs(ctx context.Context, i, left int, slots, avoid []int, area numeric.Fx) (bool, error) {
 	d.states++
 	if d.states > d.maxStates {
-		return false, errDPLimit(d.maxStates)
+		return false, fmt.Errorf("%w (configuration DP exceeded %d states)", ErrLimit, d.maxStates)
 	}
 	if d.states%dpTickInterval == 0 {
 		if err := ctx.Err(); err != nil {
@@ -395,50 +377,21 @@ func (d *dpSolver) dfs(ctx context.Context, i, left int, slots, avoid []int, are
 	// is re-serialized here: the recursion above reused the shared key
 	// buffer, and (i, left, slots, avoid, area) are unchanged by the loop.
 	if d.states > memoMinStates {
-		d.memoInsert(string(d.stateKey(i, left, slots, avoid, area)))
+		d.infeasible[string(d.stateKey(i, left, slots, avoid, area))] = struct{}{}
 	}
 	return false, nil
-}
-
-// memoInsert records a proven-infeasible state. In parallel mode the
-// insert happens under the memo lock and is logged so in-flight
-// speculative subtrees that visited the state can be invalidated;
-// sequential solves take the direct path.
-func (d *dpSolver) memoInsert(key string) {
-	if d.memoMu == nil {
-		d.infeasible[key] = struct{}{}
-		return
-	}
-	d.memoMu.Lock()
-	d.infeasible[key] = struct{}{}
-	d.writeLog = append(d.writeLog, dpKeyHash(key))
-	d.memoMu.Unlock()
 }
 
 // memoMinStates is the state count below which infeasible states are not
 // memoized; see dfs.
 const memoMinStates = 256
 
-// errDPLimit is the DP's budget-exhaustion error; the parallel adoption
-// replay must surface the byte-identical error the recursion produces.
-func errDPLimit(maxStates int64) error {
-	return fmt.Errorf("%w (configuration DP exceeded %d states)", ErrLimit, maxStates)
-}
-
 // stateKey serializes a residual state for the infeasibility memo into
 // the solver's reusable buffer. The clamped residual vector (plus
 // pattern index and machines left) fully determines the subproblem, so
 // equal keys mean equal outcomes.
 func (d *dpSolver) stateKey(i, left int, slots, avoid []int, area numeric.Fx) []byte {
-	d.keyBuf = appendStateKey(d.keyBuf[:0], i, left, slots, avoid, area)
-	return d.keyBuf
-}
-
-// appendStateKey is the shared state-key encoding; speculative workers
-// use it with their own buffers and must match the main loop byte for
-// byte.
-func appendStateKey(buf []byte, i, left int, slots, avoid []int, area numeric.Fx) []byte {
-	buf = binary.AppendUvarint(buf, uint64(i))
+	buf := binary.AppendUvarint(d.keyBuf[:0], uint64(i))
 	buf = binary.AppendUvarint(buf, uint64(left))
 	for _, r := range slots {
 		buf = binary.AppendUvarint(buf, uint64(r))
@@ -447,6 +400,7 @@ func appendStateKey(buf []byte, i, left int, slots, avoid []int, area numeric.Fx
 		buf = binary.AppendUvarint(buf, uint64(r))
 	}
 	buf = binary.AppendUvarint(buf, uint64(area))
+	d.keyBuf = buf
 	return buf
 }
 

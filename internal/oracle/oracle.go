@@ -122,22 +122,12 @@ type Limits struct {
 	// MaxStates bounds the configuration DP's state expansions. Zero
 	// means DefaultMaxStates.
 	MaxStates int64
-	// Workers is the number of concurrent lanes a single backend solve
-	// may use (main search loop included); <= 1 means sequential. Both
-	// intra-solve schemes — speculative LP relaxations in bnb,
-	// speculative root-sibling subtrees in cfgdp — keep the returned
-	// plan and all result-affecting stats bit-identical to the
-	// sequential solve, so Workers is a throughput knob, never a result
-	// knob. Under the portfolio each raced backend receives the same
-	// Workers value.
-	Workers int
 	// Arena, when non-nil, supplies the solve's scratch buffers (the
 	// configuration DP's residual vectors and demand tables) so
 	// repeated solves on one pipeline run stop allocating. The arena is
-	// single-goroutine: it is used only by the backend's main lane, and
-	// under the portfolio only by the first raced backend that
-	// allocates from it — concurrent racers must not share it, so the
-	// portfolio clears it for all but the first backend.
+	// single-goroutine: under the portfolio only the first raced
+	// backend may allocate from it — concurrent racers must not share
+	// it, so the portfolio clears it for all but the first backend.
 	Arena *scratch.Arena
 }
 
@@ -169,15 +159,6 @@ type Stats struct {
 	LoserNodes  int
 	LoserStates int64
 	LoserTime   time.Duration
-	// Workers is the lane count the winning solve ran with (1 when
-	// sequential); Steals counts speculative work units claimed by
-	// helper lanes (LP relaxations in bnb, root subtrees in cfgdp) and
-	// SpecUsed the subset the main lane adopted. Like the Loser*
-	// fields these are load-dependent utilization telemetry, excluded
-	// from the deterministic decision projection.
-	Workers  int
-	Steals   int64
-	SpecUsed int64
 }
 
 // ErrLimit reports that the backend exhausted its deterministic work

@@ -221,14 +221,6 @@ func (p Portfolio) adjudicate(ctx context.Context, outs []raceOutcome) (*cfgmilp
 		if outs[i].definitive && (winner < 0 || outs[i].logical < outs[winner].logical) {
 			winner = i
 		}
-		// Utilization telemetry sums over the whole raced set: worker
-		// lanes are a shared resource, so the solve's speculative
-		// activity is the union of every backend's.
-		agg.Steals += outs[i].stats.Steals
-		agg.SpecUsed += outs[i].stats.SpecUsed
-		if outs[i].stats.Workers > agg.Workers {
-			agg.Workers = outs[i].stats.Workers
-		}
 	}
 	if winner < 0 {
 		// Nobody decided the model. Surface a wall-clock stop if any

@@ -497,12 +497,9 @@ func hashMix(h, x uint64) uint64 {
 // configHash digests every Config knob that can change a pipeline
 // outcome, so that one shared cache serves differently-configured
 // requests without false sharing. DisableMemo and Cache itself are
-// excluded (they select where results are stored, not what they are),
-// and so is OracleWorkers: the oracle's parallelism contract makes
-// results bit-identical at every worker count, so entries cached at one
-// count are valid at any other — hashing it would only fragment the
-// cache. MILP.Progress cannot be hashed and instead forces a private
-// cache in New.
+// excluded (they select where results are stored, not what they are).
+// MILP.Progress cannot be hashed and instead forces a private cache in
+// New.
 func configHash(cfg Config) uint64 {
 	h := hashMix(0, math.Float64bits(cfg.Eps))
 	h = hashMix(h, uint64(cfg.Mode))

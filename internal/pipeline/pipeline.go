@@ -59,13 +59,6 @@ type Config struct {
 	// dispatches to; the zero value is the bnb backend (bit-identical to
 	// the pre-oracle-layer pipeline).
 	Oracle oracle.Selection
-	// OracleWorkers is the number of concurrent lanes each oracle solve
-	// may use (oracle.Limits.Workers); <= 1 means sequential. Results are
-	// bit-identical at any value — it is a throughput knob, never a
-	// result knob — which is why it is deliberately excluded from the
-	// memo config hash: entries cached at one worker count serve solves
-	// at any other.
-	OracleWorkers int
 	// AllPriority disables priority-bag selection and the instance
 	// transformation (Das–Wiese mode).
 	AllPriority bool
@@ -304,7 +297,6 @@ func (st *State) oracleLimits() oracle.Limits {
 	if st.NodeBudget > 0 && st.NodeBudget < lim.MILP.MaxNodes {
 		lim.MILP.MaxNodes = st.NodeBudget
 	}
-	lim.Workers = st.Cfg.OracleWorkers
 	lim.Arena = st.Arena
 	return lim
 }

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/oracle"
 	"repro/internal/sched"
 )
 
@@ -76,9 +77,12 @@ func appendResult(buf []byte, r *Result) []byte {
 	buf = putUvarint(buf, uint64(os.LoserNodes))
 	buf = putUvarint(buf, uint64(os.LoserStates))
 	buf = putUvarint(buf, uint64(os.LoserTime))
-	buf = putUvarint(buf, uint64(os.Workers))
-	buf = putUvarint(buf, uint64(os.Steals))
-	buf = putUvarint(buf, uint64(os.SpecUsed))
+	// Three retired oracle worker-lane counters keep their slots so the
+	// format stays version 1: the lane count a sequential solve recorded
+	// (see searchedLanes) and zero speculative claims and adoptions.
+	buf = putUvarint(buf, searchedLanes(os))
+	buf = putUvarint(buf, 0)
+	buf = putUvarint(buf, 0)
 
 	ps := r.PlaceStats
 	for _, v := range []int{ps.MachinesUsed, ps.EmptySlots, ps.XConflicts, ps.SwapRepairs, ps.OriginMoves, ps.GenericMoves} {
@@ -118,6 +122,17 @@ func appendResult(buf []byte, r *Result) []byte {
 	return buf
 }
 
+// searchedLanes is the worker-lane count a sequential oracle solve
+// recorded in the payload: 1 once a backend searched the model, 0 when
+// no oracle ran or the configuration DP declined the model before
+// searching (it counts at least one state whenever it searches).
+func searchedLanes(st oracle.Stats) uint64 {
+	if st.Backend == "" || (st.Backend == "cfgdp" && st.States == 0) {
+		return 0
+	}
+	return 1
+}
+
 // DecodeResult reconstructs a Result encoded by EncodeResult, serving
 // memo hits bit-identically to the original (final assignment, all
 // absorbed statistics). Guess, Signature and the final schedule's
@@ -145,9 +160,9 @@ func DecodeResult(payload []byte) (*Result, error) {
 	r.OracleStats.LoserNodes = int(d.uvarint())
 	r.OracleStats.LoserStates = int64(d.uvarint())
 	r.OracleStats.LoserTime = time.Duration(d.uvarint())
-	r.OracleStats.Workers = int(d.uvarint())
-	r.OracleStats.Steals = int64(d.uvarint())
-	r.OracleStats.SpecUsed = int64(d.uvarint())
+	for range 3 { // retired worker-lane counters
+		d.uvarint()
+	}
 
 	r.PlaceStats.MachinesUsed = int(d.uvarint())
 	r.PlaceStats.EmptySlots = int(d.uvarint())

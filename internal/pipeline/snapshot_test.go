@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -26,7 +27,6 @@ func sampleResult() *Result {
 		OracleStats: oracle.Stats{
 			Backend: "portfolio", Nodes: 44, Pivots: 9, States: 12345,
 			Raced: 2, LoserNodes: 5, LoserStates: 67, LoserTime: 3 * time.Millisecond,
-			Workers: 4, Steals: 11, SpecUsed: 1,
 		},
 		PlaceStats: placer.Stats{
 			MachinesUsed: 6, EmptySlots: 2, XConflicts: 1,
@@ -87,6 +87,56 @@ func TestResultCodecRoundTrip(t *testing.T) {
 	want := EncodeResult(r)
 	if again := EncodeResult(got); !bytes.Equal(again, want) {
 		t.Fatalf("decoded result re-encodes to %x, want %x", again, want)
+	}
+}
+
+// TestResultCodecRetiredLaneSlots: the three retired worker-lane slots
+// after LoserTime hold what a sequential solve recorded (1, 0, 0 once a
+// backend searched, 0, 0, 0 when the DP declined the model), and
+// payloads written with other values there, as multi-lane solves once
+// wrote them, decode to the same result.
+func TestResultCodecRetiredLaneSlots(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		stats oracle.Stats
+		lanes byte
+	}{
+		{"searched", sampleResult().OracleStats, 1},
+		{"declined", oracle.Stats{Backend: "cfgdp", Raced: 1}, 0},
+		{"no oracle", oracle.Stats{}, 0},
+	} {
+		r := sampleResult()
+		r.OracleStats = tc.stats
+		enc := EncodeResult(r)
+		st := r.OracleStats
+		prefix := []byte{resultCodecVersion}
+		for _, v := range []int{r.Attempts, r.IntegerVars, r.MILPNodes} {
+			prefix = putUvarint(prefix, uint64(v))
+		}
+		prefix = putString(prefix, st.Backend)
+		for _, v := range []int64{int64(st.Nodes), int64(st.Pivots), st.States, int64(st.Raced),
+			int64(st.LoserNodes), st.LoserStates, int64(st.LoserTime)} {
+			prefix = putUvarint(prefix, uint64(v))
+		}
+		if !bytes.HasPrefix(enc, prefix) {
+			t.Fatalf("%s: payload %x does not start with the oracle prefix %x", tc.name, enc, prefix)
+		}
+		slots := enc[len(prefix) : len(prefix)+3]
+		if want := []byte{tc.lanes, 0, 0}; !bytes.Equal(slots, want) {
+			t.Fatalf("%s: lane slots %v, want %v", tc.name, slots, want)
+		}
+		want, err := DecodeResult(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		multi := append(append(append([]byte{}, prefix...), 4, 11, 1), enc[len(prefix)+3:]...)
+		got, err := DecodeResult(multi)
+		if err != nil {
+			t.Fatalf("%s: multi-lane payload: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: multi-lane payload decodes to %+v, want %+v", tc.name, got, want)
+		}
 	}
 }
 

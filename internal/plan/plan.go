@@ -1,6 +1,6 @@
 // Package plan closes the serving layer's quality/latency loop: an
 // online cost model that learns (family, instance-size bucket, eps,
-// backend, workers) → latency from observed solves, and an
+// backend) → latency from observed solves, and an
 // admission-time planner that, given a deadline and a quality floor,
 // picks the cheapest configuration predicted to finish in budget —
 // walking the degradation ladder from the requested eps through coarser
@@ -49,8 +49,6 @@ type Key struct {
 	EpsIdx int `json:"eps_idx"`
 	// Backend is the requested oracle backend name; "" for heuristics.
 	Backend string `json:"backend"`
-	// Workers is the oracle lane count (sequential solves use 1).
-	Workers int `json:"workers"`
 }
 
 // cell is one learned latency estimate: an exponentially weighted
@@ -80,14 +78,11 @@ func NewModel() *Model {
 	return &Model{cells: make(map[Key]*cell)}
 }
 
-// Normalize canonicalizes a key: empty family means bags, worker counts
-// below 1 mean sequential, heuristic rungs drop eps and backend.
+// Normalize canonicalizes a key: empty family means bags, heuristic
+// rungs drop eps and backend.
 func (k Key) Normalize() Key {
 	if k.Family == "" {
 		k.Family = "bags"
-	}
-	if k.Workers < 1 {
-		k.Workers = 1
 	}
 	if k.Rung != RungEPTAS {
 		k.EpsIdx, k.Backend = -1, ""
@@ -197,8 +192,6 @@ type Request struct {
 	// eptas rungs when Backend is empty, in deterministic preference
 	// order (ties and unknowns resolve to the first).
 	Candidates []string
-	// Workers is the oracle lane count the solve will run with.
-	Workers int
 	// Budget is the latency budget; 0 means no deadline (the requested
 	// rung always fits).
 	Budget time.Duration
@@ -244,9 +237,6 @@ type Decision struct {
 // cheapest-predicted rung, flagged Decision.BestEffort. Decide never
 // runs anything — it only picks.
 func (m *Model) Decide(req Request) (Decision, error) {
-	if req.Workers < 1 {
-		req.Workers = 1
-	}
 	rungs := Ladder(req.Family, req.Machines, req.Eps)
 	size := SizeClass(req.Jobs)
 	fit := headroom(req.Budget)
@@ -306,8 +296,7 @@ func (m *Model) Decide(req Request) (Decision, error) {
 // choice — an unobserved backend is only picked when nothing has been
 // observed at all, in which case the first candidate wins).
 func (m *Model) bestBackendLocked(req Request, size int, r Rung) (string, time.Duration, bool) {
-	key := Key{Family: req.Family, Size: size, Rung: RungEPTAS,
-		EpsIdx: EpsIndex(r.Eps), Workers: req.Workers}.Normalize()
+	key := Key{Family: req.Family, Size: size, Rung: RungEPTAS, EpsIdx: EpsIndex(r.Eps)}.Normalize()
 	if req.Backend != "" {
 		key.Backend = req.Backend
 		pred, known := m.predictLocked(key)

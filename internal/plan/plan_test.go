@@ -27,7 +27,7 @@ func frozen() *Model {
 	}
 	for _, o := range obs {
 		m.Observe(Key{Family: "bags", Size: SizeClass(24), Rung: RungEPTAS,
-			EpsIdx: EpsIndex(o.eps), Backend: o.backend, Workers: 1}, o.d)
+			EpsIdx: EpsIndex(o.eps), Backend: o.backend}, o.d)
 	}
 	m.Observe(Key{Family: "bags", Size: SizeClass(24), Rung: RungLPT}, 300*time.Microsecond)
 	m.Observe(Key{Family: "bags", Size: SizeClass(24), Rung: RungGreedy}, 100*time.Microsecond)
@@ -36,7 +36,7 @@ func frozen() *Model {
 
 func baseReq(budget time.Duration) Request {
 	return Request{Family: "bags", Jobs: 24, Machines: 8, Eps: 0.1,
-		Backend: "bnb", Workers: 1, Budget: budget}
+		Backend: "bnb", Budget: budget}
 }
 
 func TestLadderShape(t *testing.T) {
@@ -236,7 +236,7 @@ func TestDecideBackendChoice(t *testing.T) {
 func TestPredictSizeRelaxation(t *testing.T) {
 	m := NewModel()
 	k := Key{Family: "bags", Size: SizeClass(24), Rung: RungEPTAS,
-		EpsIdx: EpsIndex(0.2), Backend: "bnb", Workers: 1}
+		EpsIdx: EpsIndex(0.2), Backend: "bnb"}
 	m.Observe(k, 40*time.Millisecond)
 
 	near := k
@@ -253,7 +253,7 @@ func TestPredictSizeRelaxation(t *testing.T) {
 
 func TestObserveEWMA(t *testing.T) {
 	m := NewModel()
-	k := Key{Family: "bags", Size: 5, Rung: RungEPTAS, EpsIdx: 2, Backend: "bnb", Workers: 1}
+	k := Key{Family: "bags", Size: 5, Rung: RungEPTAS, EpsIdx: 2, Backend: "bnb"}
 	m.Observe(k, 100*time.Millisecond)
 	m.Observe(k, 200*time.Millisecond)
 	pred, ok := m.Predict(k)

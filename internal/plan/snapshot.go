@@ -4,9 +4,11 @@
 package plan
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 )
 
@@ -55,38 +57,66 @@ func (k Key) less(o Key) bool {
 		return k.Rung < o.Rung
 	case k.EpsIdx != o.EpsIdx:
 		return k.EpsIdx < o.EpsIdx
-	case k.Backend != o.Backend:
-		return k.Backend < o.Backend
 	default:
-		return k.Workers < o.Workers
+		return k.Backend < o.Backend
 	}
 }
+
+// maxMeanUS bounds a cell's mean: Predict converts it to a Duration in
+// nanoseconds, which must not overflow. The constant rounds up to the
+// next float64, and no float64 lies strictly between it and the exact
+// quotient, so "< maxMeanUS" admits exactly the means <= MaxInt64/1000.
+const maxMeanUS = float64(math.MaxInt64 / 1000)
 
 // Import merges a snapshot into the model: cells the model has not
 // observed yet are adopted verbatim, cells it has are kept (live
 // observations beat shipped history). The model version advances so
 // post-import decisions are distinguishable from pre-import ones.
+// Unknown fields are ignored, so older snapshots import. A document
+// followed by anything but whitespace, a cell whose mean is negative or
+// too large for a Duration, or counts whose total overflows is rejected
+// whole, and the model is left unchanged.
 func (m *Model) Import(r io.Reader) error {
 	var doc snapshotDoc
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&doc); err != nil {
 		return fmt.Errorf("plan: import: %w", err)
 	}
+	rest, err := io.ReadAll(io.MultiReader(dec.Buffered(), r))
+	if err != nil {
+		return fmt.Errorf("plan: import: %w", err)
+	}
+	if len(bytes.Trim(rest, " \t\r\n")) != 0 {
+		return fmt.Errorf("plan: import: trailing data after the snapshot document")
+	}
 	if doc.Format != SnapshotFormat {
 		return fmt.Errorf("plan: import: unsupported snapshot format %d (want %d)", doc.Format, SnapshotFormat)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, sc := range doc.Cells {
-		if sc.Count == 0 {
-			continue
+	adopt := make(map[Key]*cell, len(doc.Cells))
+	total := m.observations
+	for i, sc := range doc.Cells {
+		if !(sc.MeanUS >= 0 && sc.MeanUS < maxMeanUS) {
+			return fmt.Errorf("plan: import: cell %d: mean_us %g outside [0, %d]", i, sc.MeanUS, int64(math.MaxInt64/1000))
 		}
 		k := sc.Key.Normalize()
-		if _, exists := m.cells[k]; !exists {
-			m.cells[k] = &cell{meanUS: sc.MeanUS, count: sc.Count}
-			m.observations += sc.Count
+		if _, exists := m.cells[k]; exists || sc.Count == 0 {
+			continue
 		}
+		if _, dup := adopt[k]; dup {
+			continue
+		}
+		if total+sc.Count < total {
+			return fmt.Errorf("plan: import: cell %d: observation total overflows", i)
+		}
+		total += sc.Count
+		adopt[k] = &cell{meanUS: sc.MeanUS, count: sc.Count}
 	}
+	for k, c := range adopt {
+		m.cells[k] = c
+	}
+	m.observations = total
 	m.version++
 	return nil
 }

@@ -16,9 +16,9 @@ func trainSlowModel(s *Server, jobs int, latency time.Duration) {
 	size := plan.SizeClass(jobs)
 	for _, eps := range append([]float64{0.25}, plan.EpsGrid...) {
 		s.Planner().Observe(plan.Key{Family: "bags", Size: size, Rung: plan.RungEPTAS,
-			EpsIdx: plan.EpsIndex(eps), Backend: "bnb", Workers: 1}, latency)
+			EpsIdx: plan.EpsIndex(eps), Backend: "bnb"}, latency)
 		s.Planner().Observe(plan.Key{Family: "bags", Size: size, Rung: plan.RungEPTAS,
-			EpsIdx: plan.EpsIndex(eps), Backend: "cfgdp", Workers: 1}, latency)
+			EpsIdx: plan.EpsIndex(eps), Backend: "cfgdp"}, latency)
 	}
 }
 

@@ -28,12 +28,19 @@ const keyBase = `{"instance":{"machines":3,"num_bags":2,"jobs":[{"id":0,"size":2
 
 // TestCoalescingKey: the key is a function of the decoded instance and
 // the resolved knobs, not of the body's spelling, and every part of
-// either changes it.
+// either changes it. oracle_workers is accepted but selects nothing, so
+// it leaves the key alone.
 func TestCoalescingKey(t *testing.T) {
-	s := New(Config{Workers: 1, MaxOracleWorkers: 8})
+	s := New(Config{Workers: 1})
 	base, err := keyOf(t, s, keyBase)
 	if err != nil {
 		t.Fatal(err)
+	}
+	edit := func(old, new string) string {
+		if !strings.Contains(keyBase, old) {
+			t.Fatalf("base body has no %q", old)
+		}
+		return strings.Replace(keyBase, old, new, 1)
 	}
 	same := map[string]string{
 		"whitespace":                           "{ \"instance\" : {\n\"machines\": 3, \"num_bags\": 2, \"jobs\": [ {\"id\": 0, \"size\": 2, \"bag\": 0},\n{\"id\":1,\"size\":1.5,\"bag\":1}, {\"id\":2,\"size\":1,\"bag\":0} ] },\t\"eps\": 0.5 }",
@@ -43,6 +50,7 @@ func TestCoalescingKey(t *testing.T) {
 		"nested spec":                          `{"instance":{"machines":3,"num_bags":2,"jobs":[{"id":0,"size":2,"bag":0},{"id":1,"size":1.5,"bag":1},{"id":2,"size":1,"bag":0}]},"spec":{"eps":0.5}}`,
 		"server default eps":                   `{"instance":{"machines":3,"num_bags":2,"jobs":[{"id":0,"size":2,"bag":0},{"id":1,"size":1.5,"bag":1},{"id":2,"size":1,"bag":0}]}}`,
 		"timeout (each waiter bounds its own)": `{"instance":{"machines":3,"num_bags":2,"jobs":[{"id":0,"size":2,"bag":0},{"id":1,"size":1.5,"bag":1},{"id":2,"size":1,"bag":0}]},"eps":0.5,"timeout_ms":70}`,
+		"workers":                              edit(`"eps":0.5`, `"eps":0.5,"oracle_workers":2`),
 	}
 	for name, body := range same {
 		t.Run("same/"+name, func(t *testing.T) {
@@ -54,12 +62,6 @@ func TestCoalescingKey(t *testing.T) {
 				t.Error("key changed")
 			}
 		})
-	}
-	edit := func(old, new string) string {
-		if !strings.Contains(keyBase, old) {
-			t.Fatalf("base body has no %q", old)
-		}
-		return strings.Replace(keyBase, old, new, 1)
 	}
 	differ := map[string]string{
 		"machines":    edit(`"machines":3`, `"machines":4`),
@@ -73,7 +75,6 @@ func TestCoalescingKey(t *testing.T) {
 		"backend":     edit(`"eps":0.5`, `"eps":0.5,"backend":"cfgdp"`),
 		"family":      edit(`"eps":0.5`, `"eps":0.5,"family":"identical"`),
 		"no_cache":    edit(`"eps":0.5`, `"eps":0.5,"no_cache":true`),
-		"workers":     edit(`"eps":0.5`, `"eps":0.5,"oracle_workers":2`),
 		"deadline_ms": edit(`"eps":0.5`, `"eps":0.5,"deadline_ms":20`),
 		"min_quality": edit(`"eps":0.5`, `"eps":0.5,"min_quality":1.5`),
 		"adaptive":    edit(`"eps":0.5`, `"eps":0.5,"adaptive":true`),
@@ -205,7 +206,7 @@ func FuzzSolveRequest(f *testing.F) {
 	// json.Marshal drops a -0 min_quality (omitempty), so its key must
 	// not tell -0 from 0.
 	f.Add([]byte(`{"instance":{"machines":1,"jobs":[{"id":0,"size":1,"bag":0}]},"min_quality":-0}`))
-	s := New(Config{Workers: 1, MaxOracleWorkers: 4})
+	s := New(Config{Workers: 1})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req wire.SolveRequest
 		if err := wire.Unmarshal(body, &req); err != nil {
@@ -247,7 +248,7 @@ func FuzzResolveRequest(f *testing.F) {
 	f.Add([]byte(`{"instance":{"machines":1,"jobs":[{"id":0,"size":1,"bag":0}]},"delta":{},"prior_makespan":1,"repair":true}`))
 	f.Add([]byte(`{"instance":null,"delta":{"add":[{"ID":1}]}}`))
 	f.Add([]byte(`{"delta": `))
-	s := New(Config{Workers: 1, MaxOracleWorkers: 4})
+	s := New(Config{Workers: 1})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req wire.ResolveRequest
 		if err := wire.Unmarshal(body, &req); err != nil {

@@ -8,9 +8,8 @@
 //
 //	POST /v1/solve   {"instance": {...}, "eps": 0.5, "backend": "bnb",
 //	                  "family": "bags", "timeout_ms": 1000,
-//	                  "no_cache": false, "oracle_workers": 4,
-//	                  "deadline_ms": 50, "min_quality": 1.5,
-//	                  "adaptive": true}
+//	                  "no_cache": false, "deadline_ms": 50,
+//	                  "min_quality": 1.5, "adaptive": true}
 //	                 — the solve knobs can also arrive nested under
 //	                 "spec", which wins wholesale over the flat fields
 //	POST /v1/batch   {"instances": [{...}, ...], "eps": 0.5, ...}
@@ -103,14 +102,6 @@ type Config struct {
 	// MaxTimeout clamps per-request timeouts (<= 0 selects
 	// DefaultMaxTimeout).
 	MaxTimeout time.Duration
-	// MaxOracleWorkers clamps the per-request "oracle_workers" knob
-	// (<= 0 selects GOMAXPROCS/Workers — see New). The clamp is tied to
-	// admission: the queue already admits up to Workers concurrent
-	// solves, so granting each solve many extra oracle lanes multiplies
-	// the worst-case CPU demand; the cap keeps total lanes bounded by
-	// roughly one machine's worth. Results are bit-identical at any
-	// clamp (oracle workers never change answers).
-	MaxOracleWorkers int
 	// Planner is the latency cost model behind SLO-aware ("adaptive")
 	// requests; nil builds a fresh one. Every successful solve feeds it
 	// (observation never changes answers), and adaptive requests consult
@@ -151,15 +142,6 @@ type Server struct {
 	bestEffort     atomic.Int64
 	unattainable   atomic.Int64
 
-	// Oracle worker utilization over all successful solves: how many ran
-	// with more than one lane, how many speculative work units helper
-	// lanes claimed (steals), and how many of those the main lane
-	// adopted (busy/useful). Telemetry only — per-solve values are
-	// load-dependent and never part of any response payload.
-	oracleParallelSolves atomic.Int64
-	oracleSteals         atomic.Int64
-	oracleSpecUsed       atomic.Int64
-
 	// Cache snapshot warm-start counters (see RecordSnapshot): how many
 	// snapshot imports ran, how many entries they loaded into the shared
 	// cache and how many they skipped (already present, over budget, or
@@ -194,15 +176,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = DefaultMaxTimeout
-	}
-	if cfg.MaxOracleWorkers <= 0 {
-		// Tie the lane budget to admission: with Workers solves running
-		// concurrently, give each at most its fair share of the machine
-		// (at least 1, i.e. requests can never be rejected for asking).
-		cfg.MaxOracleWorkers = runtime.GOMAXPROCS(0) / cfg.Workers
-		if cfg.MaxOracleWorkers < 1 {
-			cfg.MaxOracleWorkers = 1
-		}
 	}
 	cache := cfg.Cache
 	if cache == nil {
@@ -291,12 +264,11 @@ func (s *Server) resolve(in *sched.Instance, req wire.SolveSpec) (*spec, error) 
 	if in == nil {
 		return nil, errors.New("missing \"instance\"")
 	}
+	// oracle_workers selects nothing (every oracle solve is sequential);
+	// it is accepted for compatibility, and a negative value stays a
+	// client error.
 	if req.OracleWorkers < 0 {
 		return nil, fmt.Errorf("\"oracle_workers\" must be >= 0, got %d", req.OracleWorkers)
-	}
-	oracleWorkers := req.OracleWorkers
-	if oracleWorkers > s.cfg.MaxOracleWorkers {
-		oracleWorkers = s.cfg.MaxOracleWorkers
 	}
 	eps := req.Eps
 	if eps == 0 {
@@ -323,7 +295,7 @@ func (s *Server) resolve(in *sched.Instance, req wire.SolveSpec) (*spec, error) 
 	if err != nil {
 		return nil, err
 	}
-	opt := core.Options{Eps: eps, Family: fam, Oracle: oracle.Selection{Backend: backend}, OracleWorkers: oracleWorkers}
+	opt := core.Options{Eps: eps, Family: fam, Oracle: oracle.Selection{Backend: backend}}
 	if !req.NoCache {
 		opt.Cache = s.cache
 	}
@@ -346,18 +318,14 @@ func (s *Server) resolve(in *sched.Instance, req wire.SolveSpec) (*spec, error) 
 	w.instance(in)
 	// The family is part of the coalescing identity: the same instance
 	// solved as different families is different work with different
-	// answers. The clamped worker count is hashed too — responses would
-	// coalesce correctly across worker counts (results are identical by
-	// contract), but every resolved knob goes into the key so coalescing
-	// never has to argue from that contract. The SLO knobs are hashed
-	// because adaptive requests with different budgets may legitimately
-	// get different answers. The timeout is not: every request bounds
-	// its own wait for a shared solve (see flight.do).
+	// answers. The SLO knobs are hashed because adaptive requests with
+	// different budgets may legitimately get different answers. The
+	// timeout is not: every request bounds its own wait for a shared
+	// solve (see flight.do).
 	w.float(eps)
 	w.word(uint64(backend))
 	w.text(fam.Name())
 	w.flag(req.NoCache)
-	w.word(uint64(oracleWorkers))
 	w.word(uint64(req.DeadlineMS))
 	w.float(req.MinQuality)
 	w.flag(req.Adaptive)
@@ -575,7 +543,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.solves.Add(1)
 	s.lat.Record(elapsed)
 	s.recordFamily(sp.fam, elapsed)
-	s.recordOracle(out.Result.Stats)
 	s.recordQuality(sp.opt.Adaptive, out.Result.Quality)
 	send(w, http.StatusOK, body)
 }
@@ -670,7 +637,6 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 	}
 	s.lat.Record(elapsed)
 	s.recordFamily(sp.fam, elapsed)
-	s.recordOracle(out.Result.Stats)
 	s.recordQuality(sp.opt.Adaptive, out.Result.Quality)
 	send(w, http.StatusOK, body)
 }
@@ -695,16 +661,6 @@ func (s *Server) recordQuality(adaptive bool, q core.Quality) {
 	if q.BestEffort {
 		s.bestEffort.Add(1)
 	}
-}
-
-// recordOracle feeds the oracle worker-utilization counters of one
-// successful solve.
-func (s *Server) recordOracle(st core.Stats) {
-	if st.OracleWorkers > 1 {
-		s.oracleParallelSolves.Add(1)
-	}
-	s.oracleSteals.Add(st.OracleSteals)
-	s.oracleSpecUsed.Add(st.OracleSpecUsed)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -768,7 +724,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				s.solves.Add(1)
 				s.lat.Record(itemElapsed)
 				s.recordFamily(sp.fam, itemElapsed)
-				s.recordOracle(out.Result.Stats)
 				s.recordQuality(sp.opt.Adaptive, out.Result.Quality)
 				items[i] = wire.BatchItem{SolveResult: wire.FromResult(out.Result, shared, itemElapsed)}
 			}
@@ -830,9 +785,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"bagsched_solve_latency_p50_microseconds", "gauge", all.P50},
 		{"bagsched_solve_latency_p90_microseconds", "gauge", all.P90},
 		{"bagsched_solve_latency_p99_microseconds", "gauge", all.P99},
-		{"bagsched_oracle_parallel_solves_total", "counter", s.oracleParallelSolves.Load()},
-		{"bagsched_oracle_worker_steals_total", "counter", s.oracleSteals.Load()},
-		{"bagsched_oracle_worker_adopted_total", "counter", s.oracleSpecUsed.Load()},
 		{"bagsched_snapshot_loads_total", "counter", s.snapshotLoads.Load()},
 		{"bagsched_snapshot_entries_loaded_total", "counter", s.snapshotEntries.Load()},
 		{"bagsched_snapshot_entries_skipped_total", "counter", s.snapshotSkipped.Load()},
@@ -906,12 +858,6 @@ func (s *Server) statsPayload(window int) map[string]any {
 				"observations":    ps.Observations,
 			}
 		}(),
-		"oracle_workers": map[string]any{
-			"max_per_solve":   s.cfg.MaxOracleWorkers,
-			"parallel_solves": s.oracleParallelSolves.Load(),
-			"steals":          s.oracleSteals.Load(),
-			"adopted":         s.oracleSpecUsed.Load(),
-		},
 	}
 	families := make(map[string]any, len(s.fams))
 	for _, f := range family.List() {

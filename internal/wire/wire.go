@@ -68,9 +68,9 @@ type SolveSpec struct {
 	// private per-solve memo, exactly like the CLI). Used by the
 	// differential tests and the load driver's baseline mode.
 	NoCache bool `json:"no_cache"`
-	// OracleWorkers asks for concurrent lanes inside each oracle solve;
-	// clamped to the server's maximum. 0 or 1 is sequential. Responses
-	// are bit-identical at any value — the knob trades CPU for latency.
+	// OracleWorkers is accepted for compatibility and has no effect:
+	// every oracle solve is sequential. A negative value is still a
+	// client error.
 	OracleWorkers int `json:"oracle_workers"`
 	// DeadlineMS is the request's latency budget for SLO-aware serving.
 	// It bounds the solve like timeout_ms (whichever is tighter wins)

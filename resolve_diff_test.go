@@ -3,10 +3,10 @@ package bagsched
 // Resolve-differential tests: the bit-identity contract of the
 // incremental re-solve path. Every committed churn trace under
 // testdata/churn_*.json is replayed across the full matrix of oracle
-// backends (reusing backendCases from the backend differential),
-// problem families and oracle worker counts, and at every step the
-// incremental ResolveEPTAS answer is checked against a from-scratch
-// SolveEPTAS of the post-delta instance:
+// backends (reusing backendCases from the backend differential) and
+// problem families, and at every step the incremental ResolveEPTAS
+// answer is checked against a from-scratch SolveEPTAS of the post-delta
+// instance:
 //
 //   - the warm makespan equals the cold makespan bit for bit, and the
 //     warm schedule equals the cold schedule job for job — warm-starting
@@ -69,25 +69,14 @@ func TestResolveDifferentialCorpus(t *testing.T) {
 		{"bags", FamilyBags},
 		{"identical", FamilyIdentical},
 	}
-	workers := []int{1, 4}
 	for _, path := range churnTraces(t) {
 		tr := readTrace(t, path)
 		for _, bc := range backendCases {
 			for _, fc := range families {
-				// The cold from-scratch chain is computed once per trace ×
-				// backend × family and shared across worker counts: oracle
-				// worker lanes are answer-invisible by the workers-diff
-				// contract (bit-identical makespans, schedules and decision
-				// stats at every count), so one cold baseline serves every
-				// warm lane configuration.
 				opts := append([]Option{WithFamily(fc.fam)}, bc.opts...)
-				colds := coldChain(t, tr, opts)
-				for _, w := range workers {
-					name := fmt.Sprintf("%s/%s/%s/w%d", filepath.Base(path), bc.name, fc.name, w)
-					t.Run(name, func(t *testing.T) {
-						replayTrace(t, tr, colds, append([]Option{WithOracleWorkers(w)}, opts...))
-					})
-				}
+				t.Run(fmt.Sprintf("%s/%s/%s", filepath.Base(path), bc.name, fc.name), func(t *testing.T) {
+					replayTrace(t, tr, coldChain(t, tr, opts), opts)
+				})
 			}
 		}
 	}

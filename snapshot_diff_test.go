@@ -5,9 +5,10 @@ package bagsched
 // into a fresh cache must be invisible in every result. For each
 // committed fixture and each oracle backend, a solve against the
 // imported cache must agree bit for bit with the solve that populated
-// the donor — and must be served entirely from the cache (zero pipeline
-// runs), which is the warm-start contract `bagsched serve -snapshot`
-// and the shard fleet's cache shipping rely on.
+// the donor — and a sequential one must be served entirely from the
+// cache (zero pipeline runs), which is the warm-start contract
+// `bagsched serve -snapshot` and the shard fleet's cache shipping rely
+// on.
 
 import (
 	"bytes"
@@ -68,7 +69,9 @@ func TestSnapshotRoundTripDifferentialCorpus(t *testing.T) {
 			for _, c := range cases {
 				c := c
 				t.Run(filepath.Base(c.path), func(t *testing.T) {
-					warm, err := SolveEPTAS(c.in, eps, append([]Option{WithSharedCache(recipient)}, c.base...)...)
+					// Sequential for the pipeline count; see
+					// TestSharedCacheDifferentialCorpus.
+					warm, err := SolveEPTAS(c.in, eps, append([]Option{WithSharedCache(recipient), WithSpeculation(1)}, c.base...)...)
 					if err != nil {
 						t.Fatalf("warm solve on imported cache: %v", err)
 					}
@@ -80,6 +83,11 @@ func TestSnapshotRoundTripDifferentialCorpus(t *testing.T) {
 					if warm.Stats.Guesses > 0 && warm.Stats.CacheHits == 0 {
 						t.Errorf("solve on imported cache reported no hits over %d guesses", warm.Stats.Guesses)
 					}
+					spec, err := SolveEPTAS(c.in, eps, append([]Option{WithSharedCache(recipient)}, c.base...)...)
+					if err != nil {
+						t.Fatalf("speculative solve on imported cache: %v", err)
+					}
+					assertSameOutcome(t, "imported snapshot (default speculation) vs donor cold", c.res, spec)
 				})
 			}
 		})

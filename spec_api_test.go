@@ -23,11 +23,11 @@ func specInstance(t testing.TB) *Instance {
 func TestSpecMatchesOptions(t *testing.T) {
 	in := specInstance(t)
 	viaOpts, err := SolveEPTAS(in, 0.3,
-		WithBackend(BackendCfgDP), WithOracleWorkers(2), WithMaxGuesses(30))
+		WithBackend(BackendCfgDP), WithMaxGuesses(30))
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := Spec{Backend: BackendCfgDP, OracleWorkers: 2, MaxGuesses: 30}
+	spec := Spec{Backend: BackendCfgDP, MaxGuesses: 30}
 	viaSpec, err := SolveEPTAS(in, 0.3, spec.Options()...)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestSpecAdaptiveFlow(t *testing.T) {
 	size := plan.SizeClass(len(in.Jobs))
 	for _, eps := range append([]float64{0.3}, plan.EpsGrid...) {
 		m.Observe(plan.Key{Family: "bags", Size: size, Rung: plan.RungEPTAS,
-			EpsIdx: plan.EpsIndex(eps), Backend: "bnb", Workers: 1}, 250*time.Millisecond)
+			EpsIdx: plan.EpsIndex(eps), Backend: "bnb"}, 250*time.Millisecond)
 	}
 
 	res, err := SolveEPTAS(in, 0.3,
@@ -77,7 +77,7 @@ func TestSpecAdaptiveFlow(t *testing.T) {
 func TestPlanModelSnapshotPublic(t *testing.T) {
 	m := NewPlanModel()
 	m.Observe(plan.Key{Family: "bags", Size: 4, Rung: plan.RungEPTAS,
-		EpsIdx: plan.EpsIndex(0.3), Backend: "bnb", Workers: 1}, 10*time.Millisecond)
+		EpsIdx: plan.EpsIndex(0.3), Backend: "bnb"}, 10*time.Millisecond)
 	var buf bytes.Buffer
 	if err := ExportPlanModel(m, &buf); err != nil {
 		t.Fatal(err)
