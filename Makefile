@@ -112,10 +112,11 @@ pgo:
 # takes one target per run): the solver's numeric boundary, the
 # canonical-instance decoder against its encoding/json reference,
 # deltas through ReadDelta and Apply, the /v1/solve request fast path
-# against its encoding/json reference, /v1/solve and /v1/resolve bodies
-# through decode and the coalescing key, memo snapshot import, memo
-# result payload decode, the simplex's bound rows against the
-# row-slice reference, and planner cost-model snapshot import.
+# against its encoding/json reference, /v1/solve, /v1/batch and
+# /v1/resolve bodies through decode and the coalescing key, memo
+# snapshot import, memo result payload decode, the simplex's bound
+# rows against the row-slice reference, and planner cost-model
+# snapshot import.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSolveEPTAS -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzInstanceJSON -fuzztime 30s ./internal/sched
@@ -123,6 +124,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSolveRequest$$' -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzSolveRequest -fuzztime 30s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzResolveRequest$$' -fuzztime 30s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzBatchRequest$$' -fuzztime 30s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzImport -fuzztime 30s ./internal/memo
 	$(GO) test -run '^$$' -fuzz FuzzDecodeResult -fuzztime 30s ./internal/pipeline
 	$(GO) test -run '^$$' -fuzz FuzzSolveBounds -fuzztime 30s ./internal/lp

@@ -1,26 +1,20 @@
 package bagsched
 
 // Backend-differential tests of the oracle layer: every committed fixture
-// is solved under both cfgmilp modes and all three oracle backends, and
-// the outcomes are cross-checked. The contract mirrors the PR 3
-// float/fixed differential tests at the level where the backends are
-// interchangeable — the per-guess feasibility decision — plus the
-// determinism guarantee of the portfolio's logical-time race:
+// is solved under both cfgmilp modes and both oracle backends, and the
+// outcomes are cross-checked. The contract mirrors the float/fixed
+// differential tests at the level where the backends are
+// interchangeable — the per-guess feasibility decision:
 //
-//   - on decomposed-mode models (which every backend supports) all
+//   - on decomposed-mode models (which both backends support) the
 //     backends return bit-identical makespans on the committed corpus,
 //     feasible schedules, and the same consumed guess sequence and
 //     accepted classification — the backends are exact deciders of the
 //     same configuration programs;
 //   - each backend is individually deterministic: repeated solves return
-//     bit-identical makespans, schedules and decision statistics. For
-//     the portfolio this is the non-trivial promise: the race winner is
-//     adjudicated in logical time, so repeated races must agree bit for
-//     bit even though goroutine scheduling differs between runs;
-//   - on paper-mode models cfgdp is documented as unsupported: solo it
-//     degrades cleanly to the bag-LPT fallback, and under the portfolio
-//     it drops out of the race, which bnb then decides — bit-identically
-//     to solo bnb.
+//     bit-identical makespans, schedules and decision statistics;
+//   - on paper-mode models cfgdp is documented as unsupported: it
+//     degrades cleanly to the bag-LPT fallback, while bnb decides them.
 //
 // Schedules are not contractually identical *between* backends: an
 // accepted guess's configuration program usually has many feasible
@@ -42,7 +36,6 @@ var backendCases = []struct {
 }{
 	{"bnb", []Option{WithBackend(BackendBnB)}},
 	{"cfgdp", []Option{WithBackend(BackendCfgDP)}},
-	{"portfolio", []Option{WithBackend(BackendPortfolio)}},
 }
 
 // solveDeterministic solves in twice with opts and fails the test unless
@@ -131,26 +124,18 @@ func TestBackendDifferentialCorpus(t *testing.T) {
 				}
 			}
 
-			// Paper mode: bnb decides it; the portfolio must agree bit for
-			// bit because cfgdp drops out of the race as unsupported. The
-			// paper-mode MILP grows disproportionately with machine count
-			// (single solves on the m=256 fixture run for seconds where
-			// decomposed mode takes milliseconds), so the large-instance
-			// scaling class pins only the decomposed contract above and
-			// leaves the paper-mode contract to the small corpus.
+			// Paper mode: bnb decides it. The paper-mode MILP grows
+			// disproportionately with machine count (single solves on the
+			// m=256 fixture run for seconds where decomposed mode takes
+			// milliseconds), so the large-instance scaling class pins only
+			// the decomposed contract above and leaves the paper-mode
+			// contract to the small corpus.
 			if in.Machines >= 64 {
 				return
 			}
 			bnbPaper := solveDeterministic(t, in, "paper/bnb", WithMode(ModePaper), WithBackend(BackendBnB))
-			pfPaper := solveDeterministic(t, in, "paper/portfolio", WithMode(ModePaper), WithBackend(BackendPortfolio))
-			if pfPaper.Makespan != bnbPaper.Makespan {
-				t.Errorf("paper/portfolio makespan %.17g differs from bnb's %.17g", pfPaper.Makespan, bnbPaper.Makespan)
-			}
-			if !reflect.DeepEqual(pfPaper.Schedule.Machine, bnbPaper.Schedule.Machine) {
-				t.Error("paper/portfolio schedule differs from solo bnb despite cfgdp dropping out")
-			}
-			if pfPaper.Stats.Fallback {
-				t.Error("paper/portfolio fell back to bag-LPT")
+			if bnbPaper.Stats.Fallback {
+				t.Error("paper/bnb fell back to bag-LPT")
 			}
 
 			// Solo cfgdp on paper mode is documented as unsupported: every
@@ -169,9 +154,8 @@ func TestBackendDifferentialCorpus(t *testing.T) {
 
 // testRelatedBackends is the backend contract on related-family models,
 // mirroring the paper-mode contract: bnb decides them; cfgdp is
-// documented as unsupported (solo it degrades cleanly to the SpeedLPT
-// fallback, under the portfolio it drops out of the race and the
-// portfolio reproduces solo bnb bit for bit).
+// documented as unsupported and degrades cleanly to the SpeedLPT
+// fallback.
 func testRelatedBackends(t *testing.T, in *Instance) {
 	opts := func(extra ...Option) []Option {
 		return append([]Option{WithFamily(FamilyRelated)}, extra...)
@@ -187,14 +171,6 @@ func testRelatedBackends(t *testing.T, in *Instance) {
 		t.Errorf("related/bnb: makespan %.12f below the family lower bound %.12f", bnb.Makespan, bnb.LowerBound)
 	}
 
-	pf := solveDeterministic(t, in, "related/portfolio", opts(WithBackend(BackendPortfolio))...)
-	if pf.Makespan != bnb.Makespan {
-		t.Errorf("related/portfolio makespan %.17g differs from bnb's %.17g", pf.Makespan, bnb.Makespan)
-	}
-	if !reflect.DeepEqual(pf.Schedule.Machine, bnb.Schedule.Machine) {
-		t.Error("related/portfolio schedule differs from solo bnb despite cfgdp dropping out")
-	}
-
 	dp := solveDeterministic(t, in, "related/cfgdp", opts(WithBackend(BackendCfgDP))...)
 	if !dp.Stats.Fallback {
 		t.Error("related/cfgdp accepted a guess; expected the documented unsupported fallback")
@@ -204,9 +180,8 @@ func testRelatedBackends(t *testing.T, in *Instance) {
 	}
 }
 
-// TestBackendStatsAttribution pins the per-backend accounting: the solo
-// backends report themselves with their own work unit, and the portfolio
-// reports its race winner.
+// TestBackendStatsAttribution pins the per-backend accounting: each
+// backend reports itself with its own work unit.
 func TestBackendStatsAttribution(t *testing.T) {
 	in := readFixture(t, filepath.Join("testdata", "bimodal_m6_n24.json"))
 
@@ -220,9 +195,6 @@ func TestBackendStatsAttribution(t *testing.T) {
 	if bnb.Stats.MILPNodes == 0 || bnb.Stats.DPStates != 0 {
 		t.Errorf("bnb work accounting: nodes %d, states %d", bnb.Stats.MILPNodes, bnb.Stats.DPStates)
 	}
-	if bnb.Stats.OracleRaces != 0 {
-		t.Errorf("solo bnb reports %d races", bnb.Stats.OracleRaces)
-	}
 
 	dp, err := SolveEPTAS(in, 0.5, WithBackend(BackendCfgDP))
 	if err != nil {
@@ -233,45 +205,5 @@ func TestBackendStatsAttribution(t *testing.T) {
 	}
 	if dp.Stats.DPStates == 0 || dp.Stats.MILPNodes != 0 {
 		t.Errorf("cfgdp work accounting: nodes %d, states %d", dp.Stats.MILPNodes, dp.Stats.DPStates)
-	}
-
-	pf, err := SolveEPTAS(in, 0.5, WithBackend(BackendPortfolio))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pf.Stats.OracleBackend != "bnb" && pf.Stats.OracleBackend != "cfgdp" {
-		t.Errorf("portfolio winner is %q, want a raced backend", pf.Stats.OracleBackend)
-	}
-	if pf.Stats.OracleRaces == 0 {
-		t.Error("portfolio solve reports no races")
-	}
-}
-
-// TestPortfolioMatchesLogicalWinner triangulates the determinism of the
-// race on the DP-favoring fixture: cfgdp must win the race there, and the
-// portfolio must reproduce the solo cfgdp result exactly — adjudication
-// in logical time means racing cannot change the content of the answer.
-func TestPortfolioMatchesLogicalWinner(t *testing.T) {
-	in := readFixture(t, filepath.Join("testdata", "fewpatterns_m12_n32.json"))
-	pf, err := SolveEPTAS(in, 0.5, WithBackend(BackendPortfolio))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pf.Stats.OracleBackend != "cfgdp" {
-		t.Fatalf("race winner on the few-patterns fixture is %q, want cfgdp", pf.Stats.OracleBackend)
-	}
-	solo, err := SolveEPTAS(in, 0.5, WithBackend(BackendCfgDP))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pf.Makespan != solo.Makespan {
-		t.Errorf("portfolio (cfgdp won) makespan %.17g differs from solo cfgdp %.17g", pf.Makespan, solo.Makespan)
-	}
-	if !reflect.DeepEqual(pf.Schedule.Machine, solo.Schedule.Machine) {
-		t.Error("portfolio (cfgdp won) schedule differs from solo cfgdp")
-	}
-	if pf.Stats.DPStates != solo.Stats.DPStates {
-		t.Errorf("portfolio winner expanded %d states, solo cfgdp %d — the race changed the winner's work",
-			pf.Stats.DPStates, solo.Stats.DPStates)
 	}
 }

@@ -67,11 +67,10 @@
 //
 // The integer-programming oracle at the heart of each makespan guess is
 // pluggable (WithBackend): LP-simplex branch-and-bound (BackendBnB, the
-// default), an exact configuration dynamic program in fixed-point
-// integer arithmetic (BackendCfgDP, strongest on small pattern spaces),
-// or a deterministic portfolio race of both (BackendPortfolio) that
-// returns the first definitive outcome adjudicated in logical work units
-// — reproducible regardless of machine load.
+// default, which decides every family and both MILP modes) or an exact
+// configuration dynamic program in fixed-point integer arithmetic
+// (BackendCfgDP, decomposed mode of the bags and identical families
+// only). The README compares their solve times per fixture.
 //
 // # Cancellation
 //
@@ -171,16 +170,13 @@ const (
 	// BackendCfgDP decides guesses with an exact dynamic program over
 	// machine-configuration multiplicities in int64 fixed-point
 	// arithmetic — no LP and no floating-point tolerance anywhere in the
-	// decision. Strongest when pattern counts are small; decomposed mode
-	// only.
+	// decision. Decomposed mode of the bags and identical families only;
+	// on the committed bags fixtures it is as fast as BackendBnB or
+	// faster.
 	BackendCfgDP = oracle.KindCfgDP
-	// BackendPortfolio races cfgdp and bnb concurrently per guess and
-	// returns the first definitive outcome, adjudicated in deterministic
-	// logical time so results stay bit-for-bit reproducible.
-	BackendPortfolio = oracle.KindPortfolio
 )
 
-// ParseBackend parses a CLI backend name ("bnb", "cfgdp", "portfolio").
+// ParseBackend parses a CLI backend name ("bnb" or "cfgdp").
 func ParseBackend(s string) (OracleBackend, error) { return oracle.ParseKind(s) }
 
 // Family is one load-balancing problem family the solver pipeline can
@@ -232,9 +228,6 @@ type Spec struct {
 	// Backend selects the oracle backend (zero = BackendBnB). See
 	// WithBackend.
 	Backend OracleBackend
-	// Portfolio, when non-nil, races these backends per guess in
-	// tie-break order (implies BackendPortfolio). See WithPortfolio.
-	Portfolio []OracleBackend
 	// PatternLimit bounds pattern enumeration (0 = default 20000). See
 	// WithPatternLimit.
 	PatternLimit int
@@ -286,10 +279,6 @@ func (s Spec) Options() []Option {
 		}
 		o.Mode = s.Mode
 		o.Oracle.Backend = s.Backend
-		if s.Portfolio != nil {
-			o.Oracle.Backend = BackendPortfolio
-			o.Oracle.Portfolio = s.Portfolio
-		}
 		o.PatternLimit = s.PatternLimit
 		o.MILP.MaxNodes = s.MILPNodes
 		o.MaxGuesses = s.MaxGuesses
@@ -329,16 +318,6 @@ func WithFamily(f Family) Option {
 // and covered by the same 1+O(eps) guarantee.
 func WithBackend(b OracleBackend) Option {
 	return func(o *core.Options) { o.Oracle.Backend = b }
-}
-
-// WithPortfolio selects the portfolio backend over an explicit set of
-// raced backends (in tie-break order). With no arguments the default
-// race (cfgdp, then bnb) is used.
-func WithPortfolio(backends ...OracleBackend) Option {
-	return func(o *core.Options) {
-		o.Oracle.Backend = oracle.KindPortfolio
-		o.Oracle.Portfolio = backends
-	}
 }
 
 // WithPatternLimit bounds pattern enumeration (default 20000). Makespan

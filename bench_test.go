@@ -457,14 +457,12 @@ func TestBenchmarkInstancesFeasible(t *testing.T) {
 
 // --- Oracle backends: one IP-oracle solve per engine ---
 //
-// All three decide the identical feasible configuration program: the
+// Both decide the identical feasible configuration program: the
 // committed few-patterns fixture (testdata/fewpatterns_m12_n32.json —
 // 12 machines, 32 jobs of two distinct sizes in 4 bags, a small pattern
 // space) at its accepted bag-LPT guess, under the pipeline's default
 // limits. This is the oracle seam in isolation, the stage the backends
-// actually compete on. Tracked by cmd/benchjson: cfgdp should win here,
-// and the portfolio must stay close to the best single backend (its
-// loser aborts on the race clock at simplex-pivot granularity).
+// actually compete on. Tracked by cmd/benchjson.
 
 // benchOracleModel builds the few-patterns configuration program once,
 // as the pipeline would at the bag-LPT guess.
@@ -503,7 +501,7 @@ func benchOracleModelFrom(b *testing.B, path string) *cfgmilp.Built {
 
 func benchOracleBackend(b *testing.B, kind oracle.Kind) {
 	built := benchOracleModel(b)
-	backend := oracle.For(oracle.Selection{Backend: kind})
+	backend := oracle.For(kind)
 	lim := oracle.Limits{MILP: milp.Options{MaxNodes: 500, StopAtFirst: true}}
 	ctx := context.Background()
 	b.ReportAllocs()
@@ -517,9 +515,8 @@ func benchOracleBackend(b *testing.B, kind oracle.Kind) {
 	}
 }
 
-func BenchmarkOracleBnB(b *testing.B)       { benchOracleBackend(b, oracle.KindBnB) }
-func BenchmarkOracleCfgDP(b *testing.B)     { benchOracleBackend(b, oracle.KindCfgDP) }
-func BenchmarkOraclePortfolio(b *testing.B) { benchOracleBackend(b, oracle.KindPortfolio) }
+func BenchmarkOracleBnB(b *testing.B)   { benchOracleBackend(b, oracle.KindBnB) }
+func BenchmarkOracleCfgDP(b *testing.B) { benchOracleBackend(b, oracle.KindCfgDP) }
 
 // --- Large corpus: the m=256 bimodal fixture ---
 //
@@ -530,7 +527,7 @@ func BenchmarkOraclePortfolio(b *testing.B) { benchOracleBackend(b, oracle.KindP
 // benchOracleLarge solves one prebuilt configuration program.
 func benchOracleLarge(b *testing.B, path string, kind oracle.Kind) {
 	built := benchOracleModelFrom(b, path)
-	backend := oracle.For(oracle.Selection{Backend: kind})
+	backend := oracle.For(kind)
 	lim := oracle.Limits{MILP: milp.Options{MaxNodes: 500, StopAtFirst: true, TimeLimit: 10 * time.Minute}}
 	ctx := context.Background()
 	b.ReportAllocs()

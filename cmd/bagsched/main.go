@@ -4,7 +4,7 @@
 // Usage:
 //
 //	bagsched [-algo eptas|baglpt|lpt|greedy|roundrobin|exact|daswiese]
-//	         [-eps 0.5] [-backend bnb|cfgdp|portfolio]
+//	         [-eps 0.5] [-backend bnb|cfgdp]
 //	         [-family bags|identical|related]
 //	         [-in instance.json] [-out schedule.json]
 //	         [-timeout 30s] [-v]
@@ -31,7 +31,8 @@
 // admission-controlled worker pool across all requests. With -snapshot
 // the cache is persisted to the given file on graceful shutdown and
 // warm-started from it on boot (corrupt or version-mismatched snapshots
-// are skipped with a warning, never fatal). See internal/server and the
+// are skipped with a warning, never fatal, and left unchanged at
+// shutdown). See internal/server and the
 // README's Serving and "Sharded serving" sections.
 //
 // The resolve subcommand solves an instance, applies a delta (jobs
@@ -49,8 +50,8 @@
 // HTTP surface as a single replica plus router stats and metrics.
 //
 // -backend selects the EPTAS's integer-programming oracle: LP-simplex
-// branch-and-bound (bnb, the default), the exact configuration DP
-// (cfgdp), or a deterministic race of both (portfolio).
+// branch-and-bound (bnb, the default) or the exact configuration DP
+// (cfgdp).
 //
 // -family selects the problem family the EPTAS solves: bag-constrained
 // scheduling (bags, the default), identical machines without bag
@@ -63,8 +64,8 @@
 // -timeout bounds the solver's wall-clock time via context cancellation
 // (eptas and daswiese; in batch mode the deadline covers the whole
 // batch). With -algo eptas, -v additionally prints the per-stage timing,
-// cache report and oracle report (chosen/winning backend, per-backend
-// work counters) of the pipeline engine.
+// cache report and oracle report (deciding backend and its work
+// counters) of the pipeline engine.
 //
 // The instance format is:
 //
@@ -111,7 +112,7 @@ func main() {
 	}
 	algo := flag.String("algo", "eptas", "algorithm: eptas, baglpt, lpt, greedy, roundrobin, exact, daswiese")
 	eps := flag.Float64("eps", 0.5, "accuracy parameter for eptas/daswiese")
-	backendName := flag.String("backend", "bnb", "eptas oracle backend: bnb, cfgdp or portfolio")
+	backendName := flag.String("backend", "bnb", "eptas oracle backend: bnb or cfgdp")
 	familyName := flag.String("family", "bags", "eptas problem family: bags, identical or related")
 	inPath := flag.String("in", "-", "instance JSON file, or - for stdin")
 	outPath := flag.String("out", "", "write the schedule JSON here (default: stdout summary only)")
@@ -368,10 +369,5 @@ func printEngineReport(st bagsched.Stats) {
 	if st.OracleBackend != "" {
 		fmt.Printf("oracle: decided by %s (bnb nodes %d, dp states %d)\n",
 			st.OracleBackend, st.MILPNodes, st.DPStates)
-		if st.OracleRaces > 0 {
-			fmt.Printf("  races: %d won by %s; outraced losers burned %d nodes, %d states, %s\n",
-				st.OracleRaces, st.OracleBackend, st.OracleLoserNodes, st.OracleLoserStates,
-				st.OracleLoserTime.Round(time.Microsecond))
-		}
 	}
 }

@@ -21,7 +21,7 @@ import (
 func runResolve(args []string) error {
 	fs := flag.NewFlagSet("resolve", flag.ContinueOnError)
 	eps := fs.Float64("eps", 0.5, "accuracy parameter")
-	backendName := fs.String("backend", "bnb", "oracle backend: bnb, cfgdp or portfolio")
+	backendName := fs.String("backend", "bnb", "oracle backend: bnb or cfgdp")
 	familyName := fs.String("family", "bags", "problem family: bags, identical or related")
 	inPath := fs.String("in", "-", "prior instance JSON file, or - for stdin")
 	deltaPath := fs.String("delta", "", "delta JSON file, or - for stdin (required; see the Delta grammar in the README)")

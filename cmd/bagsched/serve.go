@@ -31,11 +31,11 @@ func runServe(args []string) error {
 	workers := fs.Int("workers", 0, "max concurrent solves (0 = GOMAXPROCS)")
 	queueDepth := fs.Int("queue-depth", -1, "max solves waiting beyond -workers (-1 = 4x workers; beyond that requests get 503)")
 	cacheBytes := fs.Int64("cache-bytes", server.DefaultCacheBytes, "shared result-cache budget in bytes (0 = unbounded)")
-	backendName := fs.String("backend", "bnb", "default oracle backend: bnb, cfgdp or portfolio (requests may override)")
+	backendName := fs.String("backend", "bnb", "default oracle backend: bnb or cfgdp (requests may override)")
 	eps := fs.Float64("eps", server.DefaultEps, "default accuracy parameter in (0,1) (requests may override)")
 	maxTimeout := fs.Duration("max-timeout", server.DefaultMaxTimeout, "upper clamp on per-request solve timeouts")
-	snapshotPath := fs.String("snapshot", "", "cache snapshot file: warm-start the cache from it on boot, persist the cache to it on graceful shutdown")
-	planSnapshotPath := fs.String("plan-snapshot", "", "planner cost-model snapshot file: warm-start the adaptive planner from it on boot, persist it on graceful shutdown")
+	snapshotPath := fs.String("snapshot", "", "cache snapshot file: warm-start the cache from it on boot, persist the cache to it on graceful shutdown (a file that fails to load is left unchanged)")
+	planSnapshotPath := fs.String("plan-snapshot", "", "planner cost-model snapshot file: warm-start the adaptive planner from it on boot, persist it on graceful shutdown (a file that fails to load is left unchanged)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -51,9 +51,9 @@ func runServe(args []string) error {
 	}
 
 	cache := bagsched.NewCache(*cacheBytes)
-	loaded, skipped, warmed := loadSnapshot(cache, *snapshotPath)
+	loaded, skipped, warmed, saveCache := loadSnapshot(cache, *snapshotPath)
 	planner := bagsched.NewPlanModel()
-	loadPlanSnapshot(planner, *planSnapshotPath)
+	savePlan := loadPlanSnapshot(planner, *planSnapshotPath)
 	srv := server.New(server.Config{
 		Workers:    *workers,
 		QueueDepth: *queueDepth,
@@ -96,45 +96,57 @@ func runServe(args []string) error {
 	}
 	st := cache.Stats()
 	fmt.Printf("bagsched serve: drained; cache served %d hits / %d lookups\n", st.Hits, st.Hits+st.Misses)
-	if *snapshotPath != "" {
-		if err := saveSnapshot(cache, *snapshotPath); err != nil {
-			// Persisting the cache is best-effort: a failed snapshot only
-			// costs the next boot its warm start.
-			fmt.Fprintf(os.Stderr, "bagsched serve: warning: snapshot not saved: %v\n", err)
-		}
-	}
-	if *planSnapshotPath != "" {
-		if err := savePlanSnapshot(planner, *planSnapshotPath); err != nil {
-			fmt.Fprintf(os.Stderr, "bagsched serve: warning: plan snapshot not saved: %v\n", err)
-		}
-	}
+	// Persisting is best-effort: a failed snapshot only costs the next
+	// boot its warm start.
+	persist("snapshot", *snapshotPath, saveCache, func(path string) error { return saveSnapshot(cache, path) })
+	persist("plan snapshot", *planSnapshotPath, savePlan, func(path string) error { return savePlanSnapshot(planner, path) })
 	return nil
+}
+
+// persist writes a snapshot to path at shutdown through save, unless the
+// boot found a file there it could not load (writable false): that file
+// is left as it is for an operator to inspect, never replaced by the
+// cold state the server ran with.
+func persist(what, path string, writable bool, save func(path string) error) {
+	if path == "" {
+		return
+	}
+	if !writable {
+		fmt.Fprintf(os.Stderr, "bagsched serve: warning: %s %s was not loaded at boot; left unchanged\n", what, path)
+		return
+	}
+	if err := save(path); err != nil {
+		fmt.Fprintf(os.Stderr, "bagsched serve: warning: %s not saved: %v\n", what, err)
+	}
 }
 
 // loadPlanSnapshot warm-starts the planner's cost model from path; like
 // the cache snapshot, every failure is a logged skip, never fatal — an
-// adaptive planner works (conservatively) from a cold model.
-func loadPlanSnapshot(m *bagsched.PlanModel, path string) {
+// adaptive planner works (conservatively) from a cold model. It reports
+// whether shutdown may write path: when no file was there or its import
+// succeeded.
+func loadPlanSnapshot(m *bagsched.PlanModel, path string) (writable bool) {
 	if path == "" {
-		return
+		return true
 	}
 	f, err := os.Open(path)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			fmt.Printf("bagsched serve: no plan snapshot at %s, planner starts cold\n", path)
-		} else {
-			fmt.Fprintf(os.Stderr, "bagsched serve: warning: plan snapshot unreadable, planner starts cold: %v\n", err)
+			return true
 		}
-		return
+		fmt.Fprintf(os.Stderr, "bagsched serve: warning: plan snapshot unreadable, planner starts cold: %v\n", err)
+		return false
 	}
 	defer f.Close()
 	if err := bagsched.ImportPlanModel(m, f); err != nil {
 		fmt.Fprintf(os.Stderr, "bagsched serve: warning: plan snapshot %s skipped, planner starts cold: %v\n", path, err)
-		return
+		return false
 	}
 	st := m.Snapshot()
 	fmt.Printf("bagsched serve: planner warm-started from %s: %d cells, %d observations\n",
 		path, st.Cells, st.Observations)
+	return true
 }
 
 // savePlanSnapshot persists the planner's cost model atomically (temp
@@ -165,29 +177,31 @@ func savePlanSnapshot(m *bagsched.PlanModel, path string) error {
 // loadSnapshot warm-starts cache from path. Every failure — missing
 // file, corrupt container, version mismatch — is a logged skip, never
 // fatal: a replica must boot (cold) no matter what is on disk. It
-// reports what was loaded and whether an import ran at all.
-func loadSnapshot(cache *bagsched.Cache, path string) (loaded, skipped int, warmed bool) {
+// reports what was loaded, whether an import ran at all, and whether
+// shutdown may write path: when no file was there or its import
+// succeeded.
+func loadSnapshot(cache *bagsched.Cache, path string) (loaded, skipped int, warmed, writable bool) {
 	if path == "" {
-		return 0, 0, false
+		return 0, 0, false, true
 	}
 	f, err := os.Open(path)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			fmt.Printf("bagsched serve: no snapshot at %s, starting cold\n", path)
-		} else {
-			fmt.Fprintf(os.Stderr, "bagsched serve: warning: snapshot unreadable, starting cold: %v\n", err)
+			return 0, 0, false, true
 		}
-		return 0, 0, false
+		fmt.Fprintf(os.Stderr, "bagsched serve: warning: snapshot unreadable, starting cold: %v\n", err)
+		return 0, 0, false, false
 	}
 	defer f.Close()
 	st, err := bagsched.ImportCacheSnapshot(cache, f)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bagsched serve: warning: snapshot %s skipped, starting cold: %v\n", path, err)
-		return 0, 0, false
+		return 0, 0, false, false
 	}
 	fmt.Printf("bagsched serve: warm-started from %s: %d entries loaded, %d skipped (%d existing, %d over budget, %d undecodable)\n",
 		path, st.Loaded, st.Skipped(), st.SkippedExisting, st.SkippedBudget, st.SkippedDecode)
-	return st.Loaded, st.Skipped(), true
+	return st.Loaded, st.Skipped(), true, true
 }
 
 // saveSnapshot persists cache to path atomically (temp file + rename),

@@ -38,7 +38,7 @@ import (
 // (BenchmarkExF1, ExT*, ExS*, ExL*, ExB*, ExA* — an uppercase letter
 // after "Ex" keeps BenchmarkExactSolver and other substrate
 // micro-benchmarks out of the default snapshot), the oracle-backend
-// benchmarks (BenchmarkOracleBnB/CfgDP/Portfolio, and
+// benchmarks (BenchmarkOracleBnB/CfgDP, and
 // BenchmarkOracleBnBLarge/CfgDPLarge with the full solve
 // BenchmarkSolveLarge on the m=256 fixture), the sibling
 // problem families (BenchmarkFamilyRelated/Identical), the serving
@@ -57,7 +57,7 @@ const pgoProfile = "default.pgo"
 
 // tracked lists the hot-path benchmarks bench-compare gates on: the
 // pattern-enumeration stage, the end-to-end EPTAS solves that dominate
-// production cost, the speculative search, the three oracle backends on
+// production cost, the speculative search, the two oracle backends on
 // the DP-favoring few-patterns fixture, bnb and cfgdp on the m=256
 // fixture's configuration program and the full m=256 solve
 // (BenchmarkSolveLarge), one end-to-end solve per
@@ -78,7 +78,6 @@ var tracked = []string{
 	"BenchmarkExS2SpeculationOn",
 	"BenchmarkOracleBnB",
 	"BenchmarkOracleCfgDP",
-	"BenchmarkOraclePortfolio",
 	"BenchmarkFamilyRelated",
 	"BenchmarkFamilyIdentical",
 	"BenchmarkOracleBnBLarge",

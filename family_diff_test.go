@@ -7,8 +7,8 @@ package bagsched
 //
 //   - Bags is the identity refactor: solving with WithFamily(FamilyBags)
 //     must be bit-for-bit the un-optioned solve — makespan, schedule and
-//     decision statistics — on every committed fixture, for all three
-//     oracle backends.
+//     decision statistics — on every committed fixture, for both oracle
+//     backends.
 //   - Identical is the degenerate singleton-bag case: on instances that
 //     already have one job per bag it must reproduce the bags solve
 //     exactly (same prepared instance, same deterministic pipeline).

@@ -416,17 +416,6 @@ func Build(ctx context.Context, in *sched.Instance, view *classify.View, prio []
 	return b, nil
 }
 
-// PatternCount returns the number of configurations in the model's
-// space across both shapes (the enumerated pattern space for bag
-// models, the per-speed-class spaces for related models); the oracle
-// portfolio uses it to size the race.
-func (b *Built) PatternCount() int {
-	if b.Related != nil {
-		return b.Related.Space.TotalPatterns()
-	}
-	return len(b.Space.Patterns)
-}
-
 // Decode converts a MILP solution into a Plan.
 func (b *Built) Decode(sol milp.Solution) *Plan {
 	if b.Related != nil {

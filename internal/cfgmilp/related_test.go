@@ -41,9 +41,6 @@ func TestBuildRelated(t *testing.T) {
 	if b.Related == nil || b.Related.Info != info || b.Related.Space != sp {
 		t.Fatal("Built.Related does not carry the layout it was built from")
 	}
-	if b.PatternCount() != sp.TotalPatterns() {
-		t.Errorf("PatternCount = %d, want %d", b.PatternCount(), sp.TotalPatterns())
-	}
 	if b.IntegerVars != sp.TotalPatterns() {
 		t.Errorf("IntegerVars = %d, want one multiplicity per (class, pattern) = %d",
 			b.IntegerVars, sp.TotalPatterns())

@@ -160,8 +160,7 @@ func observeSolve(opt Options, in *sched.Instance, res *Result, elapsed time.Dur
 	if opt.Heuristic != "" {
 		k.Rung = opt.Heuristic
 	} else {
-		// Keyed by the *requested* backend (a portfolio's per-guess race
-		// winners vary) and the eps the search actually ran at.
+		// Keyed by the backend and the eps the search actually ran at.
 		k.Rung = plan.RungEPTAS
 		k.EpsIdx = plan.EpsIndex(opt.Eps)
 		k.Backend = opt.Oracle.Backend.String()

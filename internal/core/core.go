@@ -53,9 +53,8 @@ type Options struct {
 	// (the configuration program is a feasibility problem).
 	MILP milp.Options
 	// Oracle selects the integer-programming oracle backend that decides
-	// each guess's configuration program: branch-and-bound (the default),
-	// the exact configuration DP, or a deterministic portfolio race of
-	// both. See internal/oracle.
+	// each guess's configuration program: branch-and-bound (the default)
+	// or the exact configuration DP. See internal/oracle.
 	Oracle oracle.Selection
 	// MaxGuesses bounds the binary-search decisions (default 40).
 	MaxGuesses int
@@ -173,25 +172,14 @@ type Stats struct {
 	// MILPNodes is the total branch-and-bound nodes over all accepted
 	// guesses (cache-served guesses count the nodes of the pipeline run
 	// that produced their outcome, so the total matches an unmemoized
-	// search). Only winning-backend work counts: guesses decided by the
-	// configuration DP contribute to DPStates instead.
+	// search). Guesses decided by the configuration DP contribute to
+	// DPStates instead.
 	MILPNodes int
-	// DPStates is the total configuration-DP states expanded by winning
-	// cfgdp solves over all accepted guesses.
+	// DPStates is the total configuration-DP states expanded by cfgdp
+	// solves over all accepted guesses.
 	DPStates int64
-	// OracleBackend is the backend that decided the last accepted guess
-	// (the race winner under the portfolio).
+	// OracleBackend is the backend that decided the last accepted guess.
 	OracleBackend string
-	// OracleRaces counts accepted guesses decided by a portfolio race.
-	OracleRaces int
-	// OracleLoserNodes, OracleLoserStates and OracleLoserTime account the
-	// work burned by outraced portfolio backends before cancellation over
-	// all accepted guesses. How far a loser gets before it observes the
-	// winner's logical deadline is load-dependent, so these three fields
-	// are excluded from the Decision projection.
-	OracleLoserNodes  int
-	OracleLoserStates int64
-	OracleLoserTime   time.Duration
 	// K, Q, BPrime are the classification parameters of the last
 	// accepted guess.
 	K, Q, BPrime int
@@ -228,15 +216,13 @@ type Stats struct {
 }
 
 // Decision returns a copy of s with the engine-level work counters
-// (PipelineRuns, CacheHits, CacheMisses, StageTime) and the load-dependent
-// portfolio loser accounting (OracleLoserNodes, OracleLoserStates,
-// OracleLoserTime) cleared. What remains is determined solely by the
-// consumed guess sequence, so it is bit-for-bit reproducible across
-// sequential, speculative, batched, memoized and unmemoized runs — the
-// determinism tests compare exactly this projection.
+// (PipelineRuns, CacheHits, CacheMisses, StageTime) cleared. What remains
+// is determined solely by the consumed guess sequence, so it is
+// bit-for-bit reproducible across sequential, speculative, batched,
+// memoized and unmemoized runs — the determinism tests compare exactly
+// this projection.
 func (s Stats) Decision() Stats {
 	s.PipelineRuns, s.CacheHits, s.CacheMisses, s.StageTime = 0, 0, 0, nil
-	s.OracleLoserNodes, s.OracleLoserStates, s.OracleLoserTime = 0, 0, 0
 	return s
 }
 
@@ -518,7 +504,7 @@ func pipelineConfig(opt Options) pipeline.Config {
 		Mode:           opt.Mode,
 		PatternLimit:   opt.PatternLimit,
 		MILP:           opt.MILP,
-		Oracle:         opt.Oracle,
+		Oracle:         opt.Oracle.Backend,
 		AllPriority:    opt.AllPriority,
 		BPrimeOverride: opt.BPrimeOverride,
 		Cache:          opt.Cache,
@@ -545,12 +531,6 @@ func (s *Stats) absorb(pr *PipelineResult) {
 	s.MILPNodes += pr.MILPNodes
 	s.DPStates += pr.OracleStats.States
 	s.OracleBackend = pr.OracleStats.Backend
-	if pr.OracleStats.Raced > 1 {
-		s.OracleRaces++
-	}
-	s.OracleLoserNodes += pr.OracleStats.LoserNodes
-	s.OracleLoserStates += pr.OracleStats.LoserStates
-	s.OracleLoserTime += pr.OracleStats.LoserTime
 	if pr.Parts&(pipeline.PartSpace|pipeline.PartRelSpace) != 0 {
 		s.Patterns = pr.Patterns
 	}

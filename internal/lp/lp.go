@@ -182,8 +182,8 @@ type Options struct {
 	// Progress, when non-nil, is invoked once per simplex pivot with the
 	// pivot count so far (across both phases). A non-nil return aborts
 	// the solve and is surfaced as Solve's error. The branch-and-bound
-	// layer forwards it so the oracle portfolio's race clock ticks inside
-	// a node's LP solve, not just between nodes.
+	// layer forwards its own Progress hook here, so a caller's hook also
+	// fires inside a node's LP solve, not just between nodes.
 	Progress func(iters int) error
 }
 

@@ -85,10 +85,10 @@ type Options struct {
 	// Progress, when non-nil, is invoked once per expanded node and once
 	// per simplex pivot inside each node's LP solve, with the cumulative
 	// node and pivot counts so far. A non-nil return aborts the search
-	// and is surfaced as Solve's error, discarding any incumbent. The
-	// oracle portfolio uses this as its deterministic work clock: node
-	// and pivot counts do not depend on machine load, so racing decisions
-	// driven by Progress stay reproducible.
+	// and is surfaced as Solve's error, discarding any incumbent. Tests
+	// use it to hold a solve inside the oracle until they release it; a
+	// solve whose MILP options set it gets a private memo (see
+	// pipeline.New).
 	Progress func(nodes, pivots int) error
 }
 

@@ -15,12 +15,7 @@ import (
 // deterministic Limits.MILP.MaxNodes budget (plus a caller-set
 // wall-clock TimeLimit, the one load-dependent limit, which it reports
 // as ErrTimeLimit).
-type BnB struct {
-	// tick, when set by the portfolio, is the race clock: it receives the
-	// cumulative logical work after every expanded node and aborts the
-	// solve by returning a non-nil error.
-	tick tickFunc
-}
+type BnB struct{}
 
 // Name returns "bnb".
 func (BnB) Name() string { return "bnb" }
@@ -28,36 +23,14 @@ func (BnB) Name() string { return "bnb" }
 // Solve runs branch and bound on the model. The configuration program is
 // a pure feasibility problem, so the first integer-feasible point wins
 // (StopAtFirst is forced on).
-func (bk BnB) Solve(ctx context.Context, b *cfgmilp.Built, lim Limits) (*cfgmilp.Plan, Stats, error) {
-	st := Stats{Backend: "bnb", Raced: 1}
+func (BnB) Solve(ctx context.Context, b *cfgmilp.Built, lim Limits) (*cfgmilp.Plan, Stats, error) {
+	st := Stats{Backend: "bnb"}
 	opt := lim.MILP
 	opt.StopAtFirst = true
-	var seenNodes, seenPivots int
-	if bk.tick != nil {
-		// Any definitive outcome costs at least one node, so the node
-		// surcharge is a sound lower bound on the final logical time:
-		// when a sub-node-cost finisher has already posted, abort before
-		// paying for any solver setup.
-		if err := bk.tick(bnbLogical(1, 0)); err != nil {
-			return nil, st, err
-		}
-		prev := opt.Progress
-		opt.Progress = func(nodes, pivots int) error {
-			seenNodes, seenPivots = nodes, pivots
-			if prev != nil {
-				if err := prev(nodes, pivots); err != nil {
-					return err
-				}
-			}
-			return bk.tick(bnbLogical(nodes, pivots))
-		}
-	}
 	sol, err := milp.Solve(ctx, b.Model, opt)
 	if err != nil {
-		// Cancellation or a race abort: milp discards the incumbent and
-		// the work counts, so report the last counts the progress hook
-		// saw.
-		st.Nodes, st.Pivots = seenNodes, seenPivots
+		// Cancellation (or an abort by the caller's progress hook): milp
+		// discards the incumbent and the work counts.
 		return nil, st, err
 	}
 	st.Nodes, st.Pivots = sol.Nodes, sol.Pivots

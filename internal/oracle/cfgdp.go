@@ -42,9 +42,8 @@ import (
 // model. Work is counted in DP states (one state = one search node) and
 // bounded by Limits.MaxStates; exceeding the budget returns ErrLimit.
 //
-// Paper-mode models (with their per-pattern y variable block) are out of
-// scope: Solve returns ErrUnsupported, and under the portfolio the DP
-// simply drops out of the race.
+// Paper-mode models (with their per-pattern y variable block) and
+// related-family models are out of scope: Solve returns ErrUnsupported.
 //
 // One deliberate divergence from bnb: the aggregate small-job area row
 // is decided here on the Tol-folded fixed-point capacity (headroom
@@ -56,27 +55,21 @@ import (
 // accepted plan satisfies its stated constraint system; the
 // backend-differential test asserts decision equivalence on the
 // committed corpus, not in the tolerance band.
-type CfgDP struct {
-	// tick, when set by the portfolio, is the race clock; it receives the
-	// cumulative logical work every dpTickInterval states.
-	tick tickFunc
-}
+type CfgDP struct{}
 
 // Name returns "cfgdp".
 func (CfgDP) Name() string { return "cfgdp" }
 
-// dpTickInterval is how many DP states pass between context polls and
-// race-clock ticks.
-const dpTickInterval = 64
+// dpPollInterval is how many DP states pass between context polls.
+const dpPollInterval = 64
 
 // Solve decides the decomposed configuration program in b exactly.
-func (bk CfgDP) Solve(ctx context.Context, b *cfgmilp.Built, lim Limits) (*cfgmilp.Plan, Stats, error) {
-	st := Stats{Backend: "cfgdp", Raced: 1}
+func (CfgDP) Solve(ctx context.Context, b *cfgmilp.Built, lim Limits) (*cfgmilp.Plan, Stats, error) {
+	st := Stats{Backend: "cfgdp"}
 	if b.Related != nil {
 		// Related-family models have per-speed-class variable blocks the
 		// DP's residual-demand state does not represent; like paper-mode
-		// models they fall to bnb (solo callers degrade, the portfolio
-		// drops the DP from the race).
+		// models they are bnb's.
 		return nil, st, fmt.Errorf("%w (cfgdp solves bag-constrained models only, got a related-family model)", ErrUnsupported)
 	}
 	if b.Mode != cfgmilp.ModeDecomposed {
@@ -86,7 +79,7 @@ func (bk CfgDP) Solve(ctx context.Context, b *cfgmilp.Built, lim Limits) (*cfgmi
 	if len(sp.Patterns) == 0 || sp.Patterns[0].NumJobs != 0 {
 		return nil, st, fmt.Errorf("%w (pattern space lacks the empty pattern)", ErrUnsupported)
 	}
-	d := newDPSolver(b, lim.maxStates(), bk.tick, lim.Arena)
+	d := newDPSolver(b, lim.maxStates(), lim.Arena)
 	found, err := d.dfs(ctx, 0, d.m, d.slotRes, d.avoidRes, d.area)
 	st.States = d.states
 	if err != nil {
@@ -140,7 +133,6 @@ type dpSolver struct {
 
 	maxStates int64
 	states    int64
-	tick      tickFunc
 
 	// xs is the multiplicity vector under construction; on success it is
 	// the returned plan.
@@ -162,7 +154,7 @@ type dpSolver struct {
 // it; xs stays heap-allocated because a successful Plan retains it, and
 // the infeasibility memo stays a plain map for the same reason the
 // memoMinStates gate exists (easy solves never touch it).
-func newDPSolver(b *cfgmilp.Built, maxStates int64, tick tickFunc, arena *scratch.Arena) *dpSolver {
+func newDPSolver(b *cfgmilp.Built, maxStates int64, arena *scratch.Arena) *dpSolver {
 	sp := b.Space
 	info := b.View.Info
 	dem := &b.Demand
@@ -183,7 +175,6 @@ func newDPSolver(b *cfgmilp.Built, maxStates int64, tick tickFunc, arena *scratc
 		headroom:    arena.Fxs(nPat),
 		area:        dem.SmallAreaFx,
 		maxStates:   maxStates,
-		tick:        tick,
 		xs:          make([]int, nPat),
 		infeasible:  make(map[string]struct{}),
 	}
@@ -261,14 +252,9 @@ func (d *dpSolver) dfs(ctx context.Context, i, left int, slots, avoid []int, are
 	if d.states > d.maxStates {
 		return false, fmt.Errorf("%w (configuration DP exceeded %d states)", ErrLimit, d.maxStates)
 	}
-	if d.states%dpTickInterval == 0 {
+	if d.states%dpPollInterval == 0 {
 		if err := ctx.Err(); err != nil {
 			return false, err
-		}
-		if d.tick != nil {
-			if err := d.tick(d.states * dpStateCost); err != nil {
-				return false, err
-			}
 		}
 	}
 
@@ -404,17 +390,20 @@ func (d *dpSolver) stateKey(i, left int, slots, avoid []int, area numeric.Fx) []
 	return buf
 }
 
+// statesPerNode is how many DP states the state budget grants per bnb
+// node of the node budget.
+const statesPerNode = 256
+
 // maxStates resolves the DP state budget: an explicit MaxStates wins;
-// otherwise the budget mirrors the bnb node budget at the logical-time
-// exchange rate (so the priority-cap ladder's short rungs shorten the DP
-// exactly as they shorten branch-and-bound), falling back to
-// DefaultMaxStates.
+// otherwise the budget mirrors the bnb node budget at statesPerNode (so
+// the priority-cap ladder's short rungs shorten the DP exactly as they
+// shorten branch-and-bound), falling back to DefaultMaxStates.
 func (l Limits) maxStates() int64 {
 	if l.MaxStates > 0 {
 		return l.MaxStates
 	}
 	if l.MILP.MaxNodes > 0 {
-		return int64(l.MILP.MaxNodes) * (bnbNodeCost / dpStateCost)
+		return int64(l.MILP.MaxNodes) * statesPerNode
 	}
 	return DefaultMaxStates
 }

@@ -9,22 +9,19 @@
 // configuration DP, an external MILP solver, an n-fold IP solver) plugs
 // into.
 //
-// Three backends are provided:
+// Two backends are provided:
 //
 //   - BnB: LP-simplex branch-and-bound over the materialized MILP
-//     (internal/milp). Handles both cfgmilp modes and large pattern
-//     spaces; its per-guess work is bounded by a deterministic node
-//     budget.
+//     (internal/milp). Handles both cfgmilp modes, every problem family
+//     and large pattern spaces; its per-guess work is bounded by a
+//     deterministic node budget.
 //
 //   - CfgDP: an exact dynamic program over machine-configuration
 //     multiplicities, solving the backend-neutral Demand block directly
 //     in int64 fixed-point arithmetic (numeric.Fx) — no LP, no floating
-//     point, no tolerances. Strongest when the pattern count is small;
-//     decomposed mode only.
-//
-//   - Portfolio: races any set of backends concurrently and returns the
-//     first definitive outcome, adjudicated in *logical time* so results
-//     stay reproducible (see portfolio.go).
+//     point, no tolerances. Decomposed-mode models of the bag families
+//     only; on the committed bags fixtures it decides as fast as BnB or
+//     faster.
 //
 // # Exactness requirement
 //
@@ -44,7 +41,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/cfgmilp"
 	"repro/internal/milp"
@@ -59,9 +55,6 @@ const (
 	KindBnB Kind = iota
 	// KindCfgDP is the exact configuration dynamic program.
 	KindCfgDP
-	// KindPortfolio races a set of backends (DefaultPortfolio unless
-	// overridden) with deterministic logical-time adjudication.
-	KindPortfolio
 )
 
 // String returns the CLI name of the kind.
@@ -71,8 +64,6 @@ func (k Kind) String() string {
 		return "bnb"
 	case KindCfgDP:
 		return "cfgdp"
-	case KindPortfolio:
-		return "portfolio"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
@@ -85,29 +76,19 @@ func ParseKind(s string) (Kind, error) {
 		return KindBnB, nil
 	case "cfgdp":
 		return KindCfgDP, nil
-	case "portfolio":
-		return KindPortfolio, nil
 	default:
-		return 0, fmt.Errorf("oracle: unknown backend %q (want bnb, cfgdp or portfolio)", s)
+		return 0, fmt.Errorf("oracle: unknown backend %q (want bnb or cfgdp)", s)
 	}
 }
 
-// Selection picks the backend composition for one solve. The zero value
-// selects the branch-and-bound backend, preserving the pre-oracle-layer
-// behaviour bit for bit.
+// Selection picks the backend for one solve; the zero value selects the
+// branch-and-bound backend. It is the type of core.Options.Oracle, kept
+// as a struct because the repository benchmark (perfbench) builds its
+// options with a Selection literal.
 type Selection struct {
 	// Backend is the backend kind to dispatch to.
 	Backend Kind
-	// Portfolio lists the raced backends when Backend is KindPortfolio;
-	// nil selects DefaultPortfolio. Order matters: it is the
-	// deterministic tie-break of the race.
-	Portfolio []Kind
 }
-
-// DefaultPortfolio is the raced set when none is configured: the exact
-// DP first (it wins logical-time ties, and on small pattern spaces it is
-// the cheap engine), branch-and-bound second (the general fallback).
-func DefaultPortfolio() []Kind { return []Kind{KindCfgDP, KindBnB} }
 
 // Limits carries the per-solve resource budgets. All budgets are
 // deterministic work counts (nodes, DP states) except a caller-set MILP
@@ -120,14 +101,14 @@ type Limits struct {
 	// applies its own default); a zero TimeLimit means none.
 	MILP milp.Options
 	// MaxStates bounds the configuration DP's state expansions. Zero
-	// means DefaultMaxStates.
+	// derives it from MILP.MaxNodes (256 states per node, so short ladder
+	// budgets shorten the DP as they shorten bnb), or uses
+	// DefaultMaxStates when MaxNodes is zero too.
 	MaxStates int64
 	// Arena, when non-nil, supplies the solve's scratch buffers (the
 	// configuration DP's residual vectors and demand tables) so
 	// repeated solves on one pipeline run stop allocating. The arena is
-	// single-goroutine: under the portfolio only the first raced
-	// backend may allocate from it — concurrent racers must not share
-	// it, so the portfolio clears it for all but the first backend.
+	// single-goroutine: one solve at a time may use it.
 	Arena *scratch.Arena
 }
 
@@ -139,26 +120,14 @@ const DefaultMaxStates int64 = 1 << 19
 
 // Stats is the per-solve accounting of one oracle call.
 type Stats struct {
-	// Backend is the backend that produced the result — the race winner
-	// under the portfolio.
+	// Backend is the backend that produced the result.
 	Backend string
-	// Nodes and Pivots are the winner's branch-and-bound node and
-	// simplex-pivot counts (bnb only).
+	// Nodes and Pivots are the branch-and-bound node and simplex-pivot
+	// counts (bnb only).
 	Nodes  int
 	Pivots int
-	// States is the winner's DP state count (cfgdp only).
+	// States is the DP state count (cfgdp only).
 	States int64
-	// Raced is the number of backends that started (1 unless portfolio).
-	Raced int
-	// LoserNodes, LoserStates and LoserTime account the work burned by
-	// outraced backends before cancellation. Unlike every field above
-	// they are load-dependent (how far a loser got before observing the
-	// winner's logical deadline depends on scheduling), so they are
-	// excluded from the deterministic decision projection of the solver
-	// statistics.
-	LoserNodes  int
-	LoserStates int64
-	LoserTime   time.Duration
 }
 
 // ErrLimit reports that the backend exhausted its deterministic work
@@ -179,8 +148,9 @@ var ErrTimeLimit = errors.New("oracle: wall-clock time limit reached")
 var ErrInfeasible = errors.New("oracle: configuration program infeasible")
 
 // ErrUnsupported reports that the backend cannot solve this model shape
-// (the configuration DP only handles decomposed-mode models). Under the
-// portfolio an unsupported backend drops out of the race silently.
+// (the configuration DP only handles decomposed-mode models of the bag
+// families). The pipeline rejects the guess, so a solve pinned to such a
+// backend degrades to its family's fallback schedule.
 var ErrUnsupported = errors.New("oracle: model not supported by this backend")
 
 // Backend is one oracle engine. Solve decides the configuration program
@@ -189,8 +159,8 @@ var ErrUnsupported = errors.New("oracle: model not supported by this backend")
 // ErrLimit, ErrTimeLimit or ErrUnsupported (or the context's error on
 // cancellation).
 // Implementations must be stateless and safe for concurrent use —
-// speculative guess evaluation and the portfolio run several solves at
-// once — and deterministic: for a fixed model and limits the returned
+// speculative guess evaluation runs several solves at once — and
+// deterministic: for a fixed model and limits the returned
 // plan and stats must not depend on wall-clock or machine load (the
 // caller-set MILP TimeLimit is the documented exception, reported as
 // ErrTimeLimit).
@@ -199,28 +169,10 @@ type Backend interface {
 	Solve(ctx context.Context, b *cfgmilp.Built, lim Limits) (*cfgmilp.Plan, Stats, error)
 }
 
-// For returns the backend for a selection.
-func For(sel Selection) Backend {
-	switch sel.Backend {
-	case KindCfgDP:
+// For returns the backend of a kind; an unknown kind selects bnb.
+func For(k Kind) Backend {
+	if k == KindCfgDP {
 		return CfgDP{}
-	case KindPortfolio:
-		kinds := sel.Portfolio
-		if len(kinds) == 0 {
-			kinds = DefaultPortfolio()
-		}
-		var backends []Backend
-		for _, k := range kinds {
-			if k == KindPortfolio {
-				continue // a portfolio cannot nest itself
-			}
-			backends = append(backends, For(Selection{Backend: k}))
-		}
-		if len(backends) == 0 {
-			return BnB{}
-		}
-		return Portfolio{Backends: backends}
-	default:
-		return BnB{}
 	}
+	return BnB{}
 }

@@ -3,8 +3,6 @@ package oracle
 import (
 	"context"
 	"errors"
-	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/cfgmilp"
@@ -49,35 +47,28 @@ func testSpec() workload.Spec {
 }
 
 func TestParseKindRoundTrip(t *testing.T) {
-	for _, k := range []Kind{KindBnB, KindCfgDP, KindPortfolio} {
+	for _, k := range []Kind{KindBnB, KindCfgDP} {
 		got, err := ParseKind(k.String())
 		if err != nil || got != k {
 			t.Errorf("ParseKind(%q) = %v, %v", k.String(), got, err)
 		}
 	}
-	if _, err := ParseKind("simplex"); err == nil {
-		t.Error("ParseKind accepted an unknown backend name")
+	// "portfolio" named a retired backend; it is an unknown name like any
+	// other, not an alias of a remaining one.
+	for _, name := range []string{"simplex", "portfolio", ""} {
+		if k, err := ParseKind(name); err == nil {
+			t.Errorf("ParseKind(%q) = %v, want an error", name, k)
+		}
 	}
 }
 
 func TestForComposition(t *testing.T) {
-	if _, ok := For(Selection{}).(BnB); !ok {
-		t.Errorf("zero selection resolved to %T, want BnB", For(Selection{}))
+	var zero Kind
+	if _, ok := For(zero).(BnB); !ok {
+		t.Errorf("zero kind resolved to %T, want BnB", For(zero))
 	}
-	if _, ok := For(Selection{Backend: KindCfgDP}).(CfgDP); !ok {
-		t.Error("cfgdp selection did not resolve to CfgDP")
-	}
-	pf, ok := For(Selection{Backend: KindPortfolio}).(Portfolio)
-	if !ok || len(pf.Backends) != 2 {
-		t.Fatalf("portfolio selection resolved to %T with %d backends", For(Selection{Backend: KindPortfolio}), len(pf.Backends))
-	}
-	if pf.Backends[0].Name() != "cfgdp" || pf.Backends[1].Name() != "bnb" {
-		t.Errorf("default portfolio order = [%s %s], want [cfgdp bnb]", pf.Backends[0].Name(), pf.Backends[1].Name())
-	}
-	// A self-referential portfolio must not recurse.
-	nested := For(Selection{Backend: KindPortfolio, Portfolio: []Kind{KindPortfolio, KindBnB}})
-	if pf, ok := nested.(Portfolio); !ok || len(pf.Backends) != 1 {
-		t.Errorf("nested portfolio resolved to %T", nested)
+	if _, ok := For(KindCfgDP).(CfgDP); !ok {
+		t.Errorf("cfgdp resolved to %T, want CfgDP", For(KindCfgDP))
 	}
 }
 
@@ -86,7 +77,7 @@ func TestForComposition(t *testing.T) {
 // demand block.
 func TestBackendsAgreeOnFeasibility(t *testing.T) {
 	built := buildModel(t, cfgmilp.ModeDecomposed, testSpec())
-	for _, bk := range []Backend{BnB{}, CfgDP{}, For(Selection{Backend: KindPortfolio}).(Portfolio)} {
+	for _, bk := range []Backend{BnB{}, CfgDP{}} {
 		plan, st, err := bk.Solve(context.Background(), built, Limits{})
 		if err != nil {
 			t.Fatalf("%s: %v", bk.Name(), err)
@@ -150,15 +141,12 @@ func TestCfgDPRejectsPaperMode(t *testing.T) {
 	if !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("cfgdp on a paper-mode model returned %v, want ErrUnsupported", err)
 	}
-	// The portfolio must still decide the model through bnb.
-	plan, st, err := For(Selection{Backend: KindPortfolio}).Solve(context.Background(), built, Limits{})
+	// bnb decides the same model.
+	plan, _, err := BnB{}.Solve(context.Background(), built, Limits{})
 	if err != nil {
-		t.Fatalf("portfolio on paper-mode model: %v", err)
+		t.Fatalf("bnb on paper-mode model: %v", err)
 	}
-	if st.Backend != "bnb" {
-		t.Errorf("paper-mode race won by %q, want bnb", st.Backend)
-	}
-	verifyPlan(t, "portfolio/paper", built, plan)
+	verifyPlan(t, "bnb/paper", built, plan)
 }
 
 func TestCfgDPProvesInfeasibility(t *testing.T) {
@@ -217,47 +205,6 @@ func TestCfgDPCancellation(t *testing.T) {
 		// outcomes are acceptable, but an unrelated error is not.
 		if err != nil && !errors.Is(err, ErrInfeasible) {
 			t.Fatalf("canceled cfgdp returned %v", err)
-		}
-	}
-}
-
-// TestPortfolioDeterministicUnderRepetition runs the same race many times
-// concurrently with the scheduler perturbed by the concurrency itself;
-// every run must return the identical winner, plan and work counts.
-func TestPortfolioDeterministicUnderRepetition(t *testing.T) {
-	built := buildModel(t, cfgmilp.ModeDecomposed, testSpec())
-	pf := For(Selection{Backend: KindPortfolio})
-	type run struct {
-		plan  *cfgmilp.Plan
-		stats Stats
-		err   error
-	}
-	const n = 16
-	runs := make([]run, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			plan, st, err := pf.Solve(context.Background(), built, Limits{MILP: defaultMILP()})
-			runs[i] = run{plan: plan, stats: st, err: err}
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		if runs[i].err != nil {
-			t.Fatalf("run %d: %v", i, runs[i].err)
-		}
-		if runs[i].stats.Backend != runs[0].stats.Backend {
-			t.Fatalf("run %d won by %q, run 0 by %q — the race is not deterministic",
-				i, runs[i].stats.Backend, runs[0].stats.Backend)
-		}
-		if !reflect.DeepEqual(runs[i].plan.XCount, runs[0].plan.XCount) {
-			t.Fatalf("run %d returned a different plan than run 0", i)
-		}
-		if runs[i].stats.Nodes != runs[0].stats.Nodes || runs[i].stats.States != runs[0].stats.States {
-			t.Fatalf("run %d winner work (%d nodes, %d states) differs from run 0 (%d, %d)",
-				i, runs[i].stats.Nodes, runs[i].stats.States, runs[0].stats.Nodes, runs[0].stats.States)
 		}
 	}
 }

@@ -60,12 +60,11 @@ type Result struct {
 	Space *pattern.Space
 	// IntegerVars is the MILP's integral dimension.
 	IntegerVars int
-	// MILPNodes is the branch-and-bound node count of the oracle's
-	// winning backend (0 when the configuration DP decided the guess).
+	// MILPNodes is the branch-and-bound node count of the oracle solve
+	// (0 when the configuration DP decided the guess).
 	MILPNodes int
 	// OracleStats accounts the oracle solve of the accepted rung: the
-	// backend (race winner under the portfolio), its deterministic work,
-	// and the work burned by outraced backends.
+	// backend and its deterministic work.
 	OracleStats oracle.Stats
 	// Placed is the schedule of the transformed (scaled) instance.
 	Placed *sched.Schedule
@@ -510,11 +509,10 @@ func configHash(cfg Config) uint64 {
 	h = hashMix(h, uint64(int64(cfg.MILP.LPMaxIters)))
 	h = hashMix(h, boolBit(cfg.MILP.StopAtFirst))
 	h = hashMix(h, boolBit(cfg.MILP.DisableRounding))
-	h = hashMix(h, uint64(cfg.Oracle.Backend))
-	h = hashMix(h, uint64(len(cfg.Oracle.Portfolio)))
-	for _, k := range cfg.Oracle.Portfolio {
-		h = hashMix(h, uint64(k))
-	}
+	h = hashMix(h, uint64(cfg.Oracle))
+	// The length of the retired portfolio backend list, always empty
+	// now; still mixed so memo keys (and snapshots) do not move.
+	h = hashMix(h, 0)
 	h = hashMix(h, boolBit(cfg.AllPriority))
 	h = hashMix(h, uint64(int64(cfg.BPrimeOverride)))
 	h = hashMix(h, boolBit(cfg.Float64Ref))

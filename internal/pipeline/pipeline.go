@@ -55,10 +55,10 @@ type Config struct {
 	PatternLimit int
 	// MILP tunes the branch-and-bound solver; StopAtFirst is forced on.
 	MILP milp.Options
-	// Oracle selects the backend composition the SolveOracle stage
-	// dispatches to; the zero value is the bnb backend (bit-identical to
-	// the pre-oracle-layer pipeline).
-	Oracle oracle.Selection
+	// Oracle selects the backend the SolveOracle stage dispatches to;
+	// the zero value is the bnb backend (bit-identical to the
+	// pre-oracle-layer pipeline).
+	Oracle oracle.Kind
 	// AllPriority disables priority-bag selection and the instance
 	// transformation (Das–Wiese mode).
 	AllPriority bool
@@ -129,7 +129,7 @@ type State struct {
 	// Space is the enumerated pattern space.
 	Space *pattern.Space
 	// IntegerVars is the MILP's integral dimension; OracleStats accounts
-	// the oracle solve (MILPNodes mirrors its winner node count for the
+	// the oracle solve (MILPNodes mirrors its node count for the
 	// aggregate statistics); Plan is the decoded solution.
 	IntegerVars int
 	MILPNodes   int
@@ -290,8 +290,8 @@ func (st *State) oracleLimits() oracle.Limits {
 	if lim.MILP.MaxNodes <= 0 {
 		// Feasibility models are usually solved at the root (by the
 		// rounding heuristic) or after a few dives; a tight default
-		// keeps rejected guesses cheap. The DP state budget mirrors it
-		// at the logical-time exchange rate (see oracle.Limits).
+		// keeps rejected guesses cheap. The DP state budget scales
+		// with it (see oracle.Limits).
 		lim.MILP.MaxNodes = 500
 	}
 	if st.NodeBudget > 0 && st.NodeBudget < lim.MILP.MaxNodes {

@@ -32,7 +32,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/oracle"
 	"repro/internal/sched"
@@ -73,16 +72,16 @@ func appendResult(buf []byte, r *Result) []byte {
 	buf = putUvarint(buf, uint64(os.Nodes))
 	buf = putUvarint(buf, uint64(os.Pivots))
 	buf = putUvarint(buf, uint64(os.States))
-	buf = putUvarint(buf, uint64(os.Raced))
-	buf = putUvarint(buf, uint64(os.LoserNodes))
-	buf = putUvarint(buf, uint64(os.LoserStates))
-	buf = putUvarint(buf, uint64(os.LoserTime))
-	// Three retired oracle worker-lane counters keep their slots so the
-	// format stays version 1: the lane count a sequential solve recorded
-	// (see searchedLanes) and zero speculative claims and adoptions.
+	// Seven retired counters keep their slots so the format stays
+	// version 1, written as a bnb or cfgdp solve wrote them: the
+	// portfolio's raced-backend count (1 once a backend ran) and its
+	// three loser counters (zero), then the worker-lane count (see
+	// searchedLanes) and the lanes' speculative claims and adoptions
+	// (zero; a zero varint is one 0 byte).
+	buf = putUvarint(buf, ranBackend(os))
+	buf = append(buf, 0, 0, 0)
 	buf = putUvarint(buf, searchedLanes(os))
-	buf = putUvarint(buf, 0)
-	buf = putUvarint(buf, 0)
+	buf = append(buf, 0, 0)
 
 	ps := r.PlaceStats
 	for _, v := range []int{ps.MachinesUsed, ps.EmptySlots, ps.XConflicts, ps.SwapRepairs, ps.OriginMoves, ps.GenericMoves} {
@@ -122,6 +121,16 @@ func appendResult(buf []byte, r *Result) []byte {
 	return buf
 }
 
+// ranBackend is the raced-backend count a solo oracle solve recorded in
+// the payload: 1 once a backend ran, declined models included, 0 when no
+// oracle ran.
+func ranBackend(st oracle.Stats) uint64 {
+	if st.Backend == "" {
+		return 0
+	}
+	return 1
+}
+
 // searchedLanes is the worker-lane count a sequential oracle solve
 // recorded in the payload: 1 once a backend searched the model, 0 when
 // no oracle ran or the configuration DP declined the model before
@@ -156,11 +165,7 @@ func DecodeResult(payload []byte) (*Result, error) {
 	r.OracleStats.Nodes = int(d.uvarint())
 	r.OracleStats.Pivots = int(d.uvarint())
 	r.OracleStats.States = int64(d.uvarint())
-	r.OracleStats.Raced = int(d.uvarint())
-	r.OracleStats.LoserNodes = int(d.uvarint())
-	r.OracleStats.LoserStates = int64(d.uvarint())
-	r.OracleStats.LoserTime = time.Duration(d.uvarint())
-	for range 3 { // retired worker-lane counters
+	for range 7 { // retired race and worker-lane counters
 		d.uvarint()
 	}
 

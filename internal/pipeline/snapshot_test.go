@@ -24,10 +24,7 @@ func sampleResult() *Result {
 		Attempts:    3,
 		IntegerVars: 12,
 		MILPNodes:   44,
-		OracleStats: oracle.Stats{
-			Backend: "portfolio", Nodes: 44, Pivots: 9, States: 12345,
-			Raced: 2, LoserNodes: 5, LoserStates: 67, LoserTime: 3 * time.Millisecond,
-		},
+		OracleStats: oracle.Stats{Backend: "bnb", Nodes: 44, Pivots: 9, States: 12345},
 		PlaceStats: placer.Stats{
 			MachinesUsed: 6, EmptySlots: 2, XConflicts: 1,
 			SwapRepairs: 3, OriginMoves: 4, GenericMoves: 5,
@@ -90,20 +87,23 @@ func TestResultCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestResultCodecRetiredLaneSlots: the three retired worker-lane slots
-// after LoserTime hold what a sequential solve recorded (1, 0, 0 once a
-// backend searched, 0, 0, 0 when the DP declined the model), and
-// payloads written with other values there, as multi-lane solves once
-// wrote them, decode to the same result.
+// TestResultCodecRetiredLaneSlots: the seven retired slots after the
+// oracle work counters hold what a bnb or cfgdp solve recorded — the
+// portfolio's raced count (1 once a backend ran, 0 when no oracle ran)
+// and three zero loser counters, then the worker-lane count (1 once a
+// backend searched, 0 when the DP declined the model or no oracle ran)
+// and two zero lane counters — and payloads written with other values
+// there, as multi-lane solves and portfolio races once wrote them,
+// decode to the same result.
 func TestResultCodecRetiredLaneSlots(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		stats oracle.Stats
-		lanes byte
+		slots []byte
 	}{
-		{"searched", sampleResult().OracleStats, 1},
-		{"declined", oracle.Stats{Backend: "cfgdp", Raced: 1}, 0},
-		{"no oracle", oracle.Stats{}, 0},
+		{"searched", sampleResult().OracleStats, []byte{1, 0, 0, 0, 1, 0, 0}},
+		{"declined", oracle.Stats{Backend: "cfgdp"}, []byte{1, 0, 0, 0, 0, 0, 0}},
+		{"no oracle", oracle.Stats{}, []byte{0, 0, 0, 0, 0, 0, 0}},
 	} {
 		r := sampleResult()
 		r.OracleStats = tc.stats
@@ -114,28 +114,39 @@ func TestResultCodecRetiredLaneSlots(t *testing.T) {
 			prefix = putUvarint(prefix, uint64(v))
 		}
 		prefix = putString(prefix, st.Backend)
-		for _, v := range []int64{int64(st.Nodes), int64(st.Pivots), st.States, int64(st.Raced),
-			int64(st.LoserNodes), st.LoserStates, int64(st.LoserTime)} {
+		for _, v := range []int64{int64(st.Nodes), int64(st.Pivots), st.States} {
 			prefix = putUvarint(prefix, uint64(v))
 		}
 		if !bytes.HasPrefix(enc, prefix) {
 			t.Fatalf("%s: payload %x does not start with the oracle prefix %x", tc.name, enc, prefix)
 		}
-		slots := enc[len(prefix) : len(prefix)+3]
-		if want := []byte{tc.lanes, 0, 0}; !bytes.Equal(slots, want) {
-			t.Fatalf("%s: lane slots %v, want %v", tc.name, slots, want)
+		rest := enc[len(prefix)+len(tc.slots):]
+		if slots := enc[len(prefix) : len(prefix)+len(tc.slots)]; !bytes.Equal(slots, tc.slots) {
+			t.Fatalf("%s: retired slots %v, want %v", tc.name, slots, tc.slots)
 		}
 		want, err := DecodeResult(enc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		multi := append(append(append([]byte{}, prefix...), 4, 11, 1), enc[len(prefix)+3:]...)
-		got, err := DecodeResult(multi)
-		if err != nil {
-			t.Fatalf("%s: multi-lane payload: %v", tc.name, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: multi-lane payload decodes to %+v, want %+v", tc.name, got, want)
+		// A portfolio race of two backends whose losers burned 5 nodes,
+		// 67 states and 3ms, and a four-lane solve with 11 claims and 1
+		// adoption.
+		race := putUvarint([]byte{2, 5, 67}, uint64(3*time.Millisecond))
+		for _, variant := range []struct {
+			name  string
+			slots []byte
+		}{
+			{"multi-lane", append(append([]byte{}, tc.slots[:4]...), 4, 11, 1)},
+			{"portfolio", append(race, tc.slots[4:]...)},
+		} {
+			payload := append(append(append([]byte{}, prefix...), variant.slots...), rest...)
+			got, err := DecodeResult(payload)
+			if err != nil {
+				t.Fatalf("%s: %s payload: %v", tc.name, variant.name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: %s payload decodes to %+v, want %+v", tc.name, variant.name, got, want)
+			}
 		}
 	}
 }

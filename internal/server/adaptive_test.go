@@ -2,11 +2,16 @@ package server
 
 import (
 	"net/http"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/oracle"
 	"repro/internal/plan"
+	"repro/internal/sched"
 )
 
 // trainSlowModel teaches the server's cost model that every eps rung
@@ -145,5 +150,65 @@ func TestObservationFeedsServerModel(t *testing.T) {
 	}
 	if st := s.Planner().Snapshot(); st.Observations < 1 {
 		t.Fatalf("plain solve did not feed the model: %+v", st)
+	}
+}
+
+// TestPlanCandidates: an adaptive request that pins no backend is
+// planned over the family's exact backends, server default first.
+// Related requests stay on bnb whatever the default, because cfgdp
+// declines related models.
+func TestPlanCandidates(t *testing.T) {
+	bnb, dp := oracle.KindBnB, oracle.KindCfgDP
+	for _, tc := range []struct {
+		family string
+		def    oracle.Kind
+		want   []oracle.Kind
+	}{
+		{"bags", bnb, []oracle.Kind{bnb, dp}},
+		{"bags", dp, []oracle.Kind{dp, bnb}},
+		{"identical", bnb, []oracle.Kind{bnb, dp}},
+		{"identical", dp, []oracle.Kind{dp, bnb}},
+		{"related", bnb, []oracle.Kind{bnb}},
+		{"related", dp, []oracle.Kind{bnb}},
+	} {
+		if got := planCandidates(tc.family, tc.def); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("planCandidates(%q, %v) = %v, want %v", tc.family, tc.def, got, tc.want)
+		}
+	}
+}
+
+// TestAdaptiveRelatedOnCfgDPServer: on a server whose default backend is
+// cfgdp, an adaptive related request that pins no backend is planned on
+// bnb and answers with the eptas rung, the same answer a bnb-default
+// server gives — on every repeat, once the cost model has observations.
+func TestAdaptiveRelatedOnCfgDPServer(t *testing.T) {
+	f, err := os.Open(filepath.Join("..", "..", "testdata", "related_few_m6_n20.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := sched.ReadInstance(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := map[string]any{"instance": in, "family": "related", "eps": 0.5, "adaptive": true, "no_cache": true}
+	_, ref := newTestServer(t, Config{Workers: 1})
+	status, want := postJSON(t, ref.URL+"/v1/solve", body)
+	if status != http.StatusOK {
+		t.Fatalf("bnb-default server: status %d: %v", status, want)
+	}
+	_, ts := newTestServer(t, Config{Workers: 1, Backend: oracle.KindCfgDP})
+	for i := 0; i < 3; i++ {
+		status, doc := postJSON(t, ts.URL+"/v1/solve", body)
+		if status != http.StatusOK {
+			t.Fatalf("request %d: status %d: %v", i, status, doc)
+		}
+		q := doc["quality"].(map[string]any)
+		if q["rung"] != plan.RungEPTAS || q["degraded"] == true || q["backend_used"] != "bnb" || q["bound"] != 1.5 {
+			t.Fatalf("request %d: quality %v, want the eptas rung decided by bnb with bound 1.5", i, q)
+		}
+		if doc["makespan"] != want["makespan"] || !reflect.DeepEqual(doc["assignment"], want["assignment"]) {
+			t.Fatalf("request %d: answer differs from the bnb-default server's", i)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -268,6 +269,61 @@ func FuzzResolveRequest(f *testing.F) {
 		}
 		if k != sp.key {
 			t.Fatalf("re-encoded body %s has a different key than %q", again, body)
+		}
+	})
+}
+
+// FuzzBatchRequest drives arbitrary /v1/batch bodies through the strict
+// decode, the batch's effective spec and resolve on every instance, as
+// the handler does: none may panic, and an accepted body re-encoded with
+// json.Marshal must decode to the same per-item coalescing keys.
+//
+//	go test -run '^$' -fuzz '^FuzzBatchRequest$' -fuzztime 30s ./internal/server
+func FuzzBatchRequest(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("..", "wire", "testdata", "batch_legacy.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add([]byte(`{"instances":[{"machines":2,"jobs":[{"id":0,"size":1,"bag":0}]},{"machines":2,"speeds":[1,2],"jobs":[{"id":0,"size":1,"bag":0}]}],"spec":{"eps":0.3,"family":"related","adaptive":true,"deadline_ms":5}}`))
+	f.Add([]byte(`{"instances":[]}`))
+	f.Add([]byte(`{"instances":[{"machines":1,"jobs":[{"id":0,"size":1,"bag":0}]}],"backend":"portfolio"}`))
+	s := New(Config{Workers: 1})
+	keys := func(req *wire.BatchRequest) ([][32]byte, error) {
+		spec := req.EffectiveSpec()
+		out := make([][32]byte, len(req.Instances))
+		for i, in := range req.Instances {
+			sp, err := s.resolve(in, spec)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = sp.key
+		}
+		return out, nil
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req wire.BatchRequest
+		if err := wire.Unmarshal(body, &req); err != nil {
+			return
+		}
+		want, err := keys(&req)
+		if err != nil {
+			return
+		}
+		again, err := json.Marshal(&req)
+		if err != nil {
+			t.Fatalf("re-encoding an accepted body: %v", err)
+		}
+		var req2 wire.BatchRequest
+		if err := wire.Unmarshal(again, &req2); err != nil {
+			t.Fatalf("re-encoded body %s does not decode: %v", again, err)
+		}
+		got, err := keys(&req2)
+		if err != nil {
+			t.Fatalf("re-encoded body %s rejected: %v", again, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("re-encoded body %s has different keys than %q", again, body)
 		}
 	})
 }

@@ -309,8 +309,7 @@ func (s *Server) resolve(in *sched.Instance, req wire.SolveSpec) (*spec, error) 
 	}
 	if req.Adaptive && req.Backend == "" {
 		// No pinned backend: let the planner pick among the family's
-		// exact backends by predicted latency (portfolio is excluded —
-		// it is itself a meta-strategy).
+		// exact backends by predicted latency.
 		opt.PlanBackends = planCandidates(fam.Name(), backend)
 	}
 
@@ -436,33 +435,20 @@ func (w *keyWriter) sum(dst []byte) []byte {
 }
 
 // planCandidates lists the oracle backends the planner may pick among
-// for an adaptive request that pinned none, cheapest-predicted first
-// preference left to the model: the server default first, then the
-// family's other exact backends. The configuration-DP oracle only
-// understands identical speeds, so related-machines requests stay on
-// branch-and-bound; the portfolio meta-backend is never auto-picked.
+// for an adaptive request that pinned none, in the preference order
+// that breaks ties between equal predictions: the server default first,
+// then the other exact backend. The configuration-DP oracle declines
+// related-machines models, so related requests stay on branch-and-bound
+// whatever the server default.
 func planCandidates(familyName string, def oracle.Kind) []oracle.Kind {
-	cands := []oracle.Kind{}
-	add := func(k oracle.Kind) {
-		if k == oracle.KindPortfolio {
-			return
-		}
-		for _, c := range cands {
-			if c == k {
-				return
-			}
-		}
-		cands = append(cands, k)
+	switch {
+	case familyName == "related":
+		return []oracle.Kind{oracle.KindBnB}
+	case def == oracle.KindCfgDP:
+		return []oracle.Kind{oracle.KindCfgDP, oracle.KindBnB}
+	default:
+		return []oracle.Kind{oracle.KindBnB, oracle.KindCfgDP}
 	}
-	add(def)
-	add(oracle.KindBnB)
-	if familyName != "related" {
-		add(oracle.KindCfgDP)
-	}
-	if len(cands) == 0 {
-		cands = append(cands, oracle.KindBnB)
-	}
-	return cands
 }
 
 // solveContext derives the per-request solve context from the client

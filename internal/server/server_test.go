@@ -141,17 +141,21 @@ func TestSolveBadRequests(t *testing.T) {
 	cases := []struct {
 		name string
 		body string
+		want string // a substring of the error, when set
 	}{
-		{"malformed JSON", `{"instance": `},
-		{"unknown field", `{"instanec": {}}`},
-		{"missing instance", `{"eps": 0.5}`},
-		{"bad eps", mustJSON(map[string]any{"instance": in, "eps": 1.5})},
-		{"bad backend", mustJSON(map[string]any{"instance": in, "backend": "gurobi"})},
-		{"negative timeout", mustJSON(map[string]any{"instance": in, "timeout_ms": -1})},
-		{"invalid instance", `{"instance": {"machines": 0, "jobs": []}}`},
+		{"malformed JSON", `{"instance": `, ""},
+		{"unknown field", `{"instanec": {}}`, ""},
+		{"missing instance", `{"eps": 0.5}`, ""},
+		{"bad eps", mustJSON(map[string]any{"instance": in, "eps": 1.5}), ""},
+		{"bad backend", mustJSON(map[string]any{"instance": in, "backend": "gurobi"}), ""},
+		// The retired portfolio backend is unknown, not an alias.
+		{"portfolio backend", mustJSON(map[string]any{"instance": in, "backend": "portfolio"}), "want bnb or cfgdp"},
+		{"portfolio backend in spec", mustJSON(map[string]any{"instance": in, "spec": map[string]any{"backend": "portfolio"}}), "want bnb or cfgdp"},
+		{"negative timeout", mustJSON(map[string]any{"instance": in, "timeout_ms": -1}), ""},
+		{"invalid instance", `{"instance": {"machines": 0, "jobs": []}}`, ""},
 		// A misspelled instance field ("speed") must not decode as an
 		// identical-machines instance with the speeds silently dropped.
-		{"unknown instance field", `{"instance":{"machines":3,"speed":[1,2,4],"jobs":[{"id":0,"size":1,"bag":0}]},"family":"related"}`},
+		{"unknown instance field", `{"instance":{"machines":3,"speed":[1,2,4],"jobs":[{"id":0,"size":1,"bag":0}]},"family":"related"}`, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -159,10 +163,13 @@ func TestSolveBadRequests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			io.Copy(io.Discard, resp.Body)
+			raw, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("status %d, want 400", resp.StatusCode)
+			}
+			if !strings.Contains(string(raw), tc.want) {
+				t.Fatalf("error %q does not contain %q", raw, tc.want)
 			}
 		})
 	}
@@ -337,6 +344,10 @@ func TestBatchEndpoint(t *testing.T) {
 	status, _ = postJSON(t, ts.URL+"/v1/batch", map[string]any{"instances": []any{}})
 	if status != http.StatusBadRequest {
 		t.Fatalf("empty batch status %d, want 400", status)
+	}
+	status, doc = postJSON(t, ts.URL+"/v1/batch", map[string]any{"instances": []any{in}, "backend": "portfolio"})
+	if errStr, _ := doc["error"].(string); status != http.StatusBadRequest || !strings.Contains(errStr, "want bnb or cfgdp") {
+		t.Fatalf("portfolio batch: status %d (%v), want 400 naming the backends", status, doc)
 	}
 }
 
@@ -839,14 +850,16 @@ func TestResolveBadRequests(t *testing.T) {
 		name   string
 		mutate func(map[string]any)
 		status int
+		want   string // a substring of the error, when set
 	}{
-		{"negative prior makespan", func(m map[string]any) { m["prior_makespan"] = -1.0 }, http.StatusBadRequest},
-		{"assignment length mismatch", func(m map[string]any) { m["prior_assignment"] = []int{0} }, http.StatusBadRequest},
-		{"repair without assignment", func(m map[string]any) { m["repair"] = true }, http.StatusBadRequest},
-		{"unknown field", func(m map[string]any) { m["nope"] = 1 }, http.StatusBadRequest},
+		{"negative prior makespan", func(m map[string]any) { m["prior_makespan"] = -1.0 }, http.StatusBadRequest, ""},
+		{"assignment length mismatch", func(m map[string]any) { m["prior_assignment"] = []int{0} }, http.StatusBadRequest, ""},
+		{"repair without assignment", func(m map[string]any) { m["repair"] = true }, http.StatusBadRequest, ""},
+		{"unknown field", func(m map[string]any) { m["nope"] = 1 }, http.StatusBadRequest, ""},
+		{"portfolio backend", func(m map[string]any) { m["backend"] = "portfolio" }, http.StatusBadRequest, "want bnb or cfgdp"},
 		{"inapplicable delta", func(m map[string]any) {
 			m["delta"] = sched.Delta{Remove: []sched.JobID{9999}}
-		}, http.StatusUnprocessableEntity},
+		}, http.StatusUnprocessableEntity, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -855,6 +868,9 @@ func TestResolveBadRequests(t *testing.T) {
 			status, doc := postJSON(t, ts.URL+"/v1/resolve", body)
 			if status != tc.status {
 				t.Fatalf("status %d (%v), want %d", status, doc, tc.status)
+			}
+			if errStr, _ := doc["error"].(string); !strings.Contains(errStr, tc.want) {
+				t.Fatalf("error %q does not contain %q", errStr, tc.want)
 			}
 		})
 	}

@@ -53,10 +53,9 @@ import (
 type SolveSpec struct {
 	// Eps overrides the server's default accuracy (0 keeps the default).
 	Eps float64 `json:"eps"`
-	// Backend overrides the oracle backend ("bnb", "cfgdp",
-	// "portfolio"; empty keeps the default — and, under "adaptive",
-	// additionally lets the planner pick the cheapest predicted
-	// backend per request).
+	// Backend overrides the oracle backend ("bnb" or "cfgdp"; empty
+	// keeps the default — and, under "adaptive", additionally lets the
+	// planner pick the cheapest predicted backend per request).
 	Backend string `json:"backend"`
 	// Family selects the problem family ("bags", "identical",
 	// "related"; empty selects bags, the bag-constrained default).

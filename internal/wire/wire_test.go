@@ -85,12 +85,12 @@ func TestFromResult(t *testing.T) {
 		Schedule:   &sched.Schedule{Inst: in, Machine: []int{0, 1}},
 		Stats: core.Stats{
 			Guesses: 4, CacheHits: 1, CacheMisses: 3,
-			Fallback: false, OracleBackend: "portfolio",
+			Fallback: false, OracleBackend: "cfgdp",
 		},
 	}
 	sr := FromResult(res, true, 1500*time.Microsecond)
 	if sr.Makespan != 1.0 || sr.LowerBound != 0.75 || sr.Guesses != 4 ||
-		sr.CacheHits != 1 || sr.CacheMisses != 3 || sr.Backend != "portfolio" ||
+		sr.CacheHits != 1 || sr.CacheMisses != 3 || sr.Backend != "cfgdp" ||
 		!sr.Coalesced || sr.ElapsedUS != 1500 {
 		t.Fatalf("shaped %+v", sr)
 	}

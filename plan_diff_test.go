@@ -4,14 +4,13 @@ package bagsched
 // plan-diff` gate):
 //
 //   - Attaching a cost model with adaptive mode off must be invisible:
-//     on every committed fixture, for all three oracle backends (and the
+//     on every committed fixture, for both oracle backends (and the
 //     related family on speed fixtures), the solve with a Planner
 //     attached is bit-for-bit the plain solve — makespan, schedule,
 //     lower bound, decision statistics and the Quality block — even
 //     though the model demonstrably observes the solve's latency. This
-//     is the contract that keeps the backend/family/workers/resolve/
-//     shard differential gates meaningful after the adaptive layer
-//     landed.
+//     is the contract that keeps the backend/family/resolve/shard
+//     differential gates meaningful after the adaptive layer landed.
 //   - With a trained model and a deadline far below the predicted
 //     search cost, adaptive solving must land on exactly the rung the
 //     ladder promises (bag-LPT before greedy), produce the identical
