@@ -1,7 +1,7 @@
 GO ?= go
 COVER_FLOOR ?= 70
 
-.PHONY: all build vet test race bench bench-smoke bench-json bench-compare pgo fuzz ci cover family-diff shard-diff resolve-diff plan-diff serve loadtest churn-replay slo-replay
+.PHONY: all build vet test race bench bench-smoke bench-json bench-compare perfbench-smoke pgo fuzz ci cover family-diff shard-diff resolve-diff plan-diff serve loadtest churn-replay slo-replay
 
 all: ci
 
@@ -80,6 +80,14 @@ bench:
 # measurements.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./...
+
+# perfbench-smoke runs the repository benchmark's own tests (perfbench
+# is a separate module, so ./... above does not reach it): a tiny run of
+# every workload must emit every declared metric, and its traced replay,
+# which solves with a zero oracle Kind, must answer exactly as the
+# server does (core.answer_mismatches == 0).
+perfbench-smoke:
+	cd perfbench && $(GO) test .
 
 # bench-json snapshots the EPTAS hot-path benchmarks to BENCH_<date>.json,
 # extending the performance trajectory. See cmd/benchjson.
@@ -171,4 +179,4 @@ slo-replay:
 
 # ci is what .github/workflows/ci.yml runs (plus a non-blocking
 # bench-compare step); the coverage matrix leg swaps race for cover.
-ci: vet build race family-diff shard-diff resolve-diff plan-diff bench-smoke
+ci: vet build race family-diff shard-diff resolve-diff plan-diff bench-smoke perfbench-smoke

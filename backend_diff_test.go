@@ -1,20 +1,24 @@
 package bagsched
 
 // Backend-differential tests of the oracle layer: every committed fixture
-// is solved under both cfgmilp modes and both oracle backends, and the
-// outcomes are cross-checked. The contract mirrors the float/fixed
-// differential tests at the level where the backends are
-// interchangeable — the per-guess feasibility decision:
+// is solved under both cfgmilp modes, both pinned oracle backends and
+// the default policy (cfgdp, then bnb), and the outcomes are
+// cross-checked. The contract mirrors the float/fixed differential
+// tests at the level where the backends are interchangeable — the
+// per-guess feasibility decision:
 //
 //   - on decomposed-mode models (which both backends support) the
-//     backends return bit-identical makespans on the committed corpus,
-//     feasible schedules, and the same consumed guess sequence and
-//     accepted classification — the backends are exact deciders of the
-//     same configuration programs;
+//     backends and the default policy return bit-identical makespans on
+//     the committed corpus, feasible schedules, and the same consumed
+//     guess sequence, final guess, accepted classification, rung and
+//     bound — the backends are exact deciders of the same configuration
+//     programs;
 //   - each backend is individually deterministic: repeated solves return
 //     bit-identical makespans, schedules and decision statistics;
-//   - on paper-mode models cfgdp is documented as unsupported: it
-//     degrades cleanly to the bag-LPT fallback, while bnb decides them.
+//   - on paper-mode and related-family models cfgdp is documented as
+//     unsupported: pinned, it degrades cleanly to the family fallback,
+//     while bnb decides them, and the default policy answers exactly as
+//     bnb does.
 //
 // Schedules are not contractually identical *between* backends: an
 // accepted guess's configuration program usually has many feasible
@@ -36,6 +40,7 @@ var backendCases = []struct {
 }{
 	{"bnb", []Option{WithBackend(BackendBnB)}},
 	{"cfgdp", []Option{WithBackend(BackendCfgDP)}},
+	{"default", nil},
 }
 
 // solveDeterministic solves in twice with opts and fails the test unless
@@ -106,16 +111,22 @@ func TestBackendDifferentialCorpus(t *testing.T) {
 					continue
 				}
 				// Cross-backend agreement: bit-identical makespan on the
-				// committed corpus, same consumed guess sequence, same
-				// accepted classification.
+				// committed corpus, same consumed guess sequence and final
+				// guess, same accepted classification, rung and bound.
 				if res.Makespan != ref.Makespan {
 					t.Errorf("%s: makespan %.17g differs from bnb's %.17g", label, res.Makespan, ref.Makespan)
 				}
 				if res.Stats.Guesses != ref.Stats.Guesses ||
-					res.Stats.FailedGuesses != ref.Stats.FailedGuesses {
-					t.Errorf("%s: guess sequence diverged from bnb: guesses %d/%d failed %d/%d",
+					res.Stats.FailedGuesses != ref.Stats.FailedGuesses ||
+					res.Stats.FinalGuess != ref.Stats.FinalGuess {
+					t.Errorf("%s: guess sequence diverged from bnb: guesses %d/%d failed %d/%d final %g/%g",
 						label, res.Stats.Guesses, ref.Stats.Guesses,
-						res.Stats.FailedGuesses, ref.Stats.FailedGuesses)
+						res.Stats.FailedGuesses, ref.Stats.FailedGuesses,
+						res.Stats.FinalGuess, ref.Stats.FinalGuess)
+				}
+				if res.Quality.Rung != ref.Quality.Rung || res.Quality.Bound != ref.Quality.Bound {
+					t.Errorf("%s: quality %s/%g differs from bnb's %s/%g", label,
+						res.Quality.Rung, res.Quality.Bound, ref.Quality.Rung, ref.Quality.Bound)
 				}
 				if res.Stats.K != ref.Stats.K || res.Stats.Q != ref.Stats.Q || res.Stats.BPrime != ref.Stats.BPrime {
 					t.Errorf("%s: accepted classification diverged: K/Q/B' %d/%d/%d vs %d/%d/%d",
@@ -137,6 +148,9 @@ func TestBackendDifferentialCorpus(t *testing.T) {
 			if bnbPaper.Stats.Fallback {
 				t.Error("paper/bnb fell back to bag-LPT")
 			}
+			// The default policy hands paper-mode models to bnb.
+			assertSameOutcome(t, "paper/default vs paper/bnb", bnbPaper,
+				solveDeterministic(t, in, "paper/default", WithMode(ModePaper)))
 
 			// Solo cfgdp on paper mode is documented as unsupported: every
 			// guess is rejected and the solver degrades to the bag-LPT
@@ -170,6 +184,8 @@ func testRelatedBackends(t *testing.T, in *Instance) {
 	if bnb.Makespan < bnb.LowerBound-1e-9 {
 		t.Errorf("related/bnb: makespan %.12f below the family lower bound %.12f", bnb.Makespan, bnb.LowerBound)
 	}
+	// The default policy hands related models to bnb.
+	assertSameOutcome(t, "related/default vs related/bnb", bnb, solveDeterministic(t, in, "related/default", opts()...))
 
 	dp := solveDeterministic(t, in, "related/cfgdp", opts(WithBackend(BackendCfgDP))...)
 	if !dp.Stats.Fallback {
@@ -205,5 +221,31 @@ func TestBackendStatsAttribution(t *testing.T) {
 	}
 	if dp.Stats.DPStates == 0 || dp.Stats.MILPNodes != 0 {
 		t.Errorf("cfgdp work accounting: nodes %d, states %d", dp.Stats.MILPNodes, dp.Stats.DPStates)
+	}
+}
+
+// TestBackendMemoKeysSeparate: the default policy and the two pins key
+// their memo entries apart, so a shared cache never serves an entry one
+// policy produced to a solve under another — whichever solves first.
+func TestBackendMemoKeysSeparate(t *testing.T) {
+	in := readFixture(t, filepath.Join("testdata", "bimodal_m6_n24.json"))
+	for _, first := range backendCases {
+		for _, second := range backendCases {
+			if first.name == second.name {
+				continue
+			}
+			shared := NewCache(64 << 20)
+			if _, err := SolveEPTAS(in, 0.5, append([]Option{WithSharedCache(shared), WithSpeculation(1)}, first.opts...)...); err != nil {
+				t.Fatal(err)
+			}
+			res, err := SolveEPTAS(in, 0.5, append([]Option{WithSharedCache(shared), WithSpeculation(1)}, second.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.CacheHits != 0 || res.Stats.PipelineRuns == 0 {
+				t.Errorf("%s after %s: %d cache hits over %d pipeline runs, want no entry served across policies",
+					second.name, first.name, res.Stats.CacheHits, res.Stats.PipelineRuns)
+			}
+		}
 	}
 }

@@ -65,12 +65,14 @@
 //
 // # Oracle backends
 //
-// The integer-programming oracle at the heart of each makespan guess is
-// pluggable (WithBackend): LP-simplex branch-and-bound (BackendBnB, the
-// default, which decides every family and both MILP modes) or an exact
-// configuration dynamic program in fixed-point integer arithmetic
-// (BackendCfgDP, decomposed mode of the bags and identical families
-// only). The README compares their solve times per fixture.
+// The integer-programming oracle at the heart of each makespan guess has
+// two backends: LP-simplex branch-and-bound (BackendBnB, which decides
+// every family and both MILP modes) and an exact configuration dynamic
+// program in fixed-point integer arithmetic (BackendCfgDP, decomposed
+// mode of the bags and identical families only). By default the DP
+// decides each guess and branch-and-bound decides the guesses the DP
+// declines or exhausts its state budget on; WithBackend pins one
+// backend. The README compares their solve times per fixture.
 //
 // # Cancellation
 //
@@ -157,22 +159,24 @@ const (
 	ModePaper = cfgmilp.ModePaper
 )
 
-// OracleBackend selects the integer-programming oracle engine that
-// decides each makespan guess's configuration program. See the package
-// documentation of internal/oracle for the backend contract.
+// OracleBackend selects the integer-programming oracle that decides each
+// makespan guess's configuration program. The zero value is the default
+// policy (the configuration DP, then branch-and-bound); BackendBnB and
+// BackendCfgDP pin one backend. See the package documentation of
+// internal/oracle for the backend contract.
 type OracleBackend = oracle.Kind
 
 const (
-	// BackendBnB (default) decides guesses with LP-simplex
-	// branch-and-bound over the materialized configuration MILP. It
-	// handles both MILP modes and arbitrary pattern spaces.
+	// BackendBnB decides guesses with LP-simplex branch-and-bound over
+	// the materialized configuration MILP. It handles both MILP modes
+	// and arbitrary pattern spaces.
 	BackendBnB = oracle.KindBnB
 	// BackendCfgDP decides guesses with an exact dynamic program over
 	// machine-configuration multiplicities in int64 fixed-point
 	// arithmetic — no LP and no floating-point tolerance anywhere in the
-	// decision. Decomposed mode of the bags and identical families only;
-	// on the committed bags fixtures it is as fast as BackendBnB or
-	// faster.
+	// decision. Decomposed mode of the bags and identical families
+	// only: pinned, it rejects every guess of other models, and the
+	// solve degrades to its family's fallback schedule.
 	BackendCfgDP = oracle.KindCfgDP
 )
 
@@ -225,7 +229,7 @@ type Spec struct {
 	Family Family
 	// Mode selects the MILP flavour. See WithMode.
 	Mode MILPMode
-	// Backend selects the oracle backend (zero = BackendBnB). See
+	// Backend pins the oracle backend (zero = the default policy). See
 	// WithBackend.
 	Backend OracleBackend
 	// PatternLimit bounds pattern enumeration (0 = default 20000). See
@@ -310,12 +314,13 @@ func WithFamily(f Family) Option {
 	return func(o *core.Options) { o.Family = f }
 }
 
-// WithBackend selects the oracle backend (default BackendBnB). The
-// backend changes how each guess's configuration program is decided —
-// and, for accepted guesses, which of the feasible pattern-multiplicity
-// plans the placer realizes — so schedules may legitimately differ
-// between backends; every backend is individually deterministic, exact,
-// and covered by the same 1+O(eps) guarantee.
+// WithBackend pins the oracle backend; without it the default policy
+// runs (the configuration DP, then branch-and-bound). The backend
+// changes how each guess's configuration program is decided — and, for
+// accepted guesses, which of the feasible pattern-multiplicity plans the
+// placer realizes — so schedules may legitimately differ between
+// backends; every backend and the default policy are individually
+// deterministic, exact, and covered by the same 1+O(eps) guarantee.
 func WithBackend(b OracleBackend) Option {
 	return func(o *core.Options) { o.Oracle.Backend = b }
 }

@@ -471,7 +471,8 @@ func benchOracleModel(b *testing.B) *cfgmilp.Built {
 }
 
 // benchOracleModelFrom builds the configuration program of a committed
-// fixture at its accepted bag-LPT guess, as the pipeline would.
+// fixture at its accepted bag-LPT guess, as the pipeline would, with its
+// MILP materialized so the oracle benchmarks time the solve alone.
 func benchOracleModelFrom(b *testing.B, path string) *cfgmilp.Built {
 	b.Helper()
 	f, err := os.Open(path)
@@ -494,6 +495,9 @@ func benchOracleModelFrom(b *testing.B, path string) *cfgmilp.Built {
 	built, err := cfgmilp.Build(context.Background(), pr.Transformed.Inst, pr.Transformed.View,
 		pr.Transformed.Priority, pr.Space, cfgmilp.BuildOptions{})
 	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := built.MILP(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	return built

@@ -11,7 +11,7 @@
 //	bagsched -batch dir [-eps 0.5] [-backend ...] [-family ...]
 //	         [-workers N] [-timeout 5m]
 //	bagsched serve [-addr :8080] [-workers N] [-cache-bytes N]
-//	         [-backend bnb] [-eps 0.5] [-queue-depth N] [-max-timeout 2m]
+//	         [-eps 0.5] [-queue-depth N] [-max-timeout 2m]
 //	         [-snapshot cache.bgms] [-plan-snapshot plan.json]
 //	bagsched route -replicas http://h1:8080,http://h2:8080[,...]
 //	         [-addr :8090] [-vnodes 64] [-policy hash|random] [-eps 0.5]
@@ -49,9 +49,12 @@
 // checks and retry/backoff to a fallback replica. It exposes the same
 // HTTP surface as a single replica plus router stats and metrics.
 //
-// -backend selects the EPTAS's integer-programming oracle: LP-simplex
-// branch-and-bound (bnb, the default) or the exact configuration DP
-// (cfgdp).
+// -backend pins the EPTAS's integer-programming oracle to one backend:
+// LP-simplex branch-and-bound (bnb) or the exact configuration DP
+// (cfgdp). Without it the default policy runs: cfgdp decides each
+// guess, and bnb decides the guesses cfgdp declines or exhausts its
+// budget on. The serve subcommand takes no -backend flag either; a
+// request pins a backend with the "backend" field of its body.
 //
 // -family selects the problem family the EPTAS solves: bag-constrained
 // scheduling (bags, the default), identical machines without bag
@@ -112,7 +115,7 @@ func main() {
 	}
 	algo := flag.String("algo", "eptas", "algorithm: eptas, baglpt, lpt, greedy, roundrobin, exact, daswiese")
 	eps := flag.Float64("eps", 0.5, "accuracy parameter for eptas/daswiese")
-	backendName := flag.String("backend", "bnb", "eptas oracle backend: bnb or cfgdp")
+	backendName := flag.String("backend", "", "pin the eptas oracle backend: bnb or cfgdp (default: cfgdp, then bnb)")
 	familyName := flag.String("family", "bags", "eptas problem family: bags, identical or related")
 	inPath := flag.String("in", "-", "instance JSON file, or - for stdin")
 	outPath := flag.String("out", "", "write the schedule JSON here (default: stdout summary only)")
@@ -129,8 +132,8 @@ func main() {
 		defer cancel()
 	}
 
-	backend, err := bagsched.ParseBackend(*backendName)
-	if err == nil && backend != bagsched.BackendBnB && *algo != "eptas" {
+	backend, err := parseBackend(*backendName)
+	if err == nil && *backendName != "" && *algo != "eptas" {
 		err = fmt.Errorf("-backend applies to -algo eptas only (got %q)", *algo)
 	}
 	var fam bagsched.Family
@@ -350,6 +353,16 @@ func run(ctx context.Context, algo string, eps float64, backend bagsched.OracleB
 		fmt.Printf("schedule written to %s\n", outPath)
 	}
 	return nil
+}
+
+// parseBackend parses a -backend flag: empty keeps the default oracle
+// policy, bnb or cfgdp pins that backend.
+func parseBackend(name string) (bagsched.OracleBackend, error) {
+	var policy bagsched.OracleBackend
+	if name == "" {
+		return policy, nil
+	}
+	return bagsched.ParseBackend(name)
 }
 
 // printEngineReport prints the per-stage timing, cross-guess cache and

@@ -31,7 +31,6 @@ func runServe(args []string) error {
 	workers := fs.Int("workers", 0, "max concurrent solves (0 = GOMAXPROCS)")
 	queueDepth := fs.Int("queue-depth", -1, "max solves waiting beyond -workers (-1 = 4x workers; beyond that requests get 503)")
 	cacheBytes := fs.Int64("cache-bytes", server.DefaultCacheBytes, "shared result-cache budget in bytes (0 = unbounded)")
-	backendName := fs.String("backend", "bnb", "default oracle backend: bnb or cfgdp (requests may override)")
 	eps := fs.Float64("eps", server.DefaultEps, "default accuracy parameter in (0,1) (requests may override)")
 	maxTimeout := fs.Duration("max-timeout", server.DefaultMaxTimeout, "upper clamp on per-request solve timeouts")
 	snapshotPath := fs.String("snapshot", "", "cache snapshot file: warm-start the cache from it on boot, persist the cache to it on graceful shutdown (a file that fails to load is left unchanged)")
@@ -41,10 +40,6 @@ func runServe(args []string) error {
 	}
 	if fs.NArg() != 0 {
 		return fmt.Errorf("serve takes no positional arguments (got %q)", fs.Args())
-	}
-	backend, err := bagsched.ParseBackend(*backendName)
-	if err != nil {
-		return err
 	}
 	if *eps <= 0 || *eps >= 1 {
 		return fmt.Errorf("-eps must be in (0,1), got %g", *eps)
@@ -59,7 +54,6 @@ func runServe(args []string) error {
 		QueueDepth: *queueDepth,
 		Cache:      cache,
 		Eps:        *eps,
-		Backend:    backend,
 		MaxTimeout: *maxTimeout,
 		Planner:    planner,
 	})
@@ -86,8 +80,8 @@ func runServe(args []string) error {
 		done <- httpSrv.Shutdown(shutdownCtx)
 	}()
 
-	fmt.Printf("bagsched serve: listening on %s (workers %d, queue depth %d, cache %d bytes, backend %s, eps %g)\n",
-		*addr, srv.Workers(), srv.QueueDepth(), *cacheBytes, backend, *eps)
+	fmt.Printf("bagsched serve: listening on %s (workers %d, queue depth %d, cache %d bytes, eps %g)\n",
+		*addr, srv.Workers(), srv.QueueDepth(), *cacheBytes, *eps)
 	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}

@@ -89,7 +89,7 @@ func main() {
 	passes := flag.Int("passes", 3, "replay passes over the corpus (pass 1 is cold)")
 	concurrency := flag.Int("concurrency", 4, "concurrent in-flight requests")
 	eps := flag.Float64("eps", 0.5, "accuracy parameter")
-	backend := flag.String("backend", "", "oracle backend (empty = server default)")
+	backend := flag.String("backend", "", "pin the oracle backend: bnb or cfgdp (empty = the default policy)")
 	noCache := flag.Bool("no-cache", false, "bypass the shared cache (control run)")
 	speedup := flag.Float64("speedup", 2, "required cold-p50 / warm-p50 ratio for PASS")
 	replicas := flag.Int("replicas", 0, "run the in-process multi-replica mode with this many sharded replicas (0 = single-server replay against -addr)")

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/oracle"
 	"repro/internal/sched"
 )
 
@@ -65,7 +66,9 @@ func TestQueueSolves(t *testing.T) {
 // closed, keeping its worker slot occupied for as long as the test
 // needs.
 func blockingTask(in *sched.Instance, release <-chan struct{}) Task {
-	opt := core.Options{Eps: 0.5}
+	// Progress is a branch-and-bound hook, so the solve pins bnb: under
+	// the default policy cfgdp would decide the guess without it.
+	opt := core.Options{Eps: 0.5, Oracle: oracle.Selection{Backend: oracle.KindBnB}}
 	opt.MILP.Progress = func(nodes, pivots int) error {
 		<-release
 		return nil

@@ -95,8 +95,10 @@ type Demand struct {
 	SmallArea   float64
 }
 
-// Built is a constructed oracle model: the backend-neutral demand block
-// plus the materialized MILP with its variable maps.
+// Built is a constructed oracle model: the backend-neutral demand block,
+// checked for structural infeasibility, plus the MILP over it, which
+// MILP materializes on first use. A Built belongs to one solve: MILP
+// fills it in place, so it must not be shared between goroutines.
 type Built struct {
 	Mode  Mode
 	Space *pattern.Space
@@ -106,21 +108,29 @@ type Built struct {
 	Prio []bool
 	// Demand is the backend-neutral demand block (see Demand).
 	Demand Demand
-	Model  *milp.Model
-	// XVar[p] is the LP variable index of pattern p's multiplicity.
-	XVar []int
-	// YVar maps priority small keys to variable indices (ModePaper).
-	YVar map[YKey]int
-	// ZVar maps (pattern, small size idx) to the aggregated non-priority
-	// variable indices (ModePaper).
-	ZVar map[[2]int]int
-	// IntegerVars is the number of integral variables in the model.
+	// IntegerVars is the number of integral variables of the MILP,
+	// known before it is materialized.
 	IntegerVars int
 	// Related, when non-nil, marks a related-family model (see
 	// BuildRelated); Space, View and Prio are nil on such models and
 	// backends that require the bag-constrained demand block must
 	// return oracle's ErrUnsupported.
 	Related *RelatedLayout
+
+	// float64Ref and the paper-mode small-job rows are what the MILP
+	// rows need beyond Demand.
+	float64Ref bool
+	smallPrio  []BagSizeCount
+	smallX     []SizeCount
+
+	// model is the materialized MILP (nil until MILP runs). xVar[p] is
+	// the LP variable index of pattern p's multiplicity; yVar maps
+	// priority small keys and zVar (pattern, small size idx) pairs to
+	// their variable indices (ModePaper).
+	model *milp.Model
+	xVar  []int
+	yVar  map[YKey]int
+	zVar  map[[2]int]int
 }
 
 // Plan is the decoded MILP solution consumed by the placer.
@@ -150,28 +160,19 @@ type BuildOptions struct {
 	Float64Ref bool
 }
 
-// Build constructs the MILP for the transformed instance in (with
-// numeric view, see classify.View) with bag priority flags prio over the
-// pattern space sp. Coverage coefficients and right-hand sides are exact
-// integers derived from the view; the small-job area right-hand side is
-// an exact fixed-point sum lifted to float64 once. Only the LP interior
-// stays float64. The context is polled between constraint blocks (the
-// per-pattern loops of ModePaper can be large); a canceled or expired
-// ctx aborts the build and returns ctx.Err().
+// Build constructs the oracle model for the transformed instance in
+// (with numeric view, see classify.View) with bag priority flags prio
+// over the pattern space sp: the Demand block and the model's integral
+// dimension, after checking that every demand row has a pattern that
+// can serve it (an InfeasibleError otherwise). The LP rows are left to
+// MILP, so a backend that decides the Demand block directly never pays
+// for them. Coverage counts are exact integers derived from the view;
+// the small-job area is an exact fixed-point sum lifted to float64
+// once. A canceled or expired ctx aborts the build and returns
+// ctx.Err().
 func Build(ctx context.Context, in *sched.Instance, view *classify.View, prio []bool, sp *pattern.Space, opt BuildOptions) (*Built, error) {
 	info := view.Info
-	mode := opt.Mode
-	b := &Built{Mode: mode, Space: sp, View: view, Prio: prio}
-	prob := lp.NewProblem()
-
-	// x variables, one per pattern, all integral.
-	b.XVar = make([]int, len(sp.Patterns))
-	var integers []int
-	for p := range sp.Patterns {
-		v := prob.AddVar(0)
-		b.XVar[p] = v
-		integers = append(integers, v)
-	}
+	b := &Built{Mode: opt.Mode, Space: sp, View: view, Prio: prio, float64Ref: opt.Float64Ref}
 
 	// Instance statistics, resolved through the exact view (no per-job
 	// float64 searches).
@@ -213,8 +214,6 @@ func Build(ctx context.Context, in *sched.Instance, view *classify.View, prio []
 		smallArea = smallAreaRef
 	}
 
-	// Record the backend-neutral demand block before materializing any LP
-	// rows: non-LP backends solve against exactly these statistics.
 	b.Demand = Demand{
 		Machines:    in.Machines,
 		SmallAreaFx: smallAreaFx,
@@ -231,137 +230,214 @@ func Build(ctx context.Context, in *sched.Instance, view *classify.View, prio []
 			b.Demand.SmallPrioBags = append(b.Demand.SmallPrioBags, BagCount{Bag: bag, Count: smallCountByBag[bag]})
 		}
 	}
+	if opt.Mode == ModePaper {
+		for _, ks := range bagSizeKeys(smallPrio) {
+			b.smallPrio = append(b.smallPrio, BagSizeCount{Bag: ks.bag, SizeIdx: ks.si, Count: smallPrio[ks]})
+		}
+		for _, si := range intKeys(smallX) {
+			b.smallX = append(b.smallX, SizeCount{SizeIdx: si, Count: smallX[si]})
+		}
+	}
+
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+
+	// Structural infeasibility: a demand row no pattern can serve. The
+	// checks run in the order the MILP's rows are built, so the first
+	// failing row names the same cause whichever backend runs.
+	pats := sp.Patterns
+	for _, r := range b.Demand.MLPrio {
+		if !anyPattern(pats, func(p *pattern.Pattern) bool { return p.ChiPrio(r.Bag, r.SizeIdx) > 0 }) {
+			return nil, infeasibleErr("no pattern offers slot (bag %d, size idx %d)", r.Bag, r.SizeIdx)
+		}
+	}
+	for _, r := range b.Demand.XTotals {
+		if !anyPattern(pats, func(p *pattern.Pattern) bool { return sp.XMult(p, r.SizeIdx) > 0 }) {
+			return nil, infeasibleErr("no pattern offers X slots of size idx %d", r.SizeIdx)
+		}
+	}
+	b.IntegerVars = len(pats)
+	switch opt.Mode {
+	case ModeDecomposed:
+		for _, r := range b.Demand.SmallPrioBags {
+			if !anyPattern(pats, func(p *pattern.Pattern) bool { return !p.ChiBag(r.Bag) }) {
+				return nil, infeasibleErr("no pattern avoids bag %d for its small jobs", r.Bag)
+			}
+		}
+	case ModePaper:
+		// Each pattern avoiding a priority bag gets a y variable per
+		// small size of the bag, integral above sigma.
+		for _, r := range b.smallPrio {
+			avoiding := 0
+			for p := range pats {
+				if !pats[p].ChiBag(r.Bag) {
+					avoiding++
+				}
+			}
+			if avoiding == 0 {
+				return nil, infeasibleErr("no pattern can host small jobs of bag %d", r.Bag)
+			}
+			if b.integralY(r.SizeIdx) {
+				b.IntegerVars += avoiding
+			}
+		}
+	}
+	return b, nil
+}
+
+// anyPattern reports whether some pattern satisfies ok.
+func anyPattern(pats []pattern.Pattern, ok func(*pattern.Pattern) bool) bool {
+	for p := range pats {
+		if ok(&pats[p]) {
+			return true
+		}
+	}
+	return false
+}
+
+// integralY reports whether the y variables of small size si are
+// integral (constraint (7)): an exact integer compare against the
+// folded Sigma+Tol capacity (reference: the seed's float compare —
+// identical by the numeric.Cap equivalence).
+func (b *Built) integralY(si int) bool {
+	info := b.View.Info
+	if b.float64Ref {
+		return info.Sizes[si] > info.Sigma+numeric.Tol
+	}
+	return info.SizesFx[si] > info.SigmaCapFx
+}
+
+// MILP returns the model's MILP, materializing its LP rows on the first
+// call. Build has already rejected structurally infeasible models, so
+// the only error is ctx's, polled between constraint blocks (the
+// per-pattern loops of ModePaper can be large).
+func (b *Built) MILP(ctx context.Context) (*milp.Model, error) {
+	if b.model != nil {
+		return b.model, nil
+	}
+	sp := b.Space
+	info := b.View.Info
+	prob := lp.NewProblem()
+
+	// x variables, one per pattern, all integral.
+	b.xVar = make([]int, len(sp.Patterns))
+	var integers []int
+	for p := range sp.Patterns {
+		v := prob.AddVar(0)
+		b.xVar[p] = v
+		integers = append(integers, v)
+	}
 
 	// (1) sum_p x_p = m (the empty pattern absorbs idle machines).
 	allX := make([]lp.Term, len(sp.Patterns))
 	for p := range sp.Patterns {
-		allX[p] = lp.Term{Var: b.XVar[p], Coef: 1}
+		allX[p] = lp.Term{Var: b.xVar[p], Coef: 1}
 	}
-	prob.AddConstraint(allX, lp.EQ, float64(in.Machines))
+	prob.AddConstraint(allX, lp.EQ, float64(b.Demand.Machines))
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
 	// (2) priority coverage: per (priority bag, ML size) enough slots.
-	for _, ks := range bagSizeKeys(mlPrio) {
+	for _, r := range b.Demand.MLPrio {
 		var terms []lp.Term
 		for p := range sp.Patterns {
-			if c := sp.Patterns[p].ChiPrio(ks.bag, ks.si); c > 0 {
-				terms = append(terms, lp.Term{Var: b.XVar[p], Coef: float64(c)})
+			if c := sp.Patterns[p].ChiPrio(r.Bag, r.SizeIdx); c > 0 {
+				terms = append(terms, lp.Term{Var: b.xVar[p], Coef: float64(c)})
 			}
 		}
-		if len(terms) == 0 {
-			return nil, infeasibleErr("no pattern offers slot (bag %d, size idx %d)", ks.bag, ks.si)
-		}
-		prob.AddConstraint(terms, lp.GE, float64(mlPrio[ks]))
+		prob.AddConstraint(terms, lp.GE, float64(r.Count))
 	}
 
 	// (2x) X coverage per large size.
-	for _, si := range intKeys(xTotals) {
+	for _, r := range b.Demand.XTotals {
 		var terms []lp.Term
 		for p := range sp.Patterns {
-			if c := sp.XMult(&sp.Patterns[p], si); c > 0 {
-				terms = append(terms, lp.Term{Var: b.XVar[p], Coef: float64(c)})
+			if c := sp.XMult(&sp.Patterns[p], r.SizeIdx); c > 0 {
+				terms = append(terms, lp.Term{Var: b.xVar[p], Coef: float64(c)})
 			}
 		}
-		if len(terms) == 0 {
-			return nil, infeasibleErr("no pattern offers X slots of size idx %d", si)
-		}
-		prob.AddConstraint(terms, lp.GE, float64(xTotals[si]))
+		prob.AddConstraint(terms, lp.GE, float64(r.Count))
 	}
 
-	switch mode {
+	switch b.Mode {
 	case ModeDecomposed:
 		// (A) aggregate area: free space across all machines covers the
-		// small jobs. The right-hand side is read back from the demand
-		// block so the materialized row and the backend-neutral statement
-		// are one value by construction.
+		// small jobs. The right-hand side is read from the demand block
+		// so the materialized row and the backend-neutral statement are
+		// one value by construction.
 		var areaTerms []lp.Term
 		for p := range sp.Patterns {
 			headroom := info.T - sp.Patterns[p].Height
 			if headroom < 0 {
 				headroom = 0
 			}
-			areaTerms = append(areaTerms, lp.Term{Var: b.XVar[p], Coef: headroom})
+			areaTerms = append(areaTerms, lp.Term{Var: b.xVar[p], Coef: headroom})
 		}
 		if b.Demand.SmallArea > 0 {
 			prob.AddConstraint(areaTerms, lp.GE, b.Demand.SmallArea)
 		}
 		// (C) per priority bag with small jobs: enough machines whose
 		// pattern avoids the bag ((3)+(5) aggregated over patterns).
-		for _, bag := range intKeys(smallCountByBag) {
-			if !prio[bag] {
-				// Non-priority bags can use any machine; feasibility is
-				// |B_l| <= m, checked by the caller.
-				continue
-			}
+		// Non-priority bags can use any machine; feasibility is
+		// |B_l| <= m, checked by the caller.
+		for _, r := range b.Demand.SmallPrioBags {
 			var terms []lp.Term
 			for p := range sp.Patterns {
-				if !sp.Patterns[p].ChiBag(bag) {
-					terms = append(terms, lp.Term{Var: b.XVar[p], Coef: 1})
+				if !sp.Patterns[p].ChiBag(r.Bag) {
+					terms = append(terms, lp.Term{Var: b.xVar[p], Coef: 1})
 				}
 			}
-			if len(terms) == 0 {
-				return nil, infeasibleErr("no pattern avoids bag %d for its small jobs", bag)
-			}
-			prob.AddConstraint(terms, lp.GE, float64(smallCountByBag[bag]))
+			prob.AddConstraint(terms, lp.GE, float64(r.Count))
 		}
 
 	case ModePaper:
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		b.YVar = make(map[YKey]int)
-		b.ZVar = make(map[[2]int]int)
+		b.yVar = make(map[YKey]int)
+		b.zVar = make(map[[2]int]int)
 		// y variables: per (pattern, priority bag, small size) where the
 		// pattern avoids the bag (constraint (5) zeroes the rest, so we
 		// never materialize them). Integral when size > sigma ((7)-(8)).
-		for _, ks := range bagSizeKeys(smallPrio) {
-			// Constraint (7) integrality: exact integer compare against
-			// the folded Sigma+Tol capacity (reference: the seed's float
-			// compare — identical by the numeric.Cap equivalence).
-			integral := info.SizesFx[ks.si] > info.SigmaCapFx
-			if opt.Float64Ref {
-				integral = info.Sizes[ks.si] > info.Sigma+numeric.Tol
-			}
+		for _, r := range b.smallPrio {
+			integral := b.integralY(r.SizeIdx)
 			for p := range sp.Patterns {
-				if sp.Patterns[p].ChiBag(ks.bag) {
+				if sp.Patterns[p].ChiBag(r.Bag) {
 					continue
 				}
 				v := prob.AddVar(0)
-				b.YVar[YKey{Pattern: p, Bag: ks.bag, SizeIdx: ks.si}] = v
+				b.yVar[YKey{Pattern: p, Bag: r.Bag, SizeIdx: r.SizeIdx}] = v
 				if integral {
 					integers = append(integers, v)
 				}
 			}
 		}
 		// z variables: aggregated non-priority small jobs per size ((9)).
-		for _, si := range intKeys(smallX) {
+		for _, r := range b.smallX {
 			for p := range sp.Patterns {
 				v := prob.AddVar(0)
-				b.ZVar[[2]int{p, si}] = v
+				b.zVar[[2]int{p, r.SizeIdx}] = v
 			}
 		}
 		// (3) coverage.
-		for _, ks := range bagSizeKeys(smallPrio) {
+		for _, r := range b.smallPrio {
 			var terms []lp.Term
 			for p := range sp.Patterns {
-				if v, ok := b.YVar[YKey{p, ks.bag, ks.si}]; ok {
+				if v, ok := b.yVar[YKey{p, r.Bag, r.SizeIdx}]; ok {
 					terms = append(terms, lp.Term{Var: v, Coef: 1})
 				}
 			}
-			if len(terms) == 0 {
-				return nil, infeasibleErr("no pattern can host small jobs of bag %d", ks.bag)
-			}
-			prob.AddConstraint(terms, lp.GE, float64(smallPrio[ks]))
+			prob.AddConstraint(terms, lp.GE, float64(r.Count))
 		}
-		for _, si := range intKeys(smallX) {
+		for _, r := range b.smallX {
 			var terms []lp.Term
 			for p := range sp.Patterns {
-				terms = append(terms, lp.Term{Var: b.ZVar[[2]int{p, si}], Coef: 1})
+				terms = append(terms, lp.Term{Var: b.zVar[[2]int{p, r.SizeIdx}], Coef: 1})
 			}
-			prob.AddConstraint(terms, lp.GE, float64(smallX[si]))
+			prob.AddConstraint(terms, lp.GE, float64(r.Count))
 		}
 		// (4) per-pattern area.
 		if err := ctx.Err(); err != nil {
@@ -372,14 +448,14 @@ func Build(ctx context.Context, in *sched.Instance, view *classify.View, prio []
 			if headroom < 0 {
 				headroom = 0
 			}
-			terms := []lp.Term{{Var: b.XVar[p], Coef: -headroom}}
-			for _, ks := range bagSizeKeys(smallPrio) {
-				if v, ok := b.YVar[YKey{p, ks.bag, ks.si}]; ok {
-					terms = append(terms, lp.Term{Var: v, Coef: info.Sizes[ks.si]})
+			terms := []lp.Term{{Var: b.xVar[p], Coef: -headroom}}
+			for _, r := range b.smallPrio {
+				if v, ok := b.yVar[YKey{p, r.Bag, r.SizeIdx}]; ok {
+					terms = append(terms, lp.Term{Var: v, Coef: info.Sizes[r.SizeIdx]})
 				}
 			}
-			for _, si := range intKeys(smallX) {
-				terms = append(terms, lp.Term{Var: b.ZVar[[2]int{p, si}], Coef: info.Sizes[si]})
+			for _, r := range b.smallX {
+				terms = append(terms, lp.Term{Var: b.zVar[[2]int{p, r.SizeIdx}], Coef: info.Sizes[r.SizeIdx]})
 			}
 			if len(terms) > 1 {
 				prob.AddConstraint(terms, lp.LE, 0)
@@ -388,18 +464,18 @@ func Build(ctx context.Context, in *sched.Instance, view *classify.View, prio []
 		// (5) per (pattern, priority bag): at most x_p small jobs.
 		perBagSizes := make(map[int][]int)
 		var bagList []int
-		for _, ks := range bagSizeKeys(smallPrio) {
-			if _, ok := perBagSizes[ks.bag]; !ok {
-				bagList = append(bagList, ks.bag)
+		for _, r := range b.smallPrio {
+			if _, ok := perBagSizes[r.Bag]; !ok {
+				bagList = append(bagList, r.Bag)
 			}
-			perBagSizes[ks.bag] = append(perBagSizes[ks.bag], ks.si)
+			perBagSizes[r.Bag] = append(perBagSizes[r.Bag], r.SizeIdx)
 		}
 		for _, bag := range bagList {
 			for p := range sp.Patterns {
-				terms := []lp.Term{{Var: b.XVar[p], Coef: -1}}
+				terms := []lp.Term{{Var: b.xVar[p], Coef: -1}}
 				n := 0
 				for _, si := range perBagSizes[bag] {
-					if v, ok := b.YVar[YKey{p, bag, si}]; ok {
+					if v, ok := b.yVar[YKey{p, bag, si}]; ok {
 						terms = append(terms, lp.Term{Var: v, Coef: 1})
 						n++
 					}
@@ -411,24 +487,23 @@ func Build(ctx context.Context, in *sched.Instance, view *classify.View, prio []
 		}
 	}
 
-	b.Model = &milp.Model{Prob: prob, Integer: integers}
-	b.IntegerVars = len(integers)
-	return b, nil
+	b.model = &milp.Model{Prob: prob, Integer: integers}
+	return b.model, nil
 }
 
-// Decode converts a MILP solution into a Plan.
+// Decode converts a solution of the model's MILP into a Plan.
 func (b *Built) Decode(sol milp.Solution) *Plan {
 	if b.Related != nil {
 		return b.decodeRelated(sol)
 	}
-	plan := &Plan{Space: b.Space, XCount: make([]int, len(b.XVar))}
-	for p, v := range b.XVar {
+	plan := &Plan{Space: b.Space, XCount: make([]int, len(b.xVar))}
+	for p, v := range b.xVar {
 		plan.XCount[p] = numeric.RoundInt(sol.X[v])
 	}
 	if b.Mode == ModePaper {
 		plan.HasY = true
-		plan.Y = make(map[YKey]float64, len(b.YVar))
-		for k, v := range b.YVar {
+		plan.Y = make(map[YKey]float64, len(b.yVar))
+		for k, v := range b.yVar {
 			if sol.X[v] > 1e-9 {
 				plan.Y[k] = sol.X[v]
 			}

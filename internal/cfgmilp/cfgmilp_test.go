@@ -41,7 +41,11 @@ func solvePlan(t *testing.T, tInst *sched.Instance, view *classify.View, prio []
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	sol, err := milp.Solve(context.Background(), built.Model, milp.Options{StopAtFirst: true, MaxNodes: 4000})
+	model, err := built.MILP(context.Background())
+	if err != nil {
+		t.Fatalf("MILP: %v", err)
+	}
+	sol, err := milp.Solve(context.Background(), model, milp.Options{StopAtFirst: true, MaxNodes: 4000})
 	if err != nil {
 		t.Fatalf("milp.Solve: %v", err)
 	}
@@ -222,7 +226,11 @@ func TestMILPInfeasibleAtLowGuess(t *testing.T) {
 	if err != nil {
 		return // structural infeasibility is also acceptable
 	}
-	sol, err := milp.Solve(context.Background(), built.Model, milp.Options{StopAtFirst: true})
+	model, err := built.MILP(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := milp.Solve(context.Background(), model, milp.Options{StopAtFirst: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,5 +273,37 @@ func TestIntegerVarCounts(t *testing.T) {
 	}
 	if pap.IntegerVars < dec.IntegerVars {
 		t.Errorf("paper integer vars = %d < decomposed %d", pap.IntegerVars, dec.IntegerVars)
+	}
+}
+
+// TestMILPMaterializedOnDemand: Build leaves the LP rows to MILP, whose
+// model is built once and has exactly the integral dimension Build
+// reported, in both modes.
+func TestMILPMaterializedOnDemand(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		in := workload.MustGenerate(workload.Spec{
+			Family: workload.Bimodal, Machines: 5, Jobs: 20, Bags: 8, Seed: seed,
+		})
+		tInst, view, prio, sp := setup(t, in, 0.5, 0)
+		for _, mode := range []Mode{ModeDecomposed, ModePaper} {
+			built, err := Build(context.Background(), tInst, view, prio, sp, BuildOptions{Mode: mode})
+			if err != nil {
+				t.Fatalf("seed %d %s: Build: %v", seed, mode, err)
+			}
+			if built.model != nil {
+				t.Fatalf("seed %d %s: Build materialized the MILP", seed, mode)
+			}
+			model, err := built.MILP(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again, _ := built.MILP(context.Background()); again != model {
+				t.Fatalf("seed %d %s: MILP rebuilt the model", seed, mode)
+			}
+			if len(model.Integer) != built.IntegerVars {
+				t.Fatalf("seed %d %s: model has %d integral variables, Build reported %d",
+					seed, mode, len(model.Integer), built.IntegerVars)
+			}
+		}
 	}
 }

@@ -31,6 +31,7 @@ type RelatedLayout struct {
 // variable per (class, pattern), machine-count rows per class, a
 // coverage row per large size, and one aggregate area row whose
 // headroom coefficients come from the exact fixed-point capacities.
+// Only bnb decides related models, so the MILP is materialized here.
 // The context is polled between constraint blocks.
 func BuildRelated(ctx context.Context, in *sched.Instance, info *classify.RelInfo, sp *pattern.RelSpace) (*Built, error) {
 	b := &Built{Mode: ModeDecomposed, Related: &RelatedLayout{Info: info, Space: sp}}
@@ -99,7 +100,7 @@ func BuildRelated(ctx context.Context, in *sched.Instance, info *classify.RelInf
 	}
 
 	b.Demand = Demand{Machines: in.Machines, SmallAreaFx: info.SmallAreaFx, SmallArea: info.SmallArea}
-	b.Model = &milp.Model{Prob: prob, Integer: integers}
+	b.model = &milp.Model{Prob: prob, Integer: integers}
 	b.IntegerVars = len(integers)
 	return b, nil
 }

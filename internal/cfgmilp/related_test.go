@@ -51,7 +51,11 @@ func TestBuildRelated(t *testing.T) {
 
 	// The program must be integer-feasible, and its decoded plan must
 	// cover every class's machines and every large size's demand.
-	sol, err := milp.Solve(context.Background(), b.Model, milp.Options{StopAtFirst: true})
+	model, err := b.MILP(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := milp.Solve(context.Background(), model, milp.Options{StopAtFirst: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@ import (
 	"context"
 	"time"
 
-	"repro/internal/oracle"
 	"repro/internal/plan"
 	"repro/internal/sched"
 )
@@ -100,9 +99,10 @@ func runAdaptive(ctx context.Context, in *sched.Instance, opt Options,
 }
 
 // planAdmission runs the planner when opt asks for adaptive solving,
-// rewriting opt in place to the chosen rung: eps and backend for an
-// eptas rung, Heuristic for a heuristic one. It reports the decision
-// (nil when adaptive is off) and the planning overhead.
+// rewriting opt in place to the chosen rung: eps for an eptas rung,
+// Heuristic for a heuristic one; the oracle policy stays the caller's.
+// It reports the decision (nil when adaptive is off) and the planning
+// overhead.
 func planAdmission(ctx context.Context, in *sched.Instance, opt *Options) (*plan.Decision, time.Duration, error) {
 	if !opt.Adaptive || opt.Planner == nil {
 		return nil, 0, nil
@@ -114,23 +114,15 @@ func planAdmission(ctx context.Context, in *sched.Instance, opt *Options) (*plan
 			budget = time.Until(dl)
 		}
 	}
-	req := plan.Request{
+	dec, err := opt.Planner.Decide(plan.Request{
 		Family:     familyName(*opt),
 		Jobs:       len(in.Jobs),
 		Machines:   in.Machines,
 		Eps:        opt.Eps,
+		Backend:    opt.Oracle.Backend.String(),
 		Budget:     budget,
 		MinQuality: opt.MinQuality,
-	}
-	if len(opt.PlanBackends) > 0 {
-		// The caller left the backend to the planner.
-		for _, k := range opt.PlanBackends {
-			req.Candidates = append(req.Candidates, k.String())
-		}
-	} else {
-		req.Backend = opt.Oracle.Backend.String()
-	}
-	dec, err := opt.Planner.Decide(req)
+	})
 	if err != nil {
 		return nil, time.Since(start), err
 	}
@@ -138,11 +130,6 @@ func planAdmission(ctx context.Context, in *sched.Instance, opt *Options) (*plan
 		opt.Heuristic = dec.Rung.Name
 	} else {
 		opt.Eps = dec.Rung.Eps
-		if req.Backend == "" && dec.Backend != "" {
-			if k, perr := oracle.ParseKind(dec.Backend); perr == nil {
-				opt.Oracle.Backend = k
-			}
-		}
 	}
 	return &dec, time.Since(start), nil
 }
@@ -160,7 +147,8 @@ func observeSolve(opt Options, in *sched.Instance, res *Result, elapsed time.Dur
 	if opt.Heuristic != "" {
 		k.Rung = opt.Heuristic
 	} else {
-		// Keyed by the backend and the eps the search actually ran at.
+		// Keyed by the oracle policy and the eps the search actually
+		// ran at.
 		k.Rung = plan.RungEPTAS
 		k.EpsIdx = plan.EpsIndex(opt.Eps)
 		k.Backend = opt.Oracle.Backend.String()

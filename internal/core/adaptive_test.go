@@ -58,7 +58,7 @@ func TestAdaptiveTightDeadlineDegradesToHeuristic(t *testing.T) {
 	// Teach the model that every eps rung takes ~100ms at this size.
 	for _, eps := range append([]float64{0.25}, plan.EpsGrid...) {
 		m.Observe(plan.Key{Family: "bags", Size: size, Rung: plan.RungEPTAS,
-			EpsIdx: plan.EpsIndex(eps), Backend: "bnb"}, 100*time.Millisecond)
+			EpsIdx: plan.EpsIndex(eps), Backend: "default"}, 100*time.Millisecond)
 	}
 
 	res, err := Solve(in, Options{
@@ -95,7 +95,7 @@ func TestAdaptiveUnattainable(t *testing.T) {
 	size := plan.SizeClass(len(in.Jobs))
 	for _, eps := range append([]float64{0.25}, plan.EpsGrid...) {
 		m.Observe(plan.Key{Family: "bags", Size: size, Rung: plan.RungEPTAS,
-			EpsIdx: plan.EpsIndex(eps), Backend: "bnb"}, time.Second)
+			EpsIdx: plan.EpsIndex(eps), Backend: "default"}, time.Second)
 	}
 	_, err := Solve(in, Options{
 		Eps: 0.25, Adaptive: true, Planner: m,
@@ -196,7 +196,7 @@ func TestObserveFeedsModel(t *testing.T) {
 		t.Fatalf("solve must observe exactly once: %+v", st)
 	}
 	k := plan.Key{Family: "bags", Size: plan.SizeClass(len(in.Jobs)),
-		Rung: plan.RungEPTAS, EpsIdx: plan.EpsIndex(0.4), Backend: "bnb"}
+		Rung: plan.RungEPTAS, EpsIdx: plan.EpsIndex(0.4), Backend: "default"}
 	if _, ok := m.Predict(k); !ok {
 		t.Fatalf("observation landed under the wrong key")
 	}

@@ -52,9 +52,11 @@ type Options struct {
 	// MILP tunes the branch-and-bound solver; StopAtFirst is forced on
 	// (the configuration program is a feasibility problem).
 	MILP milp.Options
-	// Oracle selects the integer-programming oracle backend that decides
-	// each guess's configuration program: branch-and-bound (the default)
-	// or the exact configuration DP. See internal/oracle.
+	// Oracle selects the integer-programming oracle that decides each
+	// guess's configuration program: the zero value is the default
+	// policy (the exact configuration DP, then branch-and-bound when the
+	// DP declines or exhausts its budget); Oracle.Backend pins either
+	// backend. See internal/oracle.
 	Oracle oracle.Selection
 	// MaxGuesses bounds the binary-search decisions (default 40).
 	MaxGuesses int
@@ -100,9 +102,9 @@ type Options struct {
 	Float64Ref bool
 	// Adaptive enables SLO-aware admission-time planning: before the
 	// search runs, the attached Planner walks the degradation ladder
-	// (requested eps → coarser eps → heuristics) and rewrites Eps,
-	// Oracle.Backend and Heuristic to the cheapest configuration
-	// predicted to finish within Deadline while honoring MinQuality.
+	// (requested eps → coarser eps → heuristics) and rewrites Eps and
+	// Heuristic to the cheapest configuration predicted to finish within
+	// Deadline while honoring MinQuality.
 	// Ignored when Planner is nil. Off by default: adaptive-off solves
 	// are bit-identical to a build without the planner (the plan-diff
 	// gate enforces it).
@@ -126,11 +128,6 @@ type Options struct {
 	// of degrading further. 0 means no floor — the planner then
 	// answers best-effort rather than refuse.
 	MinQuality float64
-	// PlanBackends, when non-empty, are the oracle backends the planner
-	// may choose among (preference order) for eptas rungs; empty pins
-	// the planner to Oracle.Backend. Only consulted when Adaptive is
-	// set.
-	PlanBackends []oracle.Kind
 	// Heuristic forces a heuristic rung instead of the EPTAS search:
 	// plan.RungLPT answers with the family's LPT fallback schedule,
 	// plan.RungGreedy with the input-order least-loaded list schedule.

@@ -11,6 +11,7 @@ import (
 	"repro/internal/greedy"
 	"repro/internal/memo"
 	"repro/internal/milp"
+	"repro/internal/oracle"
 	"repro/internal/workload"
 )
 
@@ -204,7 +205,10 @@ func TestPriorityCapLadderDegrades(t *testing.T) {
 func TestWallClockStopNotMemoized(t *testing.T) {
 	in := workload.MustGenerate(workload.Spec{Family: workload.Bimodal, Machines: 5, Jobs: 20, Bags: 8, Seed: 37})
 	shared := memo.New(1 << 20)
-	opt := Options{Eps: 0.5, Speculate: 1, Cache: shared, MILP: milp.Options{TimeLimit: time.Nanosecond}}
+	// TimeLimit is a branch-and-bound limit, so the solve pins bnb:
+	// under the default policy cfgdp would decide the guesses first.
+	opt := Options{Eps: 0.5, Speculate: 1, Cache: shared, MILP: milp.Options{TimeLimit: time.Nanosecond},
+		Oracle: oracle.Selection{Backend: oracle.KindBnB}}
 	first, err := Solve(in, opt)
 	if err != nil {
 		t.Fatal(err)

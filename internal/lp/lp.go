@@ -417,7 +417,9 @@ func auxCols(s Sense) int {
 // backing array when large enough.
 func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		// Headroom: a pooled workspace sees slowly growing shapes, and
+		// doubling keeps their reallocations logarithmic.
+		return make([]T, n, max(n, 2*cap(s)))
 	}
 	s = s[:n]
 	clear(s)

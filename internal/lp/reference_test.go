@@ -534,6 +534,31 @@ func TestSolveInWarmAllocs(t *testing.T) {
 	if allocs != 1 {
 		t.Fatalf("warm-workspace solve made %v allocations, want 1 (the returned X)", allocs)
 	}
+
+	// A pooled workspace meets slowly growing shapes: one more variable
+	// and one more row per solve. Its buffers grow with headroom, so
+	// beyond the returned X per solve it reallocates a logarithmic
+	// number of times (about 8 per buffer here), not once per solve.
+	var growing []*Problem
+	for n := 2; n <= 64; n++ {
+		q := NewProblem()
+		for v := 0; v < n; v++ {
+			q.AddVar(float64(v%3 - 1))
+		}
+		for r := 0; r < n; r++ {
+			q.AddConstraint([]Term{{r, 1}, {(r + 1) % n, 1}}, LE, float64(4+r%5))
+		}
+		growing = append(growing, q)
+	}
+	allocs = testing.AllocsPerRun(5, func() {
+		ws := new(Workspace)
+		for _, q := range growing {
+			q.SolveIn(ws, nil, Options{}) //nolint:errcheck
+		}
+	})
+	if limit := float64(1 + len(growing) + 6*8); allocs > limit {
+		t.Fatalf("growing shapes in one workspace made %v allocations, want at most %v", allocs, limit)
+	}
 }
 
 // FuzzSolveBounds compares the workspace path with the reference on

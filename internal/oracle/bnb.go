@@ -8,11 +8,10 @@ import (
 	"repro/internal/milp"
 )
 
-// BnB is the LP-simplex branch-and-bound backend: it solves the
-// materialized MILP of the Built model with internal/milp, exactly as the
-// pipeline did before the oracle layer existed. It handles both cfgmilp
-// modes and arbitrary pattern spaces; its work is bounded by the
-// deterministic Limits.MILP.MaxNodes budget (plus a caller-set
+// BnB is the LP-simplex branch-and-bound backend: it materializes the
+// MILP of the Built model and solves it with internal/milp. It handles
+// both cfgmilp modes and arbitrary pattern spaces; its work is bounded
+// by the deterministic Limits.MILP.MaxNodes budget (plus a caller-set
 // wall-clock TimeLimit, the one load-dependent limit, which it reports
 // as ErrTimeLimit).
 type BnB struct{}
@@ -25,9 +24,13 @@ func (BnB) Name() string { return "bnb" }
 // (StopAtFirst is forced on).
 func (BnB) Solve(ctx context.Context, b *cfgmilp.Built, lim Limits) (*cfgmilp.Plan, Stats, error) {
 	st := Stats{Backend: "bnb"}
+	model, err := b.MILP(ctx)
+	if err != nil {
+		return nil, st, err
+	}
 	opt := lim.MILP
 	opt.StopAtFirst = true
-	sol, err := milp.Solve(ctx, b.Model, opt)
+	sol, err := milp.Solve(ctx, model, opt)
 	if err != nil {
 		// Cancellation (or an abort by the caller's progress hook): milp
 		// discards the incumbent and the work counts.

@@ -1,9 +1,11 @@
 package oracle
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"sort"
 
 	"repro/internal/cfgmilp"
@@ -145,15 +147,15 @@ type dpSolver struct {
 	slotRes  []int
 	avoidRes []int
 
-	infeasible map[string]struct{}
+	infeasible stateSet
 	keyBuf     []byte
 }
 
 // newDPSolver builds the solver's demand tables and scratch buffers.
 // When arena is non-nil every buffer that dies with the solve comes from
 // it; xs stays heap-allocated because a successful Plan retains it, and
-// the infeasibility memo stays a plain map for the same reason the
-// memoMinStates gate exists (easy solves never touch it).
+// the infeasibility memo grows on the heap from its first insert, which
+// easy solves never reach (see memoMinStates).
 func newDPSolver(b *cfgmilp.Built, maxStates int64, arena *scratch.Arena) *dpSolver {
 	sp := b.Space
 	info := b.View.Info
@@ -176,7 +178,6 @@ func newDPSolver(b *cfgmilp.Built, maxStates int64, arena *scratch.Arena) *dpSol
 		area:        dem.SmallAreaFx,
 		maxStates:   maxStates,
 		xs:          make([]int, nPat),
-		infeasible:  make(map[string]struct{}),
 	}
 	for k, row := range dem.MLPrio {
 		d.slotDemand[k] = row.Count
@@ -300,7 +301,7 @@ func (d *dpSolver) dfs(ctx context.Context, i, left int, slots, avoid []int, are
 	if area > d.capFx.MulInt(left) {
 		return false, nil
 	}
-	if _, dead := d.infeasible[string(d.stateKey(i, left, slots, avoid, area))]; dead { // no-alloc lookup
+	if d.infeasible.len() > 0 && d.infeasible.has(d.stateKey(i, left, slots, avoid, area)) {
 		return false, nil
 	}
 
@@ -357,13 +358,13 @@ func (d *dpSolver) dfs(ctx context.Context, i, left int, slots, avoid []int, are
 	d.xs[p] = 0
 	// Memoize the proven-infeasible state — but only once the search is
 	// demonstrably non-trivial: easy models finish in a few hundred
-	// states and should not pay map-insert allocations for a cache that
-	// will never be read. The gate is a deterministic state count, so the
-	// explored tree (and the found plan) is unchanged either way. The key
-	// is re-serialized here: the recursion above reused the shared key
-	// buffer, and (i, left, slots, avoid, area) are unchanged by the loop.
+	// states and should not pay for a memo that will never be read. The
+	// gate is a deterministic state count, so the explored tree (and the
+	// found plan) is unchanged either way. The key is re-serialized here:
+	// the recursion above reused the shared key buffer, and (i, left,
+	// slots, avoid, area) are unchanged by the loop.
 	if d.states > memoMinStates {
-		d.infeasible[string(d.stateKey(i, left, slots, avoid, area))] = struct{}{}
+		d.infeasible.add(d.stateKey(i, left, slots, avoid, area))
 	}
 	return false, nil
 }
@@ -375,7 +376,9 @@ const memoMinStates = 256
 // stateKey serializes a residual state for the infeasibility memo into
 // the solver's reusable buffer. The clamped residual vector (plus
 // pattern index and machines left) fully determines the subproblem, so
-// equal keys mean equal outcomes.
+// equal keys mean equal outcomes; every state of one solve has the same
+// number of fields, so the varint encoding is injective and the memo can
+// compare keys byte for byte.
 func (d *dpSolver) stateKey(i, left int, slots, avoid []int, area numeric.Fx) []byte {
 	buf := binary.AppendUvarint(d.keyBuf[:0], uint64(i))
 	buf = binary.AppendUvarint(buf, uint64(left))
@@ -406,4 +409,70 @@ func (l Limits) maxStates() int64 {
 		return int64(l.MILP.MaxNodes) * statesPerNode
 	}
 	return DefaultMaxStates
+}
+
+// stateSet is the DP's infeasible-state memo: a set of exact byte keys
+// kept in one flat slab, indexed by an open-addressing hash table of
+// entry numbers. An insert appends the key's bytes to the slab (no
+// per-key allocation, and nothing for the garbage collector to scan),
+// and a lookup compares candidate keys byte for byte, so membership is
+// exact whatever the hash does.
+type stateSet struct {
+	slab []byte
+	// ends[e] is the slab offset one past entry e's key; entry e starts
+	// at ends[e-1] (0 for the first).
+	ends []uint32
+	// table holds entry numbers plus one (0 marks a free slot); its
+	// length is a power of two, kept at least twice the entry count.
+	table []uint32
+}
+
+// stateSeed seeds the memo's hash. The seed changes probe order between
+// processes, never membership, so answers do not depend on it.
+var stateSeed = maphash.MakeSeed()
+
+func (s *stateSet) len() int { return len(s.ends) }
+
+// key returns entry e's bytes.
+func (s *stateSet) key(e int) []byte {
+	start := uint32(0)
+	if e > 0 {
+		start = s.ends[e-1]
+	}
+	return s.slab[start:s.ends[e]]
+}
+
+// slot returns the table index holding key, or the free index where it
+// belongs.
+func (s *stateSet) slot(key []byte) int {
+	mask := len(s.table) - 1
+	i := int(maphash.Bytes(stateSeed, key)) & mask
+	for s.table[i] != 0 && !bytes.Equal(s.key(int(s.table[i]-1)), key) {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// has reports whether key is in the set.
+func (s *stateSet) has(key []byte) bool {
+	return len(s.table) > 0 && s.table[s.slot(key)] != 0
+}
+
+// add inserts key, which the caller has checked is absent.
+func (s *stateSet) add(key []byte) {
+	if 2*(len(s.ends)+1) > len(s.table) {
+		s.grow()
+	}
+	s.slab = append(s.slab, key...)
+	s.ends = append(s.ends, uint32(len(s.slab)))
+	s.table[s.slot(key)] = uint32(len(s.ends))
+}
+
+// grow doubles the table (to 64 slots at first) and reinserts every
+// entry.
+func (s *stateSet) grow() {
+	s.table = make([]uint32, max(64, 2*len(s.table)))
+	for e := range s.ends {
+		s.table[s.slot(s.key(e))] = uint32(e + 1)
+	}
 }

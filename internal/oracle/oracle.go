@@ -9,7 +9,7 @@
 // configuration DP, an external MILP solver, an n-fold IP solver) plugs
 // into.
 //
-// Two backends are provided:
+// Two backends are provided, and one policy that combines them:
 //
 //   - BnB: LP-simplex branch-and-bound over the materialized MILP
 //     (internal/milp). Handles both cfgmilp modes, every problem family
@@ -20,8 +20,15 @@
 //     multiplicities, solving the backend-neutral Demand block directly
 //     in int64 fixed-point arithmetic (numeric.Fx) — no LP, no floating
 //     point, no tolerances. Decomposed-mode models of the bag families
-//     only; on the committed bags fixtures it decides as fast as BnB or
-//     faster.
+//     only.
+//
+//   - Default, what the zero Kind selects: CfgDP decides the guess, and
+//     BnB decides it when CfgDP declines the model or exhausts its state
+//     budget. Related-family and paper-mode models, which CfgDP declines
+//     by shape, go to BnB directly. The MILP is materialized only when
+//     BnB runs (see cfgmilp.Built.MILP).
+//
+// Pinning KindBnB or KindCfgDP runs that backend alone.
 //
 // # Exactness requirement
 //
@@ -47,19 +54,26 @@ import (
 	"repro/internal/scratch"
 )
 
-// Kind names a backend implementation.
+// Kind names an oracle policy: the default policy (the zero value) or
+// one pinned backend.
 type Kind int
 
 const (
-	// KindBnB is the LP-simplex branch-and-bound backend (the default).
-	KindBnB Kind = iota
-	// KindCfgDP is the exact configuration dynamic program.
+	// KindDefault is the default policy: cfgdp first, bnb when cfgdp
+	// declines the model or exhausts its budget (see Default).
+	KindDefault Kind = iota
+	// KindBnB pins the LP-simplex branch-and-bound backend.
+	KindBnB
+	// KindCfgDP pins the exact configuration dynamic program.
 	KindCfgDP
 )
 
-// String returns the CLI name of the kind.
+// String returns the CLI name of a pinned kind, and "default" for the
+// default policy.
 func (k Kind) String() string {
 	switch k {
+	case KindDefault:
+		return "default"
 	case KindBnB:
 		return "bnb"
 	case KindCfgDP:
@@ -69,7 +83,8 @@ func (k Kind) String() string {
 	}
 }
 
-// ParseKind parses a CLI backend name.
+// ParseKind parses a CLI backend name. Only the two pins have names: a
+// caller that pins nothing keeps the zero Kind.
 func ParseKind(s string) (Kind, error) {
 	switch s {
 	case "bnb":
@@ -81,12 +96,12 @@ func ParseKind(s string) (Kind, error) {
 	}
 }
 
-// Selection picks the backend for one solve; the zero value selects the
-// branch-and-bound backend. It is the type of core.Options.Oracle, kept
-// as a struct because the repository benchmark (perfbench) builds its
-// options with a Selection literal.
+// Selection picks the oracle policy for one solve; the zero value
+// selects the default policy. It is the type of core.Options.Oracle,
+// kept as a struct because the repository benchmark (perfbench) builds
+// its options with a Selection literal.
 type Selection struct {
-	// Backend is the backend kind to dispatch to.
+	// Backend is the policy to dispatch to.
 	Backend Kind
 }
 
@@ -123,10 +138,12 @@ type Stats struct {
 	// Backend is the backend that produced the result.
 	Backend string
 	// Nodes and Pivots are the branch-and-bound node and simplex-pivot
-	// counts (bnb only).
+	// counts.
 	Nodes  int
 	Pivots int
-	// States is the DP state count (cfgdp only).
+	// States is the DP state count. Under the default policy a guess
+	// that bnb decided after cfgdp stopped on its budget reports both
+	// backends' work: Backend is "bnb", States is cfgdp's.
 	States int64
 }
 
@@ -149,8 +166,9 @@ var ErrInfeasible = errors.New("oracle: configuration program infeasible")
 
 // ErrUnsupported reports that the backend cannot solve this model shape
 // (the configuration DP only handles decomposed-mode models of the bag
-// families). The pipeline rejects the guess, so a solve pinned to such a
-// backend degrades to its family's fallback schedule.
+// families). The default policy hands such models to bnb; a solve pinned
+// to the declining backend rejects the guess and degrades to its
+// family's fallback schedule.
 var ErrUnsupported = errors.New("oracle: model not supported by this backend")
 
 // Backend is one oracle engine. Solve decides the configuration program
@@ -169,10 +187,43 @@ type Backend interface {
 	Solve(ctx context.Context, b *cfgmilp.Built, lim Limits) (*cfgmilp.Plan, Stats, error)
 }
 
-// For returns the backend of a kind; an unknown kind selects bnb.
+// For returns the backend of a kind; an unknown kind selects the
+// default policy.
 func For(k Kind) Backend {
-	if k == KindCfgDP {
+	switch k {
+	case KindBnB:
+		return BnB{}
+	case KindCfgDP:
 		return CfgDP{}
+	default:
+		return Default{}
 	}
-	return BnB{}
+}
+
+// Default is the default oracle policy. The configuration DP decides a
+// guess whenever it can: it needs no LP, so the MILP is never
+// materialized for the guesses it decides. When it declines the model
+// (ErrUnsupported) or stops on its state budget (ErrLimit),
+// branch-and-bound decides the same model under the same limits, and
+// the returned Stats name bnb while still counting the DP's states.
+// Related-family and paper-mode models, which the DP declines by shape,
+// go to branch-and-bound directly. Its other outcomes — a plan,
+// ErrInfeasible, a context error — are the DP's own.
+type Default struct{}
+
+// Name returns "default".
+func (Default) Name() string { return "default" }
+
+// Solve decides the model with cfgdp, falling back to bnb.
+func (Default) Solve(ctx context.Context, b *cfgmilp.Built, lim Limits) (*cfgmilp.Plan, Stats, error) {
+	if b.Related != nil || b.Mode != cfgmilp.ModeDecomposed {
+		return BnB{}.Solve(ctx, b, lim)
+	}
+	plan, dp, err := CfgDP{}.Solve(ctx, b, lim)
+	if !errors.Is(err, ErrLimit) && !errors.Is(err, ErrUnsupported) {
+		return plan, dp, err
+	}
+	plan, st, err := BnB{}.Solve(ctx, b, lim)
+	st.States = dp.States
+	return plan, st, err
 }

@@ -3,6 +3,7 @@ package oracle
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/cfgmilp"
@@ -64,20 +65,73 @@ func TestParseKindRoundTrip(t *testing.T) {
 
 func TestForComposition(t *testing.T) {
 	var zero Kind
-	if _, ok := For(zero).(BnB); !ok {
-		t.Errorf("zero kind resolved to %T, want BnB", For(zero))
+	if _, ok := For(zero).(Default); !ok {
+		t.Errorf("zero kind resolved to %T, want Default", For(zero))
+	}
+	if _, ok := For(KindBnB).(BnB); !ok {
+		t.Errorf("bnb resolved to %T, want BnB", For(KindBnB))
 	}
 	if _, ok := For(KindCfgDP).(CfgDP); !ok {
 		t.Errorf("cfgdp resolved to %T, want CfgDP", For(KindCfgDP))
 	}
 }
 
-// TestBackendsAgreeOnFeasibility runs every backend on the same feasible
-// decomposed model and checks that each returns a plan satisfying the
-// demand block.
+// TestDefaultPolicy pins the default policy's routing: cfgdp decides a
+// decomposed model it can decide, bnb decides paper-mode models and
+// guesses cfgdp stops on, and the stats of such a guess name bnb while
+// counting cfgdp's states.
+func TestDefaultPolicy(t *testing.T) {
+	ctx := context.Background()
+	built := buildModel(t, cfgmilp.ModeDecomposed, testSpec())
+	wantPlan, wantStats, err := CfgDP{}.Solve(ctx, built, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, st, err := Default{}.Solve(ctx, built, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st != wantStats || !reflect.DeepEqual(plan.XCount, wantPlan.XCount) {
+		t.Fatalf("default on a decomposed model: %+v %v, want cfgdp's %+v %v", st, plan.XCount, wantStats, wantPlan.XCount)
+	}
+
+	lim := Limits{MILP: defaultMILP(), MaxStates: 1}
+	_, dpStats, err := CfgDP{}.Solve(ctx, built, lim)
+	if !errors.Is(err, ErrLimit) {
+		t.Fatalf("cfgdp with a 1-state budget returned %v, want ErrLimit", err)
+	}
+	wantPlan, wantStats, err = BnB{}.Solve(ctx, built, lim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, st, err = Default{}.Solve(ctx, built, lim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Backend != "bnb" || st.Nodes != wantStats.Nodes || st.Pivots != wantStats.Pivots || st.States != dpStats.States {
+		t.Fatalf("default after a cfgdp budget stop: stats %+v, want bnb's work %+v and cfgdp's %d states", st, wantStats, dpStats.States)
+	}
+	if !reflect.DeepEqual(plan.XCount, wantPlan.XCount) {
+		t.Fatalf("default after a cfgdp budget stop: plan %v, want bnb's %v", plan.XCount, wantPlan.XCount)
+	}
+
+	paper := buildModel(t, cfgmilp.ModePaper, testSpec())
+	plan, st, err = Default{}.Solve(ctx, paper, Limits{MILP: defaultMILP()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Backend != "bnb" || st.States != 0 {
+		t.Fatalf("default on a paper-mode model: stats %+v, want bnb alone", st)
+	}
+	verifyPlan(t, "default/paper", paper, plan)
+}
+
+// TestBackendsAgreeOnFeasibility runs every backend and the default
+// policy on the same feasible decomposed model and checks that each
+// returns a plan satisfying the demand block.
 func TestBackendsAgreeOnFeasibility(t *testing.T) {
 	built := buildModel(t, cfgmilp.ModeDecomposed, testSpec())
-	for _, bk := range []Backend{BnB{}, CfgDP{}} {
+	for _, bk := range []Backend{BnB{}, CfgDP{}, Default{}} {
 		plan, st, err := bk.Solve(context.Background(), built, Limits{})
 		if err != nil {
 			t.Fatalf("%s: %v", bk.Name(), err)

@@ -509,7 +509,7 @@ func configHash(cfg Config) uint64 {
 	h = hashMix(h, uint64(int64(cfg.MILP.LPMaxIters)))
 	h = hashMix(h, boolBit(cfg.MILP.StopAtFirst))
 	h = hashMix(h, boolBit(cfg.MILP.DisableRounding))
-	h = hashMix(h, uint64(cfg.Oracle))
+	h = hashMix(h, oracleHash(cfg.Oracle))
 	// The length of the retired portfolio backend list, always empty
 	// now; still mixed so memo keys (and snapshots) do not move.
 	h = hashMix(h, 0)
@@ -517,6 +517,23 @@ func configHash(cfg Config) uint64 {
 	h = hashMix(h, uint64(int64(cfg.BPrimeOverride)))
 	h = hashMix(h, boolBit(cfg.Float64Ref))
 	return h
+}
+
+// oracleHash is the value an oracle policy contributes to configHash.
+// The two pins keep the values they hashed as when bnb was the zero
+// Kind (bnb 0, cfgdp 1), so their memo keys and snapshots do not move.
+// The default policy's outcomes can differ from either pin's — an
+// accepted guess carries the plan of whichever backend decided it — so
+// it gets a value of its own.
+func oracleHash(k oracle.Kind) uint64 {
+	switch k {
+	case oracle.KindBnB:
+		return 0
+	case oracle.KindCfgDP:
+		return 1
+	default:
+		return 2
+	}
 }
 
 func boolBit(b bool) uint64 {

@@ -55,9 +55,9 @@ type Config struct {
 	PatternLimit int
 	// MILP tunes the branch-and-bound solver; StopAtFirst is forced on.
 	MILP milp.Options
-	// Oracle selects the backend the SolveOracle stage dispatches to;
-	// the zero value is the bnb backend (bit-identical to the
-	// pre-oracle-layer pipeline).
+	// Oracle selects the policy the SolveOracle stage dispatches to: the
+	// zero value is the default policy (cfgdp, then bnb), KindBnB and
+	// KindCfgDP pin one backend.
 	Oracle oracle.Kind
 	// AllPriority disables priority-bag selection and the instance
 	// transformation (Das–Wiese mode).

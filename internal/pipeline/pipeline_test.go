@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cfgmilp"
 	"repro/internal/greedy"
 	"repro/internal/memo"
 	"repro/internal/milp"
@@ -277,7 +278,8 @@ func TestEngineStageTimes(t *testing.T) {
 func TestEngineWallClockStopNotMemoized(t *testing.T) {
 	in, guess := testInstanceAndGuess(t)
 	shared := memo.New(1 << 20)
-	e := New(Config{Eps: 0.5, Cache: shared, MILP: milp.Options{TimeLimit: time.Nanosecond}})
+	// TimeLimit is a branch-and-bound limit, so the engine pins bnb.
+	e := New(Config{Eps: 0.5, Cache: shared, MILP: milp.Options{TimeLimit: time.Nanosecond}, Oracle: oracle.KindBnB})
 	for i := 0; i < 2; i++ {
 		if _, err := e.Run(context.Background(), in, guess); !errors.Is(err, oracle.ErrTimeLimit) {
 			t.Fatalf("run %d: err %v, want oracle.ErrTimeLimit", i, err)
@@ -343,6 +345,31 @@ func TestEngineHitSignature(t *testing.T) {
 		}
 		if !bytes.Equal(EncodeResult(r), EncodeResult(first)) {
 			t.Errorf("%s hit differs from the producing run", name)
+		}
+	}
+}
+
+// TestConfigHashPinsUnchanged: pinned bnb and cfgdp solves keep the
+// config hashes they had when bnb was the zero oracle Kind, so their
+// memo keys and snapshots stay valid; the default policy hashes apart
+// from both.
+func TestConfigHashPinsUnchanged(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want uint64
+	}{
+		{Config{Eps: 0.5, Oracle: oracle.KindBnB}, 0xdaa8587591a86f6e},
+		{Config{Eps: 0.5, Oracle: oracle.KindCfgDP}, 0x9507de14af855159},
+		{Config{Eps: 0.33, Mode: cfgmilp.ModePaper, Oracle: oracle.KindBnB}, 0xd25f19f535ae8fdc},
+		{Config{Eps: 0.33, Mode: cfgmilp.ModePaper, Oracle: oracle.KindCfgDP}, 0x668aa384fbefb5f3},
+	} {
+		if got := configHash(tc.cfg); got != tc.want {
+			t.Errorf("configHash(%+v) = %#x, want %#x", tc.cfg, got, tc.want)
+		}
+		def, bnb, dp := tc.cfg, tc.cfg, tc.cfg
+		def.Oracle, bnb.Oracle, dp.Oracle = oracle.KindDefault, oracle.KindBnB, oracle.KindCfgDP
+		if h := configHash(def); h == configHash(bnb) || h == configHash(dp) {
+			t.Errorf("default policy shares a config hash with a pin at %+v", def)
 		}
 	}
 }

@@ -39,7 +39,11 @@ func benchInput(b *testing.B, float64Ref bool) Input {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sol, err := milp.Solve(context.Background(), built.Model, milp.Options{StopAtFirst: true, MaxNodes: 4000})
+	model, err := built.MILP(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	sol, err := milp.Solve(context.Background(), model, milp.Options{StopAtFirst: true, MaxNodes: 4000})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -38,7 +38,11 @@ func pipeline(t *testing.T, in *sched.Instance, eps float64, bprime int, mode cf
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := milp.Solve(context.Background(), built.Model, milp.Options{StopAtFirst: true, MaxNodes: 4000})
+	model, err := built.MILP(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := milp.Solve(context.Background(), model, milp.Options{StopAtFirst: true, MaxNodes: 4000})
 	if err != nil {
 		t.Fatal(err)
 	}

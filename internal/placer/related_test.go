@@ -30,7 +30,11 @@ func solveRelated(t *testing.T, in *sched.Instance, eps float64) (*sched.Schedul
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := milp.Solve(context.Background(), b.Model, milp.Options{StopAtFirst: true})
+	model, err := b.MILP(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := milp.Solve(context.Background(), model, milp.Options{StopAtFirst: true})
 	if err != nil {
 		t.Fatal(err)
 	}

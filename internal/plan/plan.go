@@ -47,7 +47,9 @@ type Key struct {
 	Rung string `json:"rung"`
 	// EpsIdx is the EpsGrid bucket of an eptas rung; -1 for heuristics.
 	EpsIdx int `json:"eps_idx"`
-	// Backend is the requested oracle backend name; "" for heuristics.
+	// Backend names the oracle policy of an eptas rung: "default" for
+	// the default policy, "bnb" or "cfgdp" for a pinned backend; "" for
+	// heuristics.
 	Backend string `json:"backend"`
 }
 
@@ -184,14 +186,9 @@ type Request struct {
 	Jobs, Machines int
 	// Eps is the requested accuracy; the ladder starts there.
 	Eps float64
-	// Backend pins the oracle backend when non-empty; when empty the
-	// planner chooses among Candidates (falling back to the model's
-	// default when that is empty too).
+	// Backend names the oracle policy the eptas rungs run with (see
+	// Key.Backend); their predictions come from its cells.
 	Backend string
-	// Candidates are the backend names the planner may choose among for
-	// eptas rungs when Backend is empty, in deterministic preference
-	// order (ties and unknowns resolve to the first).
-	Candidates []string
 	// Budget is the latency budget; 0 means no deadline (the requested
 	// rung always fits).
 	Budget time.Duration
@@ -206,9 +203,6 @@ type Decision struct {
 	// Rung is the chosen ladder rung (its Bound is the reported
 	// guarantee).
 	Rung Rung
-	// Backend is the chosen oracle backend for eptas rungs ("" when the
-	// rung is a heuristic or no candidate was given).
-	Backend string
 	// Predicted is the model's latency estimate for the choice; Known
 	// is false when the model had no relevant observation (the planner
 	// then chose optimistically).
@@ -226,10 +220,9 @@ type Decision struct {
 }
 
 // Decide walks the degradation ladder front to back and returns the
-// first rung — with its cheapest predicted backend — that satisfies the
-// quality floor and is predicted to finish within the budget's
-// headroom. Unknown configurations are treated as fitting (a cold model
-// must not change behavior); pinned backends are never second-guessed.
+// first rung that satisfies the quality floor and is predicted to
+// finish within the budget's headroom. Unknown configurations are
+// treated as fitting (a cold model must not change behavior).
 // When no rung fits and a quality floor is set, the deadline and the
 // floor are jointly unsatisfiable and Decide fails with
 // ErrUnattainable — the hard 422-style refusal. Without a floor there
@@ -252,19 +245,14 @@ func (m *Model) Decide(req Request) (Decision, error) {
 			continue
 		}
 		sawFeasible = true
-		var (
-			backend string
-			pred    time.Duration
-			known   bool
-		)
-		if r.Heuristic() {
-			pred, known = m.predictLocked(Key{Family: req.Family, Size: size, Rung: r.Name}.Normalize())
-		} else {
-			backend, pred, known = m.bestBackendLocked(req, size, r)
+		key := Key{Family: req.Family, Size: size, Rung: r.Name}
+		if !r.Heuristic() {
+			key.EpsIdx, key.Backend = EpsIndex(r.Eps), req.Backend
 		}
+		pred, known := m.predictLocked(key.Normalize())
 		if req.Budget > 0 && known && pred > fit {
 			if bestIdx < 0 || pred < best.Predicted {
-				best = Decision{Rung: r, Backend: backend, Predicted: pred, Known: true,
+				best = Decision{Rung: r, Predicted: pred, Known: true,
 					ModelVersion: version, Degraded: i > 0, BestEffort: true}
 				bestIdx = i
 			}
@@ -272,7 +260,6 @@ func (m *Model) Decide(req Request) (Decision, error) {
 		}
 		return Decision{
 			Rung:         r,
-			Backend:      backend,
 			Predicted:    pred,
 			Known:        known,
 			ModelVersion: version,
@@ -288,36 +275,4 @@ func (m *Model) Decide(req Request) (Decision, error) {
 			ErrUnattainable, req.MinQuality, req.Budget)
 	}
 	return best, nil
-}
-
-// bestBackendLocked picks the backend for one eptas rung: the pinned
-// one when the request names it, otherwise the candidate with the
-// lowest observed prediction (evidence beats optimism for backend
-// choice — an unobserved backend is only picked when nothing has been
-// observed at all, in which case the first candidate wins).
-func (m *Model) bestBackendLocked(req Request, size int, r Rung) (string, time.Duration, bool) {
-	key := Key{Family: req.Family, Size: size, Rung: RungEPTAS, EpsIdx: EpsIndex(r.Eps)}.Normalize()
-	if req.Backend != "" {
-		key.Backend = req.Backend
-		pred, known := m.predictLocked(key)
-		return req.Backend, pred, known
-	}
-	if len(req.Candidates) == 0 {
-		pred, known := m.predictLocked(key)
-		return "", pred, known
-	}
-	best, bestPred, bestKnown := req.Candidates[0], time.Duration(0), false
-	for _, cand := range req.Candidates {
-		key.Backend = cand
-		pred, known := m.predictLocked(key)
-		if known && (!bestKnown || pred < bestPred) {
-			best, bestPred, bestKnown = cand, pred, true
-		}
-	}
-	if !bestKnown {
-		key.Backend = best
-		pred, known := m.predictLocked(key)
-		return best, pred, known
-	}
-	return best, bestPred, true
 }

@@ -208,28 +208,29 @@ func TestDecideColdModelKeepsRequest(t *testing.T) {
 	}
 }
 
-func TestDecideBackendChoice(t *testing.T) {
+// TestDecidePredictsFromPolicyCells: an eptas rung is predicted from the
+// cells of the request's own oracle policy, never from another policy's.
+func TestDecidePredictsFromPolicyCells(t *testing.T) {
 	m := frozen()
 	req := baseReq(2 * time.Second)
 	req.Eps = 0.5
-	req.Backend = ""
-	req.Candidates = []string{"cfgdp", "bnb"}
-	d, err := m.Decide(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Backend != "bnb" {
-		t.Fatalf("planner must pick the cheapest observed backend, got %q", d.Backend)
-	}
-
-	// With no observations for any candidate, the first candidate wins.
-	cold := NewModel()
-	d, err = cold.Decide(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Backend != "cfgdp" || d.Known {
-		t.Fatalf("cold backend choice must be the first candidate, got %+v", d)
+	for _, tc := range []struct {
+		backend string
+		pred    time.Duration
+		known   bool
+	}{
+		{"bnb", 20 * time.Millisecond, true},
+		{"cfgdp", 60 * time.Millisecond, true},
+		{"default", 0, false},
+	} {
+		req.Backend = tc.backend
+		d, err := m.Decide(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Rung.Name != RungEPTAS || d.Predicted != tc.pred || d.Known != tc.known {
+			t.Errorf("backend %q: decision %+v, want the eptas rung predicted %v (known %v)", tc.backend, d, tc.pred, tc.known)
+		}
 	}
 }
 
@@ -288,7 +289,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("budget %s: error mismatch %v vs %v", budget, errA, errB)
 		}
-		if errA == nil && (a.Rung != b.Rung || a.Backend != b.Backend) {
+		if errA == nil && (a.Rung != b.Rung || a.Predicted != b.Predicted || a.Known != b.Known) {
 			t.Fatalf("budget %s: warm model diverged: %+v vs %+v", budget, a, b)
 		}
 	}

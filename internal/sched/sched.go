@@ -368,11 +368,50 @@ func (s *Schedule) Validate() error {
 			return fmt.Errorf("sched: job %d assigned to machine %d outside [0,%d)", i, m, s.Inst.Machines)
 		}
 	}
-	if c := s.Conflicts(); len(c) > 0 {
+	if s.hasConflict() {
+		c := s.Conflicts()
 		return fmt.Errorf("sched: %d bag-constraint violations, first: jobs %d,%d (bag %d) on machine %d",
 			len(c), c[0].JobA, c[0].JobB, c[0].Bag, c[0].Machine)
 	}
 	return nil
+}
+
+// hasConflict reports whether two jobs of one bag share a machine, for
+// a schedule whose machines are in range. It groups the jobs by bag with
+// a counting sort and stamps each machine with the last bag seen on it:
+// linear in jobs, bags and machines, in one allocation. A job whose bag
+// lies outside [0, NumBags) is left to Conflicts.
+func (s *Schedule) hasConflict() bool {
+	jobs, nb, nm := s.Inst.Jobs, s.Inst.NumBags, s.Inst.Machines
+	buf := make([]int32, nb+1+len(jobs)+nm)
+	start, order, stamp := buf[:nb+1], buf[nb+1:nb+1+len(jobs)], buf[nb+1+len(jobs):]
+	for _, j := range jobs {
+		if j.Bag < 0 || j.Bag >= nb {
+			return len(s.Conflicts()) > 0
+		}
+		start[j.Bag+1]++
+	}
+	for b := 1; b <= nb; b++ {
+		start[b] += start[b-1]
+	}
+	// start[b] now counts the jobs of bags below b; filling advances it
+	// to the end of bag b's group.
+	for i, j := range jobs {
+		order[start[j.Bag]] = int32(i)
+		start[j.Bag]++
+	}
+	first := int32(0)
+	for b := 0; b < nb; b++ {
+		for _, i := range order[first:start[b]] {
+			m := s.Machine[i]
+			if stamp[m] == int32(b+1) {
+				return true
+			}
+			stamp[m] = int32(b + 1)
+		}
+		first = start[b]
+	}
+	return false
 }
 
 // BagsOnMachine returns, per machine, the set of bags present.

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -270,5 +271,40 @@ func TestScheduleInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestValidateMatchesConflicts: Validate's map-free conflict check gives
+// the same verdict and the same error text as one derived from
+// Conflicts, on random schedules with and without conflicts.
+func TestValidateMatchesConflicts(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	conflicted := 0
+	for trial := 0; trial < 2000; trial++ {
+		in := NewInstance(1 + rng.Intn(6))
+		bags := 1 + rng.Intn(8)
+		for j := rng.Intn(24); j > 0; j-- {
+			in.AddJob(1+rng.Float64(), rng.Intn(bags))
+		}
+		s := &Schedule{Inst: in, Machine: make([]int, len(in.Jobs))}
+		for i := range s.Machine {
+			s.Machine[i] = rng.Intn(in.Machines)
+		}
+		var want string
+		if c := s.Conflicts(); len(c) > 0 {
+			conflicted++
+			want = fmt.Sprintf("sched: %d bag-constraint violations, first: jobs %d,%d (bag %d) on machine %d",
+				len(c), c[0].JobA, c[0].JobB, c[0].Bag, c[0].Machine)
+		}
+		var got string
+		if err := s.Validate(); err != nil {
+			got = err.Error()
+		}
+		if got != want {
+			t.Fatalf("trial %d: Validate = %q, want %q (schedule %v of %+v)", trial, got, want, s.Machine, in.Jobs)
+		}
+	}
+	if conflicted == 0 || conflicted == 2000 {
+		t.Fatalf("%d of 2000 random schedules had conflicts; want both kinds", conflicted)
 	}
 }

@@ -20,10 +20,10 @@ import (
 func trainSlowModel(s *Server, jobs int, latency time.Duration) {
 	size := plan.SizeClass(jobs)
 	for _, eps := range append([]float64{0.25}, plan.EpsGrid...) {
-		s.Planner().Observe(plan.Key{Family: "bags", Size: size, Rung: plan.RungEPTAS,
-			EpsIdx: plan.EpsIndex(eps), Backend: "bnb"}, latency)
-		s.Planner().Observe(plan.Key{Family: "bags", Size: size, Rung: plan.RungEPTAS,
-			EpsIdx: plan.EpsIndex(eps), Backend: "cfgdp"}, latency)
+		for _, policy := range []oracle.Kind{oracle.KindDefault, oracle.KindBnB, oracle.KindCfgDP} {
+			s.Planner().Observe(plan.Key{Family: "bags", Size: size, Rung: plan.RungEPTAS,
+				EpsIdx: plan.EpsIndex(eps), Backend: policy.String()}, latency)
+		}
 	}
 }
 
@@ -153,35 +153,12 @@ func TestObservationFeedsServerModel(t *testing.T) {
 	}
 }
 
-// TestPlanCandidates: an adaptive request that pins no backend is
-// planned over the family's exact backends, server default first.
-// Related requests stay on bnb whatever the default, because cfgdp
-// declines related models.
-func TestPlanCandidates(t *testing.T) {
-	bnb, dp := oracle.KindBnB, oracle.KindCfgDP
-	for _, tc := range []struct {
-		family string
-		def    oracle.Kind
-		want   []oracle.Kind
-	}{
-		{"bags", bnb, []oracle.Kind{bnb, dp}},
-		{"bags", dp, []oracle.Kind{dp, bnb}},
-		{"identical", bnb, []oracle.Kind{bnb, dp}},
-		{"identical", dp, []oracle.Kind{dp, bnb}},
-		{"related", bnb, []oracle.Kind{bnb}},
-		{"related", dp, []oracle.Kind{bnb}},
-	} {
-		if got := planCandidates(tc.family, tc.def); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("planCandidates(%q, %v) = %v, want %v", tc.family, tc.def, got, tc.want)
-		}
-	}
-}
-
-// TestAdaptiveRelatedOnCfgDPServer: on a server whose default backend is
-// cfgdp, an adaptive related request that pins no backend is planned on
-// bnb and answers with the eptas rung, the same answer a bnb-default
-// server gives — on every repeat, once the cost model has observations.
-func TestAdaptiveRelatedOnCfgDPServer(t *testing.T) {
+// TestAdaptiveRelatedOnDefaultPolicy: an adaptive related request that
+// pins no backend runs the default policy, which hands related models
+// to bnb, so it answers with the eptas rung decided by bnb — the answer
+// a bnb-pinned request gets — on every repeat, once the cost model has
+// observations.
+func TestAdaptiveRelatedOnDefaultPolicy(t *testing.T) {
 	f, err := os.Open(filepath.Join("..", "..", "testdata", "related_few_m6_n20.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -191,13 +168,13 @@ func TestAdaptiveRelatedOnCfgDPServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := map[string]any{"instance": in, "family": "related", "eps": 0.5, "adaptive": true, "no_cache": true}
-	_, ref := newTestServer(t, Config{Workers: 1})
-	status, want := postJSON(t, ref.URL+"/v1/solve", body)
+	_, ts := newTestServer(t, Config{Workers: 1})
+	pinned := map[string]any{"instance": in, "family": "related", "eps": 0.5, "backend": "bnb", "no_cache": true}
+	status, want := postJSON(t, ts.URL+"/v1/solve", pinned)
 	if status != http.StatusOK {
-		t.Fatalf("bnb-default server: status %d: %v", status, want)
+		t.Fatalf("bnb-pinned request: status %d: %v", status, want)
 	}
-	_, ts := newTestServer(t, Config{Workers: 1, Backend: oracle.KindCfgDP})
+	body := map[string]any{"instance": in, "family": "related", "eps": 0.5, "adaptive": true, "no_cache": true}
 	for i := 0; i < 3; i++ {
 		status, doc := postJSON(t, ts.URL+"/v1/solve", body)
 		if status != http.StatusOK {
@@ -208,7 +185,7 @@ func TestAdaptiveRelatedOnCfgDPServer(t *testing.T) {
 			t.Fatalf("request %d: quality %v, want the eptas rung decided by bnb with bound 1.5", i, q)
 		}
 		if doc["makespan"] != want["makespan"] || !reflect.DeepEqual(doc["assignment"], want["assignment"]) {
-			t.Fatalf("request %d: answer differs from the bnb-default server's", i)
+			t.Fatalf("request %d: answer differs from the bnb-pinned request's", i)
 		}
 	}
 }

@@ -91,9 +91,6 @@ type Config struct {
 	CacheBytes int64
 	// Eps is the accuracy used when a request does not set one.
 	Eps float64
-	// Backend is the oracle backend used when a request does not set
-	// one.
-	Backend oracle.Kind
 	// MaxBodyBytes bounds request bodies (<= 0 selects DefaultMaxBody).
 	MaxBodyBytes int64
 	// DefaultTimeout bounds solves whose request sets no timeout_ms
@@ -283,7 +280,7 @@ func (s *Server) resolve(in *sched.Instance, req wire.SolveSpec) (*spec, error) 
 	if req.MinQuality != 0 && req.MinQuality < 1 {
 		return nil, fmt.Errorf("\"min_quality\" must be 0 (no floor) or >= 1, got %g", req.MinQuality)
 	}
-	backend := s.cfg.Backend
+	var backend oracle.Kind // the default policy unless the request pins one
 	if req.Backend != "" {
 		var err error
 		backend, err = oracle.ParseKind(req.Backend)
@@ -306,11 +303,6 @@ func (s *Server) resolve(in *sched.Instance, req wire.SolveSpec) (*spec, error) 
 	opt.MinQuality = req.MinQuality
 	if req.DeadlineMS > 0 {
 		opt.Deadline = time.Duration(req.DeadlineMS) * time.Millisecond
-	}
-	if req.Adaptive && req.Backend == "" {
-		// No pinned backend: let the planner pick among the family's
-		// exact backends by predicted latency.
-		opt.PlanBackends = planCandidates(fam.Name(), backend)
 	}
 
 	w := newKeyWriter()
@@ -432,23 +424,6 @@ func (w *keyWriter) delta(d *sched.Delta) {
 func (w *keyWriter) sum(dst []byte) []byte {
 	w.h.Write(w.buf)
 	return w.h.Sum(dst)
-}
-
-// planCandidates lists the oracle backends the planner may pick among
-// for an adaptive request that pinned none, in the preference order
-// that breaks ties between equal predictions: the server default first,
-// then the other exact backend. The configuration-DP oracle declines
-// related-machines models, so related requests stay on branch-and-bound
-// whatever the server default.
-func planCandidates(familyName string, def oracle.Kind) []oracle.Kind {
-	switch {
-	case familyName == "related":
-		return []oracle.Kind{oracle.KindBnB}
-	case def == oracle.KindCfgDP:
-		return []oracle.Kind{oracle.KindCfgDP, oracle.KindBnB}
-	default:
-		return []oracle.Kind{oracle.KindBnB, oracle.KindCfgDP}
-	}
 }
 
 // solveContext derives the per-request solve context from the client

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/core"
+	"repro/internal/oracle"
 	"repro/internal/sched"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -454,7 +455,8 @@ func TestAdmissionControl(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	blockedIn := testInstance(t)
-	opt := core.Options{Eps: 0.5}
+	// Progress is a branch-and-bound hook, so the blocker pins bnb.
+	opt := core.Options{Eps: 0.5, Oracle: oracle.Selection{Backend: oracle.KindBnB}}
 	opt.MILP.Progress = func(nodes, pivots int) error {
 		<-release
 		return nil

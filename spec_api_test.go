@@ -49,7 +49,7 @@ func TestSpecAdaptiveFlow(t *testing.T) {
 	size := plan.SizeClass(len(in.Jobs))
 	for _, eps := range append([]float64{0.3}, plan.EpsGrid...) {
 		m.Observe(plan.Key{Family: "bags", Size: size, Rung: plan.RungEPTAS,
-			EpsIdx: plan.EpsIndex(eps), Backend: "bnb"}, 250*time.Millisecond)
+			EpsIdx: plan.EpsIndex(eps), Backend: "default"}, 250*time.Millisecond)
 	}
 
 	res, err := SolveEPTAS(in, 0.3,
