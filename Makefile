@@ -124,19 +124,20 @@ pgo:
 # /v1/resolve bodies through decode and the coalescing key, memo
 # snapshot import, memo result payload decode, the simplex's bound
 # rows against the row-slice reference, and planner cost-model
-# snapshot import.
+# snapshot import. FUZZTIME sets the burst per target (CI passes 10s).
+FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzSolveEPTAS -fuzztime 30s .
-	$(GO) test -run '^$$' -fuzz FuzzInstanceJSON -fuzztime 30s ./internal/sched
-	$(GO) test -run '^$$' -fuzz '^FuzzDelta$$' -fuzztime 30s ./internal/sched
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSolveRequest$$' -fuzztime 30s ./internal/wire
-	$(GO) test -run '^$$' -fuzz FuzzSolveRequest -fuzztime 30s ./internal/server
-	$(GO) test -run '^$$' -fuzz '^FuzzResolveRequest$$' -fuzztime 30s ./internal/server
-	$(GO) test -run '^$$' -fuzz '^FuzzBatchRequest$$' -fuzztime 30s ./internal/server
-	$(GO) test -run '^$$' -fuzz FuzzImport -fuzztime 30s ./internal/memo
-	$(GO) test -run '^$$' -fuzz FuzzDecodeResult -fuzztime 30s ./internal/pipeline
-	$(GO) test -run '^$$' -fuzz FuzzSolveBounds -fuzztime 30s ./internal/lp
-	$(GO) test -run '^$$' -fuzz '^FuzzPlanImport$$' -fuzztime 30s ./internal/plan
+	$(GO) test -run '^$$' -fuzz FuzzSolveEPTAS -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz FuzzInstanceJSON -fuzztime $(FUZZTIME) ./internal/sched
+	$(GO) test -run '^$$' -fuzz '^FuzzDelta$$' -fuzztime $(FUZZTIME) ./internal/sched
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSolveRequest$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz FuzzSolveRequest -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzResolveRequest$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzBatchRequest$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzImport -fuzztime $(FUZZTIME) ./internal/memo
+	$(GO) test -run '^$$' -fuzz FuzzDecodeResult -fuzztime $(FUZZTIME) ./internal/pipeline
+	$(GO) test -run '^$$' -fuzz FuzzSolveBounds -fuzztime $(FUZZTIME) ./internal/lp
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanImport$$' -fuzztime $(FUZZTIME) ./internal/plan
 
 # cover is the CI coverage leg: the race-mode test run with an atomic
 # coverage profile, failing when total statement coverage drops below

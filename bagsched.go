@@ -34,8 +34,7 @@
 //   - SolveBatch (and NewPool for a reusable pool with a fixed worker
 //     count) solves many instances concurrently and returns outcomes in
 //     input order; every per-instance result matches a sequential
-//     SolveEPTAS call (see WithSpeculation for the wall-clock caveat
-//     that bounds this guarantee).
+//     SolveEPTAS call.
 //
 //   - Within one solve, the dual-approximation binary search evaluates
 //     up to three speculative makespan guesses concurrently (on
@@ -258,9 +257,9 @@ type Spec struct {
 	Repair bool
 
 	// Adaptive enables SLO-aware planning: with a Planner attached, the
-	// solve may coarsen eps, switch the backend, or answer with a
-	// bounded heuristic to meet Deadline, reporting what it did in
-	// Result.Quality. See WithAdaptive.
+	// solve may coarsen eps or answer with a bounded heuristic to meet
+	// Deadline, reporting what it did in Result.Quality. See
+	// WithAdaptive.
 	Adaptive bool
 	// Planner is the latency cost model consulted by adaptive solves
 	// and fed by every successful solve. See WithPlanner.
@@ -604,8 +603,7 @@ func (p *Pool) Workers() int { return p.inner.Workers() }
 // SolveEPTAS solves every instance with the EPTAS at accuracy eps,
 // distributing the solves over the pool's workers. Outcomes are returned
 // in input order, and each matches a sequential SolveEPTAS call on that
-// instance (see WithSpeculation for the wall-clock caveat that bounds
-// this guarantee).
+// instance.
 func (p *Pool) SolveEPTAS(ins []*Instance, eps float64, opts ...Option) []BatchOutcome {
 	return p.SolveEPTASContext(context.Background(), ins, eps, opts...)
 }

@@ -1,9 +1,9 @@
 package bagsched
 
 // Benchmark harness: one benchmark per experiment of the EX suite defined
-// in DESIGN.md (the paper has no experimental tables of its own — these
-// regenerate the synthetic evaluation), plus micro-benchmarks for every
-// substrate the EPTAS depends on. Run with:
+// by internal/experiments (the paper has no experimental tables of its
+// own — these regenerate the synthetic evaluation), plus micro-benchmarks
+// for every substrate the EPTAS depends on. Run with:
 //
 //	go test -bench=. -benchmem
 import (
@@ -532,7 +532,7 @@ func BenchmarkOracleCfgDP(b *testing.B) { benchOracleBackend(b, oracle.KindCfgDP
 func benchOracleLarge(b *testing.B, path string, kind oracle.Kind) {
 	built := benchOracleModelFrom(b, path)
 	backend := oracle.For(kind)
-	lim := oracle.Limits{MILP: milp.Options{MaxNodes: 500, StopAtFirst: true, TimeLimit: 10 * time.Minute}}
+	lim := oracle.Limits{MILP: milp.Options{MaxNodes: 500, StopAtFirst: true}}
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

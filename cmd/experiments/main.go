@@ -1,9 +1,10 @@
-// Command experiments regenerates the EX evaluation tables defined in
-// DESIGN.md — one experiment per theorem, lemma and figure of the paper.
+// Command experiments regenerates the EX evaluation tables defined by
+// internal/experiments — one experiment per theorem, lemma and figure of
+// the paper.
 //
 // Usage:
 //
-//	experiments [-ex all|F1|F2|F3|T1|T2|S1|L1|L6|L7|L8|L9|L11|B1|A1] [-quick] [-seeds N]
+//	experiments [-ex all|F1|F2|F3|T1|T2|L1|L6|L7|L8|L9|L11|B1|A1|A2] [-quick] [-seeds N]
 //
 // Output is GitHub-flavoured markdown on stdout, suitable for pasting
 // into EXPERIMENTS.md.

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/milp"
 	"repro/internal/workload"
 )
 
@@ -61,17 +60,14 @@ func FuzzSolveEPTAS(f *testing.F) {
 		// A tight pattern budget keeps one fuzz input far from the hang
 		// detector: guesses whose MILP would be huge are rejected and the
 		// solver degrades along its ladder, which is itself a path worth
-		// fuzzing. The MILP wall-clock limit is far above what an input
-		// needs, so node budgets bind and per-guess outcomes stay
-		// load-independent: the float and fixed paths cannot diverge
-		// through timing jitter. Both numeric
-		// paths run under identical options, so the cross-checks are
-		// unaffected.
+		// fuzzing. Every oracle budget is a work count, so per-guess
+		// outcomes are load-independent and the float and fixed paths
+		// cannot diverge through timing jitter. Both numeric paths run
+		// under identical options, so the cross-checks are unaffected.
 		opt := core.Options{
 			Eps:          eps,
 			Speculate:    1,
 			PatternLimit: 1200,
-			MILP:         milp.Options{TimeLimit: 30 * time.Second},
 		}
 		res, err := core.Solve(in, opt)
 		if err != nil {

@@ -63,9 +63,7 @@ func (p *Pool) Workers() int { return p.workers }
 // Solve solves every task and returns the outcomes in input order,
 // regardless of completion order. Tasks are distributed over the pool's
 // workers; each individual solve runs exactly the code path of a direct
-// core.Solve call and produces identical results (unless the options
-// set a MILP wall-clock limit; see core.Options.Speculate for the same
-// caveat).
+// core.Solve call and produces identical results.
 func (p *Pool) Solve(tasks []Task) []Outcome {
 	return p.SolveContext(context.Background(), tasks)
 }

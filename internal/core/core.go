@@ -75,12 +75,10 @@ type Options struct {
 	// speculative when more than one CPU is available. Speculation is
 	// result-transparent — the consumed guess sequence, the accepted
 	// schedule and all decision statistics are bit-for-bit identical to
-	// the sequential search — provided per-guess outcomes are
-	// load-independent, which they are unless Options.MILP.TimeLimit
-	// sets a wall-clock limit (none by default): a solve close enough to
-	// such a limit can flip a guess under CPU contention, sequentially
-	// or not. The cache-hit/miss split in Stats (but not any result) can
-	// also vary under speculation.
+	// the sequential search, because every oracle budget is a work count
+	// and per-guess outcomes never depend on load. Only the
+	// cache-hit/miss split in Stats (never a result) can vary under
+	// speculation.
 	Speculate int
 	// Cache, when non-nil, is a shared cross-request memo the pipeline
 	// engine stores guess outcomes in (and serves hits from) instead of
@@ -112,7 +110,7 @@ type Options struct {
 	// Planner is the online cost model adaptive solving plans against.
 	// When non-nil it also *observes*: every completed solve folds its
 	// measured latency into the model, keyed by (family, size bucket,
-	// eps, backend, workers) — observation never changes an answer, so
+	// rung, eps, backend) — observation never changes an answer, so
 	// attaching a model is result-transparent. See internal/plan.
 	Planner *plan.Model
 	// Deadline is this solve's latency budget. When positive it bounds
@@ -269,9 +267,9 @@ func Solve(in *sched.Instance, opt Options) (*Result, error) {
 // pattern enumeration and inside the MILP branch-and-bound loop — so a
 // canceled or expired context aborts the solve promptly and returns
 // ctx.Err(). With Options.Adaptive set the solve is preceded by an
-// admission-time planning step that may coarsen eps, switch the
-// backend, or answer with a heuristic rung to meet Options.Deadline;
-// see Options.Adaptive and internal/plan.
+// admission-time planning step that may coarsen eps or answer with a
+// heuristic rung to meet Options.Deadline; see Options.Adaptive and
+// internal/plan.
 func SolveContext(ctx context.Context, in *sched.Instance, opt Options) (*Result, error) {
 	return runAdaptive(ctx, in, opt, func(ctx context.Context, opt Options) (*Result, error) {
 		return solveSearch(ctx, in, opt)

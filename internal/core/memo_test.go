@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -9,9 +8,6 @@ import (
 	"time"
 
 	"repro/internal/greedy"
-	"repro/internal/memo"
-	"repro/internal/milp"
-	"repro/internal/oracle"
 	"repro/internal/workload"
 )
 
@@ -192,54 +188,5 @@ func TestPriorityCapLadderDegrades(t *testing.T) {
 	}
 	if pr.Info.BPrime != 2 {
 		t.Errorf("pipeline Info.BPrime = %d, want 2", pr.Info.BPrime)
-	}
-}
-
-// TestWallClockStopNotMemoized is the determinism-under-load contract of
-// the shared cache: a solve whose MILPs stop on a wall-clock limit
-// (here a one-nanosecond Options.MILP.TimeLimit, which stops every
-// branch and bound before its first node) leaves no entry behind — no
-// negative entry, nothing a snapshot could ship — so an identical second
-// solve runs its pipelines again instead of replaying load-dependent
-// rejections.
-func TestWallClockStopNotMemoized(t *testing.T) {
-	in := workload.MustGenerate(workload.Spec{Family: workload.Bimodal, Machines: 5, Jobs: 20, Bags: 8, Seed: 37})
-	shared := memo.New(1 << 20)
-	// TimeLimit is a branch-and-bound limit, so the solve pins bnb:
-	// under the default policy cfgdp would decide the guesses first.
-	opt := Options{Eps: 0.5, Speculate: 1, Cache: shared, MILP: milp.Options{TimeLimit: time.Nanosecond},
-		Oracle: oracle.Selection{Backend: oracle.KindBnB}}
-	first, err := Solve(in, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Stats.FailedGuesses == 0 || first.Stats.PipelineRuns == 0 {
-		t.Fatalf("first solve: %d failed guesses over %d pipeline runs, want every guess rejected by the time limit",
-			first.Stats.FailedGuesses, first.Stats.PipelineRuns)
-	}
-	if st := shared.Stats(); st.Negative != 0 || st.Entries != 0 {
-		t.Fatalf("wall-clock rejections were memoized: %+v", st)
-	}
-	var buf bytes.Buffer
-	if written, _, err := shared.Export(&buf); err != nil || written != 0 {
-		t.Fatalf("snapshot wrote %d records (err %v), want none", written, err)
-	}
-	second, err := Solve(in, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Stats.PipelineRuns != first.Stats.PipelineRuns || second.Stats.CacheHits != first.Stats.CacheHits {
-		t.Fatalf("second solve ran %d pipelines with %d hits, want the first solve's %d and %d",
-			second.Stats.PipelineRuns, second.Stats.CacheHits, first.Stats.PipelineRuns, first.Stats.CacheHits)
-	}
-
-	// The same solve without the time limit does commit entries: the
-	// assertions above are about the wall clock, not an idle cache.
-	opt.MILP = milp.Options{}
-	if _, err := Solve(in, opt); err != nil {
-		t.Fatal(err)
-	}
-	if shared.Len() == 0 {
-		t.Fatal("a solve within its time limit committed nothing")
 	}
 }

@@ -11,21 +11,16 @@ package core
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/cfgmilp"
 	"repro/internal/milp"
 	"repro/internal/workload"
 )
 
-// slowMILP sets a per-guess MILP wall-clock limit far above anything
-// these instances need, so every guess is decided by its deterministic
-// node budget (capped below the default to keep the -race CI job fast)
-// whatever the pipeline's default limits are. A tight wall-clock limit
-// could trip on one path but not the other on a heavily loaded runner
-// and legitimately diverge in ladder statistics — the documented
-// load-dependence caveat, not a numeric difference.
-var slowMILP = milp.Options{TimeLimit: 5 * time.Minute, MaxNodes: 200}
+// diffMILP caps the per-guess node budget below the default to keep the
+// -race CI job fast; like every oracle budget it is a work count, so
+// both paths decide each guess identically.
+var diffMILP = milp.Options{MaxNodes: 200}
 
 // diffPatternLimit keeps the LP dimension of the differential corpus
 // small: guesses whose spaces explode are rejected identically on both
@@ -38,15 +33,15 @@ func TestFixedPointMatchesFloat64Reference(t *testing.T) {
 		opt  Options
 	}
 	variants := []variant{
-		{"default", Options{Eps: 0.5, Speculate: 1, MILP: slowMILP, PatternLimit: diffPatternLimit}},
-		{"eps033", Options{Eps: 0.33, Speculate: 1, MILP: slowMILP, PatternLimit: diffPatternLimit}},
-		{"prioritycap", Options{Eps: 0.5, Speculate: 1, BPrimeOverride: 2, MILP: slowMILP, PatternLimit: diffPatternLimit}},
+		{"default", Options{Eps: 0.5, Speculate: 1, MILP: diffMILP, PatternLimit: diffPatternLimit}},
+		{"eps033", Options{Eps: 0.33, Speculate: 1, MILP: diffMILP, PatternLimit: diffPatternLimit}},
+		{"prioritycap", Options{Eps: 0.5, Speculate: 1, BPrimeOverride: 2, MILP: diffMILP, PatternLimit: diffPatternLimit}},
 		// Paper mode materializes the y block, so its LP dimension is the
 		// pattern count times the small-size/bag diversity — a much
 		// tighter pattern budget keeps it a model-shape diff rather than
 		// a scale test.
 		{"papermode", Options{Eps: 0.5, Speculate: 1, Mode: cfgmilp.ModePaper, BPrimeOverride: 2,
-			MILP: milp.Options{TimeLimit: 5 * time.Minute, MaxNodes: 80}, PatternLimit: 250}},
+			MILP: milp.Options{MaxNodes: 80}, PatternLimit: 250}},
 	}
 	// Every family runs the default variant plus one rotating special
 	// variant; the full cross product would quadruple the -race CI cost
@@ -95,11 +90,11 @@ func TestFixedPointMatchesFloat64ReferenceLarger(t *testing.T) {
 		in := workload.MustGenerate(workload.Spec{
 			Family: fam, Machines: 8, Jobs: 40, Bags: 10, Seed: 77,
 		})
-		fixed, err := Solve(in, Options{Eps: 0.4, Speculate: 1, BPrimeOverride: 4, MILP: slowMILP, PatternLimit: diffPatternLimit})
+		fixed, err := Solve(in, Options{Eps: 0.4, Speculate: 1, BPrimeOverride: 4, MILP: diffMILP, PatternLimit: diffPatternLimit})
 		if err != nil {
 			t.Fatalf("%s fixed: %v", fam, err)
 		}
-		float, err := Solve(in, Options{Eps: 0.4, Speculate: 1, BPrimeOverride: 4, MILP: slowMILP, PatternLimit: diffPatternLimit, Float64Ref: true})
+		float, err := Solve(in, Options{Eps: 0.4, Speculate: 1, BPrimeOverride: 4, MILP: diffMILP, PatternLimit: diffPatternLimit, Float64Ref: true})
 		if err != nil {
 			t.Fatalf("%s float ref: %v", fam, err)
 		}

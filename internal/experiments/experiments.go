@@ -1,5 +1,5 @@
-// Package experiments implements the EX evaluation suite defined in
-// DESIGN.md. The paper is a theory contribution with no experimental
+// Package experiments defines and implements the EX evaluation suite.
+// The paper is a theory contribution with no experimental
 // tables, so each experiment empirically verifies one theorem, lemma or
 // figure of the paper on synthetic workloads; cmd/experiments regenerates
 // every table and EXPERIMENTS.md records the results.

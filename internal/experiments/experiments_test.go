@@ -30,7 +30,7 @@ func TestTableMarkdownRendering(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"A1", "A2", "B1", "F1", "F2", "F3", "L1", "L11", "L6", "L7", "L8", "L9", "S1", "T1", "T2"}
+	want := []string{"A1", "A2", "B1", "F1", "F2", "F3", "L1", "L11", "L6", "L7", "L8", "L9", "T1", "T2"}
 	got := IDs()
 	if len(got) != len(want) {
 		t.Fatalf("registry has %v, want %v", got, want)
@@ -67,7 +67,7 @@ func TestQuickExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runs are not short")
 	}
-	for _, id := range []string{"F2", "F3", "L1", "L6", "L8", "S1"} {
+	for _, id := range []string{"F2", "F3", "L1", "L6", "L8"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			tbl, err := Run(id, Config{Quick: true, Seeds: 1})

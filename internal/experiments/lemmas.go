@@ -102,13 +102,6 @@ func runL6(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-func prioOf(pr *core.PipelineResult) []bool {
-	if pr.Transformed != nil {
-		return pr.Transformed.Priority
-	}
-	return pr.Info.Priority
-}
-
 func countBool(bs []bool) int {
 	n := 0
 	for _, b := range bs {

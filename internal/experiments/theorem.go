@@ -133,8 +133,8 @@ func runT2(cfg Config) (*Table, error) {
 
 // timeEPTAS times one solve with speculation pinned off, so the reported
 // wall-clock measures the paper's sequential algorithm and stays
-// comparable across machines and with previously recorded tables (EX-S1
-// measures the parallel paths separately).
+// comparable across machines and with previously recorded tables (the
+// ExS1 and ExS2 benchmarks in bench_test.go time the parallel paths).
 func timeEPTAS(in *sched.Instance, opt core.Options) (float64, *core.Result, error) {
 	if opt.Speculate == 0 {
 		opt.Speculate = 1

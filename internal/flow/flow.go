@@ -35,9 +35,6 @@ func NewGraph(n int) *Graph {
 	return &Graph{n: n, adj: make([][]*Edge, n)}
 }
 
-// NumNodes returns the number of nodes.
-func (g *Graph) NumNodes() int { return g.n }
-
 // AddEdge adds a directed edge with the given capacity and returns its
 // handle, which can be queried for flow after MaxFlow.
 func (g *Graph) AddEdge(from, to, capacity int) (*Edge, error) {

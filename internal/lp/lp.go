@@ -95,9 +95,6 @@ type Problem struct {
 // NewProblem returns an empty problem.
 func NewProblem() *Problem { return &Problem{} }
 
-// NumVars returns the number of variables added so far.
-func (p *Problem) NumVars() int { return len(p.obj) }
-
 // NumRows returns the number of constraints added so far.
 func (p *Problem) NumRows() int { return len(p.rows) }
 
@@ -107,9 +104,6 @@ func (p *Problem) AddVar(obj float64) int {
 	p.obj = append(p.obj, obj)
 	return len(p.obj) - 1
 }
-
-// SetObj changes the objective coefficient of variable v.
-func (p *Problem) SetObj(v int, obj float64) { p.obj[v] = obj }
 
 // AddConstraint adds a row and returns its index. Terms referencing
 // variables that do not exist cause Solve to fail.

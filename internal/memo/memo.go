@@ -6,11 +6,10 @@
 // either positive (a payload: the caller's encoding of a value) or
 // negative (a non-cancellation error); both are cached, because for the
 // EPTAS guess pipeline a rejection is as deterministic — and as
-// expensive to recompute — as an acceptance. Two kinds of result are
-// never cached: a context cancellation, which describes the caller's
-// impatience, not the key, and a transient outcome (see ErrTransient),
-// which the caller uses for an outcome that depended on more than the
-// key (a MILP stopped by a caller-set wall-clock limit).
+// expensive to recompute — as an acceptance. Only a context
+// cancellation is never cached: it describes the caller's impatience,
+// not the key. Every other outcome is committed, so callers must compute
+// outcomes that are a function of the key alone.
 //
 // # Layout
 //
@@ -30,18 +29,16 @@
 // claims the key and runs the compute function, every later caller
 // waits for that in-flight execution instead of starting a duplicate.
 // If the claimant is canceled, the claim is abandoned and one of the
-// waiters claims afresh, so a transient cancellation never poisons a
-// key. These are exactly the wait semantics of the old engine slot,
-// made explicit and tested here:
+// waiters claims afresh, so a cancellation never poisons a key. These
+// are exactly the wait semantics of the old engine slot, made explicit
+// and tested here:
 //
 //   - commit: a completed compute (payload or rejection error) is
 //     published to all waiters and cached;
-//   - serve: a transient outcome is published to the callers already
-//     waiting but not cached, so later callers compute afresh;
 //   - abandon: a canceled compute wakes all waiters, each of which
 //     retries the claim under its own context;
-//   - waiters that observe a commit or a served outcome count as cache
-//     hits — they got an outcome without paying for a pipeline run.
+//   - waiters that observe a commit count as cache hits — they got an
+//     outcome without paying for a pipeline run.
 //
 // # Bounding
 //
@@ -118,15 +115,6 @@ type Stats struct {
 	MaxCost int64
 }
 
-// ErrTransient marks a compute outcome that depends on more than its
-// key — on machine load, say. Do hands such an outcome to its claimant
-// and to the callers already waiting on the claim, but commits nothing:
-// the next caller computes afresh. fn reports a transient acceptance as
-// its payload together with ErrTransient itself, and a transient
-// rejection as an error wrapping ErrTransient; Do returns a transient
-// acceptance with a nil error.
-var ErrTransient = errors.New("memo: outcome depends on more than its key")
-
 // slot is one committed entry in the cache's slab. payload is the only
 // pointer; prev and next are slab indices on the LRU list (or the free
 // list), -1 for none.
@@ -154,8 +142,7 @@ func entryCost(n int) int64 { return entryOverhead + int64(n) }
 // served=false after done closes means the claim was abandoned and a
 // waiter should claim afresh. A waiter reads the outcome from the
 // flight, not the slab, so it is served even if eviction already
-// dropped the committed entry (or the outcome was transient and never
-// committed).
+// dropped the committed entry.
 type flight struct {
 	done    chan struct{}
 	served  bool
@@ -249,9 +236,7 @@ func (c *Cache) Stats() Stats {
 // cache retains as is and charges at its length; fn's error is cached
 // as a committed negative entry (its text is the payload) unless it is
 // a context cancellation, in which case the claim is abandoned and the
-// next caller recomputes, or marks the outcome transient (see
-// ErrTransient), in which case the callers already waiting get it and
-// the next caller recomputes. hit reports that the outcome was served
+// next caller recomputes. hit reports that the outcome was served
 // without running fn in this call (committed entry or in-flight wait);
 // a hit on a committed negative entry returns an error carrying the
 // rejection's text. A caller whose own ctx dies while waiting returns
@@ -305,8 +290,8 @@ func (c *Cache) Do(ctx context.Context, k Key, fn func() (payload []byte, err er
 	}
 }
 
-// claim runs fn for the claimed key k and commits, serves or abandons
-// its outcome. If fn panics, the claim is abandoned exactly like a
+// claim runs fn for the claimed key k and commits or abandons its
+// outcome. If fn panics, the claim is abandoned exactly like a
 // cancellation before the panic propagates — otherwise an HTTP layer
 // that recovers the panic would leave the key claimed forever and every
 // later caller wedged on f.done.
@@ -319,19 +304,8 @@ func (c *Cache) claim(k Key, f *flight, fn func() ([]byte, error)) (payload []by
 	}()
 	payload, err = fn()
 	finished = true
-	switch {
-	case IsCancellation(err):
+	if IsCancellation(err) {
 		// Abandon: wake waiters so one of them can claim afresh.
-		c.release(k, f)
-		return payload, false, err
-	case errors.Is(err, ErrTransient):
-		// Serve the waiters this outcome, commit nothing.
-		if err == ErrTransient {
-			err = nil
-		} else {
-			payload = nil
-		}
-		f.served, f.payload, f.err = true, payload, err
 		c.release(k, f)
 		return payload, false, err
 	}
@@ -349,8 +323,7 @@ func (c *Cache) claim(k Key, f *flight, fn func() ([]byte, error)) (payload []by
 }
 
 // release drops the claim on k without committing and wakes its
-// waiters: they take the flight's outcome if it was served one, and
-// otherwise claim afresh.
+// waiters, which claim afresh.
 func (c *Cache) release(k Key, f *flight) {
 	c.mu.Lock()
 	delete(c.flights, k)

@@ -137,119 +137,6 @@ func TestCancellationNotCached(t *testing.T) {
 	}
 }
 
-// TestTransientNotCached: a transient outcome — an acceptance reported
-// with ErrTransient itself or a rejection wrapping it — is handed back
-// to its claimant but never committed, so the next caller recomputes.
-func TestTransientNotCached(t *testing.T) {
-	stop := fmt.Errorf("oracle stopped on the wall clock: %w", ErrTransient)
-	for _, tc := range []struct {
-		name    string
-		payload []byte
-		err     error
-		wantErr error
-	}{
-		{"acceptance", pay(4, 8), ErrTransient, nil},
-		{"rejection", nil, stop, stop},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c := New(0)
-			calls := 0
-			for i := 0; i < 2; i++ {
-				v, hit, err := c.Do(context.Background(), key(1), func() ([]byte, error) {
-					calls++
-					return tc.payload, tc.err
-				})
-				if err != tc.wantErr || hit || !same(v, tc.payload) {
-					t.Fatalf("transient Do %d = (%v, hit=%v, err=%v), want its own outcome as a miss", i, v, hit, err)
-				}
-			}
-			if st := c.Stats(); calls != 2 || st.Entries != 0 || st.Negative != 0 || st.Misses != 2 {
-				t.Fatalf("after two transient outcomes: %d computes, stats %+v; want 2 computes and no entry", calls, st)
-			}
-		})
-	}
-}
-
-// waitingCtx signals entered each time Do is about to block on another
-// caller's claim: the select on the in-flight claim is the only place
-// Do asks for ctx.Done().
-type waitingCtx struct {
-	context.Context
-	entered chan<- struct{}
-}
-
-func (c waitingCtx) Done() <-chan struct{} {
-	c.entered <- struct{}{}
-	return c.Context.Done()
-}
-
-// TestWaitersShareTransientOutcome: callers already waiting on a claim
-// whose outcome turns out transient get that outcome, as waits, instead
-// of claiming the key again one after another; fn runs once. Nothing is
-// committed, so a later caller computes afresh.
-func TestWaitersShareTransientOutcome(t *testing.T) {
-	stop := fmt.Errorf("oracle stopped on the wall clock: %w", ErrTransient)
-	for _, tc := range []struct {
-		name    string
-		payload []byte
-		err     error
-		wantErr error
-	}{
-		{"acceptance", pay(4, 8), ErrTransient, nil},
-		{"rejection", nil, stop, stop},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c := New(0)
-			var calls atomic.Int64
-			release := make(chan struct{})
-			fn := func() ([]byte, error) {
-				calls.Add(1)
-				<-release
-				return tc.payload, tc.err
-			}
-			claimed := make(chan struct{})
-			go c.Do(context.Background(), key(1), func() ([]byte, error) { //nolint:errcheck
-				close(claimed)
-				return fn()
-			})
-			<-claimed
-			const waiters = 3
-			entered := make(chan struct{}, waiters)
-			type outcome struct {
-				v   []byte
-				hit bool
-				err error
-			}
-			out := make(chan outcome, waiters)
-			for w := 0; w < waiters; w++ {
-				go func() {
-					v, hit, err := c.Do(waitingCtx{context.Background(), entered}, key(1), fn)
-					out <- outcome{v, hit, err}
-				}()
-			}
-			for w := 0; w < waiters; w++ {
-				<-entered
-			}
-			close(release)
-			for w := 0; w < waiters; w++ {
-				o := <-out
-				if !o.hit || o.err != tc.wantErr || !same(o.v, tc.payload) {
-					t.Fatalf("waiter got (%v, hit=%v, err=%v), want the claimant's outcome as a hit", o.v, o.hit, o.err)
-				}
-			}
-			if n := calls.Load(); n != 1 {
-				t.Fatalf("fn ran %d times, want once", n)
-			}
-			if st := c.Stats(); st.Entries != 0 || st.Misses != 1 || st.Hits != waiters || st.Waits != waiters {
-				t.Fatalf("stats = %+v, want no entry, 1 miss and %d waits", st, waiters)
-			}
-			if _, hit := mustDo(t, c, key(1), func() ([]byte, error) { calls.Add(1); return pay(5, 1), nil }); hit || calls.Load() != 2 {
-				t.Fatalf("a caller after the transient outcome: hit=%v, %d computes; want a fresh compute", hit, calls.Load())
-			}
-		})
-	}
-}
-
 func TestEvictionLRU(t *testing.T) {
 	// Room for two 40-byte entries plus an empty one, not three 40-byte
 	// entries.

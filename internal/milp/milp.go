@@ -21,7 +21,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/lp"
 )
@@ -70,12 +69,6 @@ type Options struct {
 	// MaxNodes bounds the number of branch-and-bound nodes. Zero means
 	// the default of 20000.
 	MaxNodes int
-	// TimeLimit aborts the search when exceeded. Zero means no limit.
-	TimeLimit time.Duration
-	// IntTol is the integrality tolerance. Zero means 1e-6.
-	IntTol float64
-	// LPMaxIters bounds simplex pivots per node. Zero means the lp default.
-	LPMaxIters int
 	// StopAtFirst stops at the first integer-feasible solution, which is
 	// the right mode for pure feasibility models (zero objective).
 	StopAtFirst bool
@@ -108,10 +101,6 @@ type Solution struct {
 	Pivots int
 	// Bound is the best proven lower bound on the objective.
 	Bound float64
-	// TimedOut reports that the search stopped on Options.TimeLimit.
-	// Every other stop depends only on the model and the options; this
-	// one also depends on machine load.
-	TimedOut bool
 }
 
 // node is one open subproblem: the branching bounds from the root, each
@@ -206,6 +195,10 @@ func (q *nodeQueue) recycle(n *node) {
 	q.free = n
 }
 
+// intTol is the integrality tolerance: an integer variable within intTol
+// of an integer is not branched on.
+const intTol = 1e-6
+
 // workspaces pools the simplex workspaces of the searches; a workspace
 // is held for a whole solve.
 var workspaces = sync.Pool{New: func() any { return new(lp.Workspace) }}
@@ -220,19 +213,11 @@ func Solve(ctx context.Context, m *Model, opt Options) (Solution, error) {
 	if opt.MaxNodes <= 0 {
 		opt.MaxNodes = 20000
 	}
-	if opt.IntTol <= 0 {
-		opt.IntTol = 1e-6
-	}
-	deadline := time.Time{}
-	if opt.TimeLimit > 0 {
-		deadline = time.Now().Add(opt.TimeLimit)
-	}
 
 	var (
 		incumbent    []float64
 		incumbentObj = math.Inf(1)
 		haveInc      bool
-		timedOut     bool
 		nodes        int
 		pivots       int
 		bestBound    = math.Inf(1)
@@ -243,7 +228,7 @@ func Solve(ctx context.Context, m *Model, opt Options) (Solution, error) {
 	// One LP option set serves every node: during a node's solve pivots
 	// still holds the count before it, so the hook reports the same
 	// cumulative ticks a per-node closure over that count would.
-	lpOpt := lp.Options{MaxIters: opt.LPMaxIters}
+	var lpOpt lp.Options
 	if opt.Progress != nil {
 		lpOpt.Progress = func(iters int) error { return opt.Progress(nodes, pivots+iters) }
 	}
@@ -255,10 +240,6 @@ func Solve(ctx context.Context, m *Model, opt Options) (Solution, error) {
 	rootBound := math.Inf(-1)
 	for q.len() > 0 {
 		if nodes >= opt.MaxNodes {
-			break
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			timedOut = true
 			break
 		}
 		if err := ctx.Err(); err != nil {
@@ -319,7 +300,7 @@ func Solve(ctx context.Context, m *Model, opt Options) (Solution, error) {
 
 		// Find the most fractional integer variable.
 		branchVar := -1
-		worst := opt.IntTol
+		worst := intTol
 		for _, v := range m.Integer {
 			x := res.X[v]
 			frac := math.Abs(x - math.Round(x))
@@ -359,12 +340,12 @@ func Solve(ctx context.Context, m *Model, opt Options) (Solution, error) {
 		if q.len() == 0 || bestBound >= incumbentObj-1e-9 {
 			status = StatusOptimal
 		}
-		return Solution{Status: status, X: incumbent, Obj: incumbentObj, Nodes: nodes, Pivots: pivots, Bound: bestBound, TimedOut: timedOut}, nil
+		return Solution{Status: status, X: incumbent, Obj: incumbentObj, Nodes: nodes, Pivots: pivots, Bound: bestBound}, nil
 	}
 	if q.len() == 0 {
 		return Solution{Status: StatusInfeasible, Nodes: nodes, Pivots: pivots}, nil
 	}
-	return Solution{Status: StatusLimit, Nodes: nodes, Pivots: pivots, Bound: bestBound, TimedOut: timedOut}, nil
+	return Solution{Status: StatusLimit, Nodes: nodes, Pivots: pivots, Bound: bestBound}, nil
 }
 
 // rounder is the largest-remainder rounding heuristic with buffers that

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"time"
 
 	"repro/internal/lp"
 )
@@ -84,13 +83,6 @@ func refSolve(ctx context.Context, spec *milpSpec, opt Options) (Solution, error
 	if opt.MaxNodes <= 0 {
 		opt.MaxNodes = 20000
 	}
-	if opt.IntTol <= 0 {
-		opt.IntTol = 1e-6
-	}
-	deadline := time.Time{}
-	if opt.TimeLimit > 0 {
-		deadline = time.Now().Add(opt.TimeLimit)
-	}
 	isInt := make(map[int]bool, len(m.Integer))
 	for _, v := range m.Integer {
 		isInt[v] = true
@@ -110,9 +102,6 @@ func refSolve(ctx context.Context, spec *milpSpec, opt Options) (Solution, error
 		if nodes >= opt.MaxNodes {
 			break
 		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			break
-		}
 		if err := ctx.Err(); err != nil {
 			return Solution{}, err
 		}
@@ -128,7 +117,7 @@ func refSolve(ctx context.Context, spec *milpSpec, opt Options) (Solution, error
 			}
 		}
 		prob := spec.problem(nd.bounds)
-		lpOpt := lp.Options{MaxIters: opt.LPMaxIters}
+		var lpOpt lp.Options
 		if opt.Progress != nil {
 			base := pivots
 			lpOpt.Progress = func(iters int) error { return opt.Progress(nodes, base+iters) }
@@ -167,7 +156,7 @@ func refSolve(ctx context.Context, spec *milpSpec, opt Options) (Solution, error
 			}
 		}
 		branchVar := -1
-		worst := opt.IntTol
+		worst := 1e-6
 		for _, v := range m.Integer {
 			x := res.X[v]
 			frac := math.Abs(x - math.Round(x))
@@ -260,7 +249,7 @@ func refSnap(x []float64, isInt map[int]bool) []float64 {
 
 // sameSolution reports whether two solutions agree bit for bit.
 func sameSolution(a, b Solution) bool {
-	if a.Status != b.Status || a.Nodes != b.Nodes || a.Pivots != b.Pivots || a.TimedOut != b.TimedOut ||
+	if a.Status != b.Status || a.Nodes != b.Nodes || a.Pivots != b.Pivots ||
 		math.Float64bits(a.Obj) != math.Float64bits(b.Obj) || math.Float64bits(a.Bound) != math.Float64bits(b.Bound) ||
 		len(a.X) != len(b.X) {
 		return false
@@ -329,25 +318,5 @@ func TestSolveMatchesReference(t *testing.T) {
 		if statuses[s] == 0 {
 			t.Errorf("no random model ended %v: %v", s, statuses)
 		}
-	}
-}
-
-// TestTimeLimitReported: a search stopped by the wall clock says so, and
-// no other stop does.
-func TestTimeLimitReported(t *testing.T) {
-	m := oddCycleModel(6)
-	sol, err := Solve(context.Background(), m, Options{TimeLimit: time.Nanosecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != StatusLimit || !sol.TimedOut || sol.Nodes != 0 {
-		t.Fatalf("1ns search = %+v, want a timed-out limit before any node", sol)
-	}
-	sol, err = Solve(context.Background(), m, Options{MaxNodes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.TimedOut {
-		t.Fatalf("node-budget stop reported as timed out: %+v", sol)
 	}
 }

@@ -22,30 +22,6 @@ const Tol = 1e-9
 // Eq reports whether a and b are equal within Tol.
 func Eq(a, b float64) bool { return math.Abs(a-b) <= Tol }
 
-// EqTol reports whether a and b are equal within the given tolerance.
-func EqTol(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
-
-// Leq reports whether a <= b within Tol.
-func Leq(a, b float64) bool { return a <= b+Tol }
-
-// Geq reports whether a >= b within Tol.
-func Geq(a, b float64) bool { return a >= b-Tol }
-
-// Less reports whether a < b by more than Tol.
-func Less(a, b float64) bool { return a < b-Tol }
-
-// Greater reports whether a > b by more than Tol.
-func Greater(a, b float64) bool { return a > b+Tol }
-
-// IsInt reports whether x is within tol of an integer.
-func IsInt(x, tol float64) bool {
-	_, frac := math.Modf(x)
-	if frac < 0 {
-		frac = -frac
-	}
-	return frac <= tol || frac >= 1-tol
-}
-
 // RoundInt returns the nearest integer to x as an int.
 func RoundInt(x float64) int { return int(math.Round(x)) }
 
@@ -80,17 +56,6 @@ func (k *Kahan) Add(x float64) {
 // Value returns the current sum.
 func (k *Kahan) Value() float64 { return k.sum }
 
-// Clamp limits x to the closed interval [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
 // MaxFloat returns the maximum of xs, or 0 for an empty slice.
 func MaxFloat(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -103,48 +68,4 @@ func MaxFloat(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// MinFloat returns the minimum of xs, or 0 for an empty slice.
-func MinFloat(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// ArgMin returns the index of the smallest element of xs, breaking ties by
-// the lower index. It returns -1 for an empty slice.
-func ArgMin(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs[1:] {
-		if x < xs[best] {
-			best = i + 1
-		}
-	}
-	return best
-}
-
-// ArgMax returns the index of the largest element of xs, breaking ties by
-// the lower index. It returns -1 for an empty slice.
-func ArgMax(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs[1:] {
-		if x > xs[best] {
-			best = i + 1
-		}
-	}
-	return best
 }

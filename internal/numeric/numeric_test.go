@@ -25,41 +25,6 @@ func TestEq(t *testing.T) {
 	}
 }
 
-func TestOrderingHelpers(t *testing.T) {
-	if !Leq(1, 1+1e-10) || !Leq(1, 2) || Leq(2, 1) {
-		t.Error("Leq misbehaves")
-	}
-	if !Geq(1+1e-10, 1) || !Geq(2, 1) || Geq(1, 2) {
-		t.Error("Geq misbehaves")
-	}
-	if !Less(1, 2) || Less(1, 1+1e-10) || Less(2, 1) {
-		t.Error("Less misbehaves")
-	}
-	if !Greater(2, 1) || Greater(1+1e-10, 1) || Greater(1, 2) {
-		t.Error("Greater misbehaves")
-	}
-}
-
-func TestIsInt(t *testing.T) {
-	tests := []struct {
-		x    float64
-		tol  float64
-		want bool
-	}{
-		{3, 1e-6, true},
-		{3.0000001, 1e-6, true},
-		{3.001, 1e-6, false},
-		{-2.9999999, 1e-6, true},
-		{0.5, 1e-6, false},
-		{0, 1e-6, true},
-	}
-	for _, tt := range tests {
-		if got := IsInt(tt.x, tt.tol); got != tt.want {
-			t.Errorf("IsInt(%g, %g) = %v, want %v", tt.x, tt.tol, got, tt.want)
-		}
-	}
-}
-
 func TestSumMatchesNaiveOnSmallInputs(t *testing.T) {
 	xs := []float64{1, 2, 3, 4.5}
 	if got := Sum(xs); got != 10.5 {
@@ -96,16 +61,10 @@ func TestKahanMatchesSum(t *testing.T) {
 		for _, x := range clean {
 			k.Add(x)
 		}
-		return EqTol(k.Value(), Sum(clean), 1e-6*(1+math.Abs(Sum(clean))))
+		return math.Abs(k.Value()-Sum(clean)) <= 1e-6*(1+math.Abs(Sum(clean)))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Error("Clamp misbehaves")
 	}
 }
 
@@ -114,16 +73,7 @@ func TestMinMaxArg(t *testing.T) {
 	if MaxFloat(xs) != 5 {
 		t.Errorf("MaxFloat = %g", MaxFloat(xs))
 	}
-	if MinFloat(xs) != 1 {
-		t.Errorf("MinFloat = %g", MinFloat(xs))
-	}
-	if ArgMin(xs) != 1 { // first minimum wins
-		t.Errorf("ArgMin = %d", ArgMin(xs))
-	}
-	if ArgMax(xs) != 4 {
-		t.Errorf("ArgMax = %d", ArgMax(xs))
-	}
-	if MaxFloat(nil) != 0 || MinFloat(nil) != 0 || ArgMin(nil) != -1 || ArgMax(nil) != -1 {
+	if MaxFloat(nil) != 0 {
 		t.Error("empty-slice behaviour wrong")
 	}
 }

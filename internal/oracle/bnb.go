@@ -11,9 +11,7 @@ import (
 // BnB is the LP-simplex branch-and-bound backend: it materializes the
 // MILP of the Built model and solves it with internal/milp. It handles
 // both cfgmilp modes and arbitrary pattern spaces; its work is bounded
-// by the deterministic Limits.MILP.MaxNodes budget (plus a caller-set
-// wall-clock TimeLimit, the one load-dependent limit, which it reports
-// as ErrTimeLimit).
+// by the deterministic Limits.MILP.MaxNodes budget.
 type BnB struct{}
 
 // Name returns "bnb".
@@ -43,9 +41,6 @@ func (BnB) Solve(ctx context.Context, b *cfgmilp.Built, lim Limits) (*cfgmilp.Pl
 	case milp.StatusInfeasible:
 		return nil, st, fmt.Errorf("%w (branch and bound exhausted the search space)", ErrInfeasible)
 	default:
-		if sol.TimedOut {
-			return nil, st, fmt.Errorf("%w (bnb stopped after %d nodes, %v)", ErrTimeLimit, sol.Nodes, opt.TimeLimit)
-		}
 		return nil, st, fmt.Errorf("%w (bnb stopped after %d nodes)", ErrLimit, sol.Nodes)
 	}
 }

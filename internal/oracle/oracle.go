@@ -105,15 +105,14 @@ type Selection struct {
 	Backend Kind
 }
 
-// Limits carries the per-solve resource budgets. All budgets are
-// deterministic work counts (nodes, DP states) except a caller-set MILP
-// wall-clock limit (milp.Options.TimeLimit, off by default), the one
-// load-dependent limit.
+// Limits carries the per-solve resource budgets. Every budget is a
+// deterministic work count (nodes, DP states), so no outcome depends on
+// machine load.
 type Limits struct {
 	// MILP tunes the branch-and-bound backend; StopAtFirst is forced on
 	// by the bnb backend (the configuration program is a feasibility
 	// problem). MaxNodes must be resolved by the caller (the pipeline
-	// applies its own default); a zero TimeLimit means none.
+	// applies its own default).
 	MILP milp.Options
 	// MaxStates bounds the configuration DP's state expansions. Zero
 	// derives it from MILP.MaxNodes (256 states per node, so short ladder
@@ -153,13 +152,6 @@ type Stats struct {
 // the priority-cap ladder may retry with a smaller cap.
 var ErrLimit = errors.New("oracle: work budget exhausted")
 
-// ErrTimeLimit reports that the branch-and-bound search stopped on a
-// caller-set wall-clock limit (milp.Options.TimeLimit) before deciding
-// feasibility. The ladder retries it like ErrLimit, but unlike every
-// other outcome it depends on machine load, not only on the model, so it
-// must never be memoized or shipped to another replica.
-var ErrTimeLimit = errors.New("oracle: wall-clock time limit reached")
-
 // ErrInfeasible reports that the configuration program of this guess has
 // no integer solution — the guess is below the transformed optimum.
 var ErrInfeasible = errors.New("oracle: configuration program infeasible")
@@ -174,14 +166,11 @@ var ErrUnsupported = errors.New("oracle: model not supported by this backend")
 // Backend is one oracle engine. Solve decides the configuration program
 // in b and returns its plan: a nil error means feasible, with the plan
 // realizing the demand block; otherwise the error wraps ErrInfeasible,
-// ErrLimit, ErrTimeLimit or ErrUnsupported (or the context's error on
-// cancellation).
+// ErrLimit or ErrUnsupported (or the context's error on cancellation).
 // Implementations must be stateless and safe for concurrent use —
 // speculative guess evaluation runs several solves at once — and
-// deterministic: for a fixed model and limits the returned
-// plan and stats must not depend on wall-clock or machine load (the
-// caller-set MILP TimeLimit is the documented exception, reported as
-// ErrTimeLimit).
+// deterministic: for a fixed model and limits the returned plan and
+// stats must not depend on wall-clock or machine load.
 type Backend interface {
 	Name() string
 	Solve(ctx context.Context, b *cfgmilp.Built, lim Limits) (*cfgmilp.Plan, Stats, error)

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -147,14 +146,10 @@ type Metrics struct {
 // deduplicated in flight by the cache: the first claims the key and
 // runs, later ones wait for its outcome instead of running a duplicate
 // pipeline. A rejection is committed as a negative entry (its text) and
-// served like any other outcome. Two outcomes are never memoized:
-// cancellation errors (the claim is abandoned and the next evaluation
-// recomputes), and any ladder one of whose rungs a caller-set MILP
-// wall-clock TimeLimit stopped (oracle.ErrTimeLimit; the pipeline sets
-// none) — without the load that rung might have decided, so the outcome
-// is not a function of the key; the evaluations already waiting on it
-// share it, later ones recompute. See internal/memo for the exact
-// semantics.
+// served like any other outcome. Every oracle budget is a work count,
+// so every outcome but a cancellation is a function of the key and is
+// committed; a cancellation abandons the claim and the next evaluation
+// recomputes. See internal/memo for the exact semantics.
 //
 // An Engine is safe for concurrent use; speculative guess evaluation
 // shares one engine across its pipelines, and the serving layer shares
@@ -243,7 +238,7 @@ func (e *Engine) Run(ctx context.Context, in *sched.Instance, guess float64) (*R
 		e.mu.Lock()
 		e.metrics.Runs++
 		e.mu.Unlock()
-		res, _, err := e.runLadder(ctx, st)
+		res, err := e.runLadder(ctx, st)
 		if res != nil {
 			res.Signature = sig
 		}
@@ -262,19 +257,12 @@ func (e *Engine) Run(ctx context.Context, in *sched.Instance, guess float64) (*R
 		e.metrics.Runs++
 		e.mu.Unlock()
 		claimed = true
-		res, transient, err := e.runLadder(ctx, st)
+		res, err := e.runLadder(ctx, st)
 		if res != nil {
 			res.Signature = sig
 		}
 		fresh, freshErr = res, err
-		switch {
-		case memo.IsCancellation(err):
-			return nil, err
-		case transient && err != nil:
-			return nil, fmt.Errorf("%w (%w)", err, memo.ErrTransient)
-		case transient:
-			return EncodeResult(res), memo.ErrTransient
-		case err != nil:
+		if err != nil {
 			return nil, err
 		}
 		return EncodeResult(res), nil
@@ -348,14 +336,12 @@ func (e *Engine) auxFor(in *sched.Instance) uint64 {
 var arenas = sync.Pool{New: func() any { return new(scratch.Arena) }}
 
 // runLadder runs the Classify..Lift stages, degrading the priority cap on
-// pattern explosions and MILP resource limits. transient reports that a
-// rung stopped on a caller-set MILP wall-clock limit, which makes the
-// outcome depend on machine load, whatever it is. The run leases a
+// pattern explosions and oracle work-budget limits. The run leases a
 // scratch arena from the package pool; it is reset and returned when
 // the ladder finishes, which is sound because no Result artifact lives
 // in arena memory (plans, schedules and stats are all heap values — see
 // scratch.Arena).
-func (e *Engine) runLadder(ctx context.Context, st *State) (res *Result, transient bool, err error) {
+func (e *Engine) runLadder(ctx context.Context, st *State) (*Result, error) {
 	ar := arenas.Get().(*scratch.Arena)
 	st.Arena = ar
 	defer func() {
@@ -376,7 +362,7 @@ func (e *Engine) runLadder(ctx context.Context, st *State) (res *Result, transie
 	var lastErr error
 	for i, bp := range caps {
 		if err := ctx.Err(); err != nil {
-			return nil, transient, err
+			return nil, err
 		}
 		st.resetRung()
 		st.BPrime = bp
@@ -392,15 +378,14 @@ func (e *Engine) runLadder(ctx context.Context, st *State) (res *Result, transie
 		}
 		err := e.runRung(ctx, st)
 		if err == nil {
-			return st.result(i + 1), transient, nil
+			return st.result(i + 1), nil
 		}
 		lastErr = err
-		transient = transient || errors.Is(err, oracle.ErrTimeLimit)
 		if !RetryWithSmallerCap(err) {
-			return nil, transient, err
+			return nil, err
 		}
 	}
-	return nil, transient, lastErr
+	return nil, lastErr
 }
 
 // runRung executes one ladder attempt: every stage after Scale, in order,
@@ -504,9 +489,11 @@ func configHash(cfg Config) uint64 {
 	h = hashMix(h, uint64(cfg.Mode))
 	h = hashMix(h, uint64(int64(cfg.PatternLimit)))
 	h = hashMix(h, uint64(int64(cfg.MILP.MaxNodes)))
-	h = hashMix(h, uint64(cfg.MILP.TimeLimit))
-	h = hashMix(h, math.Float64bits(cfg.MILP.IntTol))
-	h = hashMix(h, uint64(int64(cfg.MILP.LPMaxIters)))
+	// The retired MILP TimeLimit, IntTol and LPMaxIters, always zero
+	// now; still mixed so memo keys (and snapshots) do not move.
+	h = hashMix(h, 0)
+	h = hashMix(h, 0)
+	h = hashMix(h, 0)
 	h = hashMix(h, boolBit(cfg.MILP.StopAtFirst))
 	h = hashMix(h, boolBit(cfg.MILP.DisableRounding))
 	h = hashMix(h, oracleHash(cfg.Oracle))

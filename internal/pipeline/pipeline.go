@@ -278,13 +278,10 @@ func (solveOracleStage) Run(ctx context.Context, st *State) error {
 // and the current ladder rung's node budget. Shared by every family
 // shape so a family cannot silently run under different limits.
 //
-// Every default budget is a work count, so a guess's outcome is a
-// function of its memo key alone, however loaded the machine. No
-// wall-clock limit is set: callers bound a solve's time with their
-// context's deadline, and a cancellation is never memoized. A caller
-// that sets Config.MILP.TimeLimit opts into a load-dependent limit,
-// which the oracle reports as ErrTimeLimit and the engine never
-// memoizes.
+// Every budget is a work count, so a guess's outcome is a function of
+// its memo key alone, however loaded the machine. Callers bound a
+// solve's time with their context's deadline, and a cancellation is
+// never memoized.
 func (st *State) oracleLimits() oracle.Limits {
 	lim := oracle.Limits{MILP: st.Cfg.MILP}
 	if lim.MILP.MaxNodes <= 0 {
@@ -448,16 +445,15 @@ func (relLiftStage) Run(_ context.Context, st *State) error {
 }
 
 // RetryWithSmallerCap reports whether a pipeline failure may be cured by
-// a smaller priority cap: pattern-space explosions, oracle work-budget
-// limits and a caller-set MILP wall-clock limit all shrink with fewer
-// priority bags. Genuine infeasibility is not retried — reducing the cap
+// a smaller priority cap: pattern-space explosions and oracle work-budget
+// limits both shrink with fewer priority bags. Genuine infeasibility is not retried — reducing the cap
 // relaxes the program further, and the binary search treats the guess as
 // too low either way.
 func RetryWithSmallerCap(err error) bool {
 	if _, tooMany := err.(pattern.ErrTooManyPatterns); tooMany {
 		return true
 	}
-	return errors.Is(err, oracle.ErrLimit) || errors.Is(err, oracle.ErrTimeLimit)
+	return errors.Is(err, oracle.ErrLimit)
 }
 
 // ladderNodeBudget bounds branch-and-bound nodes on non-final ladder

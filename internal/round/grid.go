@@ -8,14 +8,14 @@ import (
 )
 
 // This file implements the guess-grid binary search the solver core
-// drives since the incremental re-solve work. Makespan guesses are
+// drives for cold, speculative and warm solves. Makespan guesses are
 // quantized onto an absolute geometric grid
 //
 //	g(k) = ratio^k,  ratio = GridRatio(eps) = 1 + eps/4
 //
 // anchored at 1 and independent of the instance's [lb, ub] interval.
-// The quantization buys two properties the float-interval driver in
-// spec.go cannot offer:
+// The quantization buys two properties a search that bisects the float
+// interval itself cannot offer:
 //
 //   - Canonical guesses. Every solve of every instance evaluates the
 //     same guess values, so cross-solve memo entries (internal/memo)
@@ -58,10 +58,9 @@ func GridIndex(x, ratio float64) int {
 
 // gridBounds quantizes a search interval: klo is the virtual-rejected
 // floor (the largest index whose value is at or below lb — the search
-// evaluates guesses strictly above the lower bound, matching the open
-// interval (lb, ub] of the retired float driver) and khi the first
-// index at or above ub. ub > lb > 0 implies khi >= klo+1, so the khi
-// probe always exists.
+// evaluates guesses in the open interval (lb, ub], strictly above the
+// lower bound) and khi the first index at or above ub. ub > lb > 0
+// implies khi >= klo+1, so the khi probe always exists.
 func gridBounds(lb, ub, ratio float64) (klo, khi int) {
 	klo = GridIndex(lb, ratio)
 	if GridValue(klo, ratio) > lb {
@@ -70,10 +69,67 @@ func gridBounds(lb, ub, ratio float64) (klo, khi int) {
 	return klo, GridIndex(ub, ratio)
 }
 
+// inflight is one guess evaluation. Speculative evaluations run in their
+// own goroutine under a child context; sequential evaluations run inline
+// on the search goroutine (done is closed before launch returns). val and
+// ok are written exactly once, before done is closed. Calling cancel
+// tells a speculative evaluation its result will never be consumed, so it
+// may abort early.
+type inflight[T any] struct {
+	guess  float64
+	done   chan struct{}
+	cancel context.CancelFunc
+	val    T
+	ok     bool
+}
+
+// launch starts the evaluation of one guess. With speculate=false the
+// evaluation runs synchronously under the search's own context — this is
+// the degenerate sequential case, sharing every other line of the driver
+// with the speculative search so the two cannot drift.
+func launch[T any](ctx context.Context, guess float64,
+	eval func(ctx context.Context, guess float64) (T, bool), speculate bool) *inflight[T] {
+	f := &inflight[T]{guess: guess, done: make(chan struct{})}
+	if !speculate {
+		f.val, f.ok = eval(ctx, guess)
+		close(f.done)
+		return f
+	}
+	child, cancel := context.WithCancel(ctx)
+	f.cancel = cancel
+	go func() {
+		f.val, f.ok = eval(child, guess)
+		close(f.done)
+	}()
+	return f
+}
+
+// abandon cancels an evaluation whose result will not be consumed. Nil
+// receivers are allowed (no speculation was launched for that branch);
+// sequential inflights have no cancel and nothing to abandon.
+func (f *inflight[T]) abandon() {
+	if f != nil && f.cancel != nil {
+		f.cancel()
+	}
+}
+
+// drain blocks until every abandoned evaluation has actually returned,
+// so no eval goroutine — which reads the caller's instance — outlives
+// the search.
+func drain[T any](abandoned []*inflight[T]) {
+	for _, f := range abandoned {
+		<-f.done
+	}
+}
+
 // SearchGridSeq runs the grid-quantized dual-approximation binary
 // search, evaluating one guess at a time on the calling goroutine. It
 // is the same driver as SearchGridSpec with speculation disabled, so
 // the two consume identical guess sequences by construction.
+//
+// The context is passed to every eval; when it is canceled or expires
+// the search stops before the next guess and returns the result so far
+// (callers detect the abort via ctx.Err()).
 func SearchGridSeq[T any](ctx context.Context, lb, ub, ratio float64, maxGuesses int,
 	eval func(ctx context.Context, guess float64) (T, bool),
 	commit func(guess float64, v T, ok bool) *sched.Schedule,
@@ -83,10 +139,17 @@ func SearchGridSeq[T any](ctx context.Context, lb, ub, ratio float64, maxGuesses
 
 // SearchGridSpec is SearchGridSeq with speculative parallel guess
 // evaluation: each round launches the current midpoint and both
-// possible successor midpoints concurrently and abandons the branch
-// not taken, exactly like SearchSpec. commit runs once per consumed
-// guess in sequential order; the consumed sequence and the returned
-// result are bit-identical to SearchGridSeq.
+// possible successor midpoints concurrently (up to three live
+// evaluations) and abandons the branch not taken.
+//
+// eval must be safe for concurrent use and pure (independent of
+// evaluation order). A speculative eval receives a child context of ctx
+// that is canceled when the search abandons it; its result is then
+// discarded. commit runs exactly once per consumed guess, in sequential
+// order, and abandoned evaluations are never committed, so the consumed
+// sequence and the returned result are bit-identical to SearchGridSeq.
+// SearchGridSpec waits for every abandoned evaluation to return before
+// it returns, so no eval goroutine outlives the call.
 func SearchGridSpec[T any](ctx context.Context, lb, ub, ratio float64, maxGuesses int,
 	eval func(ctx context.Context, guess float64) (T, bool),
 	commit func(guess float64, v T, ok bool) *sched.Schedule,

@@ -3,11 +3,46 @@ package round
 import (
 	"context"
 	"math"
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/sched"
 )
+
+// guessSchedule builds a fresh one-job schedule whose makespan equals ms,
+// letting tests control the makespan the search observes per guess.
+func guessSchedule(ms float64) *sched.Schedule {
+	in := sched.NewInstance(1)
+	in.AddJob(ms, 0)
+	return &sched.Schedule{Inst: in, Machine: []int{0}}
+}
+
+func checkIdentical(t *testing.T, seq, spec SearchResult, seqOrder, specOrder []float64) {
+	t.Helper()
+	if seq.Guesses != spec.Guesses {
+		t.Errorf("guess counts differ: seq=%d spec=%d", seq.Guesses, spec.Guesses)
+	}
+	if seq.FinalGuess != spec.FinalGuess {
+		t.Errorf("final guesses differ: seq=%v spec=%v", seq.FinalGuess, spec.FinalGuess)
+	}
+	if (seq.Schedule == nil) != (spec.Schedule == nil) {
+		t.Fatalf("schedule presence differs: seq=%v spec=%v", seq.Schedule != nil, spec.Schedule != nil)
+	}
+	if seq.Schedule != nil && seq.Makespan != spec.Makespan {
+		t.Errorf("makespans differ: seq=%v spec=%v", seq.Makespan, spec.Makespan)
+	}
+	if len(seqOrder) != len(specOrder) {
+		t.Fatalf("commit orders differ in length: seq=%v spec=%v", seqOrder, specOrder)
+	}
+	for i := range seqOrder {
+		if seqOrder[i] != specOrder[i] {
+			t.Fatalf("commit order diverges at %d: seq=%v spec=%v", i, seqOrder, specOrder)
+		}
+	}
+}
 
 func TestGridIndexBasics(t *testing.T) {
 	for _, tc := range []struct {
@@ -95,6 +130,255 @@ func TestSearchGridSpecMatchesSequential(t *testing.T) {
 			seq, spec, so, po := gridPair(t, tc.lb, tc.ub, tc.ratio, tc.maxG, accept)
 			checkIdentical(t, seq, spec, so, po)
 		})
+	}
+}
+
+// TestSearchSpecMatchesSequential runs the same check on fine grids:
+// with ratio 1+1e-6 the bisection over [1, 2] is about 20 levels deep,
+// so the speculation tree is deep and the guess budget, when small,
+// cuts it off mid-descent.
+func TestSearchSpecMatchesSequential(t *testing.T) {
+	fine := 1 + 1e-6
+	for _, tc := range []struct {
+		name      string
+		lb, ub    float64
+		ratio     float64
+		maxG      int
+		threshold float64
+	}{
+		{"accept-all", 1, 2, fine, 40, 0},
+		{"reject-below-mid", 1, 2, fine, 40, 1.5},
+		{"accept-high-only", 1, 2, fine, 40, 1.97},
+		{"tight-threshold", 1, 2, fine, 40, 1.2345},
+		{"few-guesses", 1, 2, fine, 3, 1.3},
+		{"two-guesses", 1, 2, fine, 2, 1.3},
+		{"one-guess", 1, 2, fine, 1, 1.3},
+		{"wide-step", 1, 2, 1.3, 40, 1.4},
+		{"degenerate-interval", 1.5, 1.5, fine, 40, 1.0},
+		{"default-params", 1, 8, fine, 0, 3.21},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			accept := func(g float64) bool { return g >= tc.threshold }
+			seq, spec, so, po := gridPair(t, tc.lb, tc.ub, tc.ratio, tc.maxG, accept)
+			checkIdentical(t, seq, spec, so, po)
+		})
+	}
+}
+
+// TestSearchAllReject checks the no-accepted-guess path of the cold
+// sequential search: a nil schedule and a +Inf makespan.
+func TestSearchAllReject(t *testing.T) {
+	eval := func(_ context.Context, g float64) (float64, bool) { return g, false }
+	commit := func(g float64, v float64, ok bool) *sched.Schedule { return nil }
+	res := SearchGridSeq(context.Background(), 1, 4, 1.125, 10, eval, commit)
+	if res.Schedule != nil || !math.IsInf(res.Makespan, 1) {
+		t.Errorf("reject-all produced a schedule: %+v", res)
+	}
+}
+
+// TestSearchSpecRejectAll checks the no-accepted-guess path of the
+// speculative search: it consumes the sequential search's guesses and
+// reports a nil schedule and a +Inf makespan, here with the budget
+// running out before the fine grid's bisection ends.
+func TestSearchSpecRejectAll(t *testing.T) {
+	seq, spec, so, po := gridPair(t, 1, 2, 1+1e-6, 10, func(float64) bool { return false })
+	checkIdentical(t, seq, spec, so, po)
+	if spec.Schedule != nil || !math.IsInf(spec.Makespan, 1) {
+		t.Errorf("reject-all produced a schedule: %+v", spec)
+	}
+}
+
+// TestSearchFindsThreshold: for a monotone threshold inside (lb, ub] the
+// cold search's FinalGuess is the smallest grid value at or above the
+// threshold, and the search keeps that guess's schedule even though
+// every larger accepted guess produced a shorter one.
+func TestSearchFindsThreshold(t *testing.T) {
+	ratio := 1.125
+	threshold := 7.3
+	calls := 0
+	eval := func(_ context.Context, g float64) (float64, bool) {
+		calls++
+		return g, g >= threshold
+	}
+	commit := func(_ float64, v float64, ok bool) *sched.Schedule {
+		if !ok {
+			return nil
+		}
+		return guessSchedule(1 / v)
+	}
+	res := SearchGridSeq(context.Background(), 1, 20, ratio, 0, eval, commit)
+	want := GridValue(GridIndex(threshold, ratio), ratio)
+	if res.FinalGuess != want {
+		t.Errorf("final guess = %v, want %v", res.FinalGuess, want)
+	}
+	if res.Schedule == nil || res.Makespan != 1/want {
+		t.Errorf("kept makespan %v, want the smallest accepted guess's %v", res.Makespan, 1/want)
+	}
+	if calls != res.Guesses {
+		t.Errorf("guesses = %d, calls = %d", res.Guesses, calls)
+	}
+}
+
+// TestSearchKeepsBestSchedule: when every guess is accepted and a
+// smaller guess yields a shorter schedule, the smallest accepted index
+// is also the shortest schedule committed, so the cold search,
+// sequential and speculative, returns the best schedule it saw.
+func TestSearchKeepsBestSchedule(t *testing.T) {
+	for _, search := range []func(context.Context, float64, float64, float64, int,
+		func(context.Context, float64) (float64, bool),
+		func(float64, float64, bool) *sched.Schedule) SearchResult{
+		SearchGridSeq[float64], SearchGridSpec[float64],
+	} {
+		best := math.Inf(1)
+		eval := func(_ context.Context, g float64) (float64, bool) { return g, true }
+		commit := func(_ float64, v float64, ok bool) *sched.Schedule {
+			best = math.Min(best, v)
+			return guessSchedule(v)
+		}
+		res := search(context.Background(), 2, 10, 1.01, 100, eval, commit)
+		if res.Schedule == nil || res.Makespan != best {
+			t.Errorf("kept makespan %g, best seen %g", res.Makespan, best)
+		}
+	}
+}
+
+// TestSearchConvergesWithinSteps: over random thresholds the cold search,
+// sequential and speculative, lands on the smallest grid value at or
+// above the threshold within one probe plus ceil(log2(khi-klo))
+// bisections.
+func TestSearchConvergesWithinSteps(t *testing.T) {
+	ratio := 1.0625
+	lb, ub := 1.0, 17.0
+	klo, khi := gridBounds(lb, ub, ratio)
+	maxSteps := 1 + int(math.Ceil(math.Log2(float64(khi-klo))))
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 20; trial++ {
+		threshold := 1.01 + rng.Float64()*15
+		seq, spec, so, po := gridPair(t, lb, ub, ratio, 0, func(g float64) bool { return g >= threshold })
+		checkIdentical(t, seq, spec, so, po)
+		if want := GridValue(GridIndex(threshold, ratio), ratio); seq.FinalGuess != want {
+			t.Errorf("trial %d: final %v, want %v (threshold %g)", trial, seq.FinalGuess, want, threshold)
+		}
+		if seq.Guesses > maxSteps {
+			t.Errorf("trial %d: %d guesses, want <= %d", trial, seq.Guesses, maxSteps)
+		}
+	}
+}
+
+// TestSearchSpecCommitSeesValue checks that commit receives the value the
+// concurrent eval produced for that exact guess.
+func TestSearchSpecCommitSeesValue(t *testing.T) {
+	eval := func(_ context.Context, g float64) (float64, bool) { return 3 * g, true }
+	commit := func(g float64, v float64, ok bool) *sched.Schedule {
+		if v != 3*g {
+			t.Errorf("commit for guess %v got value %v, want %v", g, v, 3*g)
+		}
+		if !ok {
+			return nil
+		}
+		return guessSchedule(g)
+	}
+	res := SearchGridSpec(context.Background(), 1, 2, 1.01, 20, eval, commit)
+	if res.Schedule == nil {
+		t.Fatal("no schedule from accept-all search")
+	}
+}
+
+// TestSearchSeqContextStopsEarly checks that canceling the context stops
+// the sequential driver before the next guess: the search returns what it
+// has instead of running out its guess budget.
+func TestSearchSeqContextStopsEarly(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	evals := 0
+	eval := func(_ context.Context, g float64) (float64, bool) {
+		evals++
+		if evals == 2 {
+			cancel()
+		}
+		return g, true
+	}
+	commit := func(_ float64, v float64, ok bool) *sched.Schedule {
+		if !ok {
+			return nil
+		}
+		return guessSchedule(v)
+	}
+	res := SearchGridSeq(ctx, 1, 2, 1.01, 40, eval, commit)
+	if res.Guesses != 2 {
+		t.Errorf("canceled search consumed %d guesses, want 2 (probe + first midpoint)", res.Guesses)
+	}
+	if res.Schedule == nil {
+		t.Error("canceled search dropped the best-so-far schedule")
+	}
+}
+
+// TestSearchSpecDrainsAbandoned checks that no eval goroutine outlives
+// SearchGridSpec: abandoned evaluations are cancelled and awaited before
+// the search returns, even when they are slow to notice the cancellation.
+func TestSearchSpecDrainsAbandoned(t *testing.T) {
+	var active atomic.Int32
+	eval := func(ctx context.Context, g float64) (float64, bool) {
+		active.Add(1)
+		defer active.Add(-1)
+		select {
+		case <-ctx.Done():
+		case <-time.After(2 * time.Millisecond):
+		}
+		return g, g >= 1.5
+	}
+	commit := func(g float64, v float64, ok bool) *sched.Schedule {
+		if !ok {
+			return nil
+		}
+		return guessSchedule(v)
+	}
+	res := SearchGridSpec(context.Background(), 1, 2, 1.01, 20, eval, commit)
+	if res.Schedule == nil {
+		t.Fatal("no schedule")
+	}
+	if n := active.Load(); n != 0 {
+		t.Errorf("%d eval goroutines still running after SearchGridSpec returned", n)
+	}
+}
+
+// TestSearchSpecAbandonsLosers checks that every speculative evaluation
+// is either committed or canceled — no evaluation is silently left
+// running after the search returns.
+func TestSearchSpecAbandonsLosers(t *testing.T) {
+	var mu sync.Mutex
+	committed := map[float64]bool{}
+	cancels := map[float64]<-chan struct{}{}
+	eval := func(ctx context.Context, g float64) (float64, bool) {
+		mu.Lock()
+		cancels[g] = ctx.Done()
+		mu.Unlock()
+		return g, g >= 1.3
+	}
+	commit := func(g float64, v float64, ok bool) *sched.Schedule {
+		mu.Lock()
+		committed[g] = true
+		mu.Unlock()
+		if !ok {
+			return nil
+		}
+		return guessSchedule(v)
+	}
+	res := SearchGridSpec(context.Background(), 1, 2, 1.01, 40, eval, commit)
+	if res.Schedule == nil {
+		t.Fatal("no schedule")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for g, cancel := range cancels {
+		if committed[g] {
+			continue
+		}
+		select {
+		case <-cancel:
+		default:
+			t.Errorf("speculative eval of guess %v was neither committed nor canceled", g)
+		}
 	}
 }
 
@@ -188,6 +472,19 @@ func TestSearchGridRespectsMaxGuesses(t *testing.T) {
 	SearchWarm(context.Background(), 1, 1e9, 17, 1.0001, 5, eval, commit)
 	if evals > 5 {
 		t.Errorf("warm grid search evaluated %d guesses, want <= 5", evals)
+	}
+}
+
+// TestSearchRespectsMaxGuesses bounds the speculative cold driver:
+// however many successors it launches, it commits at most maxGuesses
+// guesses.
+func TestSearchRespectsMaxGuesses(t *testing.T) {
+	commits := 0
+	eval := func(_ context.Context, g float64) (float64, bool) { return g, false }
+	commit := func(g float64, v float64, ok bool) *sched.Schedule { commits++; return nil }
+	res := SearchGridSpec(context.Background(), 1, 1e9, 1.0001, 5, eval, commit)
+	if commits > 5 || res.Guesses != commits {
+		t.Errorf("speculative grid search committed %d guesses and reported %d, want the same count <= 5", commits, res.Guesses)
 	}
 }
 

@@ -1,11 +1,10 @@
 // Package round implements the standard scaling and rounding machinery of
 // the EPTAS (Section 2 of the paper): scaling an instance by a makespan
 // guess, geometric rounding of job sizes to powers of (1+eps), and the
-// dual-approximation binary-search driver over makespan guesses.
+// dual-approximation search over a grid of makespan guesses (grid.go).
 package round
 
 import (
-	"context"
 	"math"
 
 	"repro/internal/numeric"
@@ -61,45 +60,19 @@ func ScaleRound(in *sched.Instance, target, eps float64) (*sched.Instance, []int
 	return out, exps
 }
 
-// Decision builds a schedule for a makespan guess. It returns the schedule
-// (on the original instance) and whether the guess was accepted. A nil
-// schedule with ok=true is invalid.
-type Decision func(guess float64) (*sched.Schedule, bool)
-
-// SearchResult reports the outcome of the binary search.
+// SearchResult reports the outcome of the guess search.
 type SearchResult struct {
-	// Schedule is the best schedule produced by any accepted guess, or
-	// nil if no guess was accepted.
+	// Schedule is the schedule of the smallest accepted guess, or nil if
+	// no guess was accepted.
 	Schedule *sched.Schedule
 	// Makespan is the true makespan of Schedule.
 	Makespan float64
 	// Guesses is the number of decision invocations.
 	Guesses int
-	// FinalGuess is the last accepted guess value.
+	// FinalGuess is the smallest accepted guess value.
 	FinalGuess float64
 }
 
 func newSearchResult() SearchResult {
 	return SearchResult{Makespan: math.Inf(1)}
-}
-
-// Search runs dual-approximation binary search for the smallest accepted
-// makespan guess in [lb, ub], stopping when the interval is narrower than
-// step or after maxGuesses decisions. The best schedule over all accepted
-// guesses (by true makespan) is returned.
-//
-// Search is a convenience wrapper over SearchSeq — and therefore over the
-// exact driver SearchSpec uses — for callers with a plain Decision and no
-// cancellation needs.
-func Search(lb, ub, step float64, maxGuesses int, dec Decision) SearchResult {
-	eval := func(_ context.Context, guess float64) (*sched.Schedule, bool) {
-		return dec(guess)
-	}
-	commit := func(_ float64, s *sched.Schedule, ok bool) *sched.Schedule {
-		if !ok {
-			return nil
-		}
-		return s
-	}
-	return SearchSeq(context.Background(), lb, ub, step, maxGuesses, eval, commit)
 }

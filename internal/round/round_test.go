@@ -2,7 +2,6 @@ package round
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -89,96 +88,5 @@ func TestScaleRoundPreservesStructure(t *testing.T) {
 	// Original untouched.
 	if in.Jobs[0].Size != 3 {
 		t.Error("ScaleRound mutated its input")
-	}
-}
-
-func TestSearchFindsThreshold(t *testing.T) {
-	// Decision succeeds iff guess >= 7.3; search should converge there.
-	calls := 0
-	dec := func(g float64) (*sched.Schedule, bool) {
-		calls++
-		if g >= 7.3 {
-			in := sched.NewInstance(1)
-			in.AddJob(g, 0) // makespan equals the guess for bookkeeping
-			s := sched.NewSchedule(in)
-			s.Machine[0] = 0
-			return s, true
-		}
-		return nil, false
-	}
-	res := Search(1, 20, 0.01, 100, dec)
-	if res.Schedule == nil {
-		t.Fatal("no schedule found")
-	}
-	if res.FinalGuess < 7.3-1e-9 || res.FinalGuess > 7.5 {
-		t.Errorf("final guess = %g, want ~7.3", res.FinalGuess)
-	}
-	if calls != res.Guesses {
-		t.Errorf("guesses = %d, calls = %d", res.Guesses, calls)
-	}
-}
-
-func TestSearchKeepsBestSchedule(t *testing.T) {
-	// Decision returns schedules whose makespan improves as the guess
-	// drops; the best (smallest) must be kept.
-	best := math.Inf(1)
-	dec := func(g float64) (*sched.Schedule, bool) {
-		in := sched.NewInstance(1)
-		in.AddJob(g, 0)
-		s := sched.NewSchedule(in)
-		s.Machine[0] = 0
-		if g < best {
-			best = g
-		}
-		return s, true
-	}
-	res := Search(2, 10, 0.01, 100, dec)
-	if math.Abs(res.Makespan-best) > 1e-9 {
-		t.Errorf("kept makespan %g, best seen %g", res.Makespan, best)
-	}
-}
-
-func TestSearchAllReject(t *testing.T) {
-	dec := func(g float64) (*sched.Schedule, bool) { return nil, false }
-	res := Search(1, 2, 0.1, 20, dec)
-	if res.Schedule != nil {
-		t.Error("expected nil schedule when every guess is rejected")
-	}
-}
-
-func TestSearchRespectsMaxGuesses(t *testing.T) {
-	calls := 0
-	dec := func(g float64) (*sched.Schedule, bool) {
-		calls++
-		return nil, false
-	}
-	Search(1, 1e9, 1e-12, 5, dec)
-	if calls > 5 {
-		t.Errorf("calls = %d, want <= 5", calls)
-	}
-}
-
-func TestSearchConvergesWithinSteps(t *testing.T) {
-	// Interval length 16, step 1: at most ~5 bisections after the UB probe.
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 20; trial++ {
-		threshold := 1 + rng.Float64()*15
-		dec := func(g float64) (*sched.Schedule, bool) {
-			if g >= threshold {
-				in := sched.NewInstance(1)
-				in.AddJob(g, 0)
-				s := sched.NewSchedule(in)
-				s.Machine[0] = 0
-				return s, true
-			}
-			return nil, false
-		}
-		res := Search(1, 17, 1, 100, dec)
-		if res.Schedule == nil {
-			t.Fatalf("trial %d: no schedule", trial)
-		}
-		if res.FinalGuess > threshold+1+1e-9 {
-			t.Errorf("trial %d: final %g, threshold %g (not within step)", trial, res.FinalGuess, threshold)
-		}
 	}
 }

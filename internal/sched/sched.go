@@ -414,20 +414,6 @@ func (s *Schedule) hasConflict() bool {
 	return false
 }
 
-// BagsOnMachine returns, per machine, the set of bags present.
-func (s *Schedule) BagsOnMachine() []map[int]int {
-	out := make([]map[int]int, s.Inst.Machines)
-	for i := range out {
-		out[i] = make(map[int]int)
-	}
-	for i, m := range s.Machine {
-		if m >= 0 {
-			out[m][s.Inst.Jobs[i].Bag]++
-		}
-	}
-	return out
-}
-
 // JobsOnMachine returns, per machine, the job indices assigned to it in
 // input order.
 func (s *Schedule) JobsOnMachine() [][]int {

@@ -81,9 +81,9 @@ type SolveSpec struct {
 	// further. 0 means no floor. Only meaningful with "adaptive".
 	MinQuality float64 `json:"min_quality,omitempty"`
 	// Adaptive enables admission-time planning: the server may coarsen
-	// eps, switch the backend, or answer with a bounded heuristic to
-	// meet the deadline, reporting what it did in the response's
-	// "quality" block. Off, the request runs exactly as specified.
+	// eps or answer with a bounded heuristic to meet the deadline,
+	// reporting what it did in the response's "quality" block. Off, the
+	// request runs exactly as specified.
 	Adaptive bool `json:"adaptive,omitempty"`
 }
 
