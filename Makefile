@@ -1,7 +1,7 @@
 GO ?= go
 COVER_FLOOR ?= 70
 
-.PHONY: all build vet test race bench bench-smoke bench-json bench-compare perfbench-smoke pgo fuzz ci cover family-diff shard-diff resolve-diff plan-diff serve loadtest churn-replay slo-replay
+.PHONY: all build vet test race bench bench-smoke bench-json bench-compare perfbench-smoke pgo fuzz ci cover serve loadtest churn-replay slo-replay
 
 all: ci
 
@@ -19,56 +19,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# family-diff is the problem-family differential suite under the race
-# detector: bags solves stay bit-identical to the pre-seam pipeline
-# across the fixture corpus and every oracle backend, identical matches
-# bags on singleton-bag instances, related matches the brute-force
-# oracle, and the shared memo never serves one family's entries to
-# another. The full race/cover legs already include these tests; this
-# target is the named gate CI (and bisects) can run in isolation.
-family-diff:
-	$(GO) test -race -run '^TestFamily' . ./internal/pipeline ./internal/server
-
-# shard-diff is the sharded-serving differential suite under the race
-# detector: the consistent-hash router must be answer-invisible against
-# a single replica under concurrent clients, and a memo snapshot
-# export/import round trip must reproduce every fixture × backend ×
-# family solve bit for bit with zero pipeline runs — plus the full
-# shard, wire, memo and pipeline-codec package suites. The full race
-# leg already includes these tests; this named gate lets CI and bisects
-# attribute a serving-layer regression directly.
-shard-diff:
-	$(GO) test -race -run 'TestShardRouterDifferential|TestSnapshot' .
-	$(GO) test -race ./internal/shard ./internal/wire ./internal/memo ./internal/pipeline
-
-# resolve-diff is the incremental re-solve differential suite under the
-# race detector: every committed churn trace replayed across every
-# oracle backend × family must produce answers
-# bit-identical to from-scratch solves of each post-delta instance while
-# running strictly fewer pipeline executions over the trace, and the
-# placement-repair fast path must either certify its schedule against
-# the post-delta lower bound or fall back bit-identically — plus the
-# delta/resolve/repair unit suites in core, placer, sched and workload
-# and the /v1/resolve endpoint tests. The full race leg already includes
-# these tests; this named gate lets CI and bisects attribute a
-# warm-start regression directly.
-resolve-diff:
-	$(GO) test -race -run 'TestResolve|TestDelta|TestRepair|TestGenerateChurn|TestTrace' \
-		. ./internal/core ./internal/placer ./internal/sched ./internal/workload ./internal/server
-
-# plan-diff is the adaptive-solving differential suite under the race
-# detector: with the planner attached but adaptive mode off, every
-# fixture × backend × family solve must stay bit-identical to a plain
-# solve (the cost model is observe-only), and with a trained model a
-# tight deadline must land on exactly the heuristic rung the ladder
-# promises, bound included — plus the internal/plan determinism and
-# monotonicity table tests and the server's adaptive endpoint tests.
-# The full race leg already includes these tests; this named gate lets
-# CI and bisects attribute an adaptive-path regression directly.
-plan-diff:
-	$(GO) test -race -run 'TestPlan|TestSpec|TestAdaptive' . ./internal/core ./internal/server
-	$(GO) test -race ./internal/plan
 
 # bench runs every benchmark in the repository, including the internal
 # package benchmarks (pattern, placer, pipeline, milp, numeric).
@@ -121,7 +71,7 @@ pgo:
 # canonical-instance decoder against its encoding/json reference,
 # deltas through ReadDelta and Apply, the /v1/solve request fast path
 # against its encoding/json reference, /v1/solve, /v1/batch and
-# /v1/resolve bodies through decode and the coalescing key, memo
+# /v1/resolve bodies through decode and the resolved spec, memo
 # snapshot import, memo result payload decode, the simplex's bound
 # rows against the row-slice reference, and planner cost-model
 # snapshot import. FUZZTIME sets the burst per target (CI passes 10s).
@@ -180,4 +130,4 @@ slo-replay:
 
 # ci is what .github/workflows/ci.yml runs (plus a non-blocking
 # bench-compare step); the coverage matrix leg swaps race for cover.
-ci: vet build race family-diff shard-diff resolve-diff plan-diff bench-smoke perfbench-smoke
+ci: vet build race bench-smoke perfbench-smoke

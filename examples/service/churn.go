@@ -43,7 +43,6 @@ type resolveReply struct {
 	Assignment []int   `json:"assignment"`
 	Guesses    int     `json:"guesses"`
 	Repaired   bool    `json:"repaired"`
-	Coalesced  bool    `json:"coalesced"`
 	ElapsedUS  int64   `json:"elapsed_us"`
 	Error      string  `json:"error"`
 }
@@ -114,7 +113,7 @@ func replayChurnTrace(addr, path string, passes int, eps float64, backend string
 		filepath.Base(path), len(tr.Steps), tr.Base.Machines, len(tr.Base.Jobs), 100*frac)
 
 	var warm, cold []int64
-	var repaired, coalesced int
+	var repaired int
 	var firstPass []float64
 	for pass := 1; pass <= passes; pass++ {
 		// Solve the base through the normal cached path: its response
@@ -159,14 +158,7 @@ func replayChurnTrace(addr, path string, passes int, eps float64, backend string
 				return false, fmt.Errorf("step %d: incremental makespan %.17g differs from from-scratch %.17g — resolve must be bit-identical",
 					i, res.Makespan, scratch.Makespan)
 			}
-			// Coalesced responses (replayed passes hit the server's
-			// response cache) measure the cache, not the warm search;
-			// keep them out of the latency profile.
-			if res.Coalesced {
-				coalesced++
-			} else {
-				warm = append(warm, res.ElapsedUS)
-			}
+			warm = append(warm, res.ElapsedUS)
 			cold = append(cold, scratch.ElapsedUS)
 			makespans = append(makespans, res.Makespan)
 			prior, cur = res, post
@@ -185,8 +177,8 @@ func replayChurnTrace(addr, path string, passes int, eps float64, backend string
 
 	w50, w99 := percentiles(warm)
 	c50, c99 := percentiles(cold)
-	fmt.Printf("  incremental   p50 %s  p99 %s  (%d samples, %d repaired, %d coalesced)\n",
-		us(w50), us(w99), len(warm), repaired, coalesced)
+	fmt.Printf("  incremental   p50 %s  p99 %s  (%d samples, %d repaired)\n",
+		us(w50), us(w99), len(warm), repaired)
 	fmt.Printf("  from-scratch  p50 %s  p99 %s  (%d samples)\n", us(c50), us(c99), len(cold))
 	ratio := float64(c50) / float64(max64(w50, 1))
 	if frac > lowChurnFrac {

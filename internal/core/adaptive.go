@@ -14,7 +14,7 @@
 // rewritten, no context is derived (unless a Deadline is set), and
 // observing latencies into an attached Planner never feeds back into
 // the answer — so adaptive-off runs stay bit-identical to a build
-// without this file (the plan-diff gate enforces it).
+// without this file (plan_diff_test.go enforces it).
 package core
 
 import (

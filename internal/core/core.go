@@ -104,8 +104,8 @@ type Options struct {
 	// Heuristic to the cheapest configuration predicted to finish within
 	// Deadline while honoring MinQuality.
 	// Ignored when Planner is nil. Off by default: adaptive-off solves
-	// are bit-identical to a build without the planner (the plan-diff
-	// gate enforces it).
+	// are bit-identical to a build without the planner
+	// (plan_diff_test.go enforces it).
 	Adaptive bool
 	// Planner is the online cost model adaptive solving plans against.
 	// When non-nil it also *observes*: every completed solve folds its

@@ -62,7 +62,7 @@ func TestResolveMatchesFromScratch(t *testing.T) {
 			// grid point the cold bisection happens to skip; anything
 			// beyond that is a warm-start regression. The strict
 			// warm-below-cold property is pinned on the wide-interval
-			// churn fixtures by the resolve-diff gate.
+			// churn fixtures by resolve_diff_test.go.
 			if warm.Stats.PipelineRuns > cold.Stats.PipelineRuns+1 {
 				t.Errorf("warm resolve ran the pipeline %d times, cold %d",
 					warm.Stats.PipelineRuns, cold.Stats.PipelineRuns)

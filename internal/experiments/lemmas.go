@@ -56,14 +56,14 @@ func runL1(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// runL6 verifies the Lemma 6 shape: the MILP's pattern count and integer
-// dimension are functions of eps only — they grow as eps shrinks and stay
-// flat as n grows.
+// runL6 reports the MILP size Lemma 6 bounds by a function of 1/eps
+// alone: the pattern count and integer dimension one instance realizes
+// at two sizes n per eps.
 func runL6(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "L6",
-		Title:  "Lemma 6 — MILP size is a function of eps, not of n",
-		Claim:  "the number of patterns and integral variables is bounded by a function of 1/eps alone (2^{O(poly(1/eps))}); doubling n leaves it unchanged",
+		Title:  "Lemma 6 — MILP size per eps at two sizes n",
+		Claim:  "Lemma 6 bounds the number of patterns and integral variables by a function of 1/eps alone (2^{O(poly(1/eps))}); q, its eps-derived constant, is the same at both n, but the count an instance realizes changes with n: doubling n from 24 to 48 takes it from 7 to 101 patterns at eps 0.6, 7 to 50 at 0.5, 7 to 41 at 0.4 and 8 to 1 at 0.75",
 		Header: []string{"eps", "n", "patterns", "integer vars", "priority bags", "q", "d"},
 	}
 	epsSweep := []float64{0.75, 0.6, 0.5, 0.4}
@@ -98,7 +98,7 @@ func runL6(cfg Config) (*Table, error) {
 			})
 		}
 	}
-	t.Notes = append(t.Notes, "Pattern counts vary slightly with n only because the instance realizes different subsets of the eps-bounded size/bag universe; the eps-driven growth dominates.")
+	t.Notes = append(t.Notes, "Pattern counts change with n because the larger instance realizes more of the eps-bounded size/bag universe (more priority bags and large sizes), not because the bound grows; the table shows realized counts, not the bound.")
 	return t, nil
 }
 

@@ -68,15 +68,14 @@ func runT1(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// runT2 verifies Theorem 1's running-time shape: the EPTAS cost grows
-// polynomially in n and stays flat in the number of bags b, while the
-// Das–Wiese-style configuration program (every bag priority) blows up
-// with b.
+// runT2 times the EPTAS over a sweep of n and a sweep of the number of
+// bags b, against the Das–Wiese-style configuration program (every bag
+// priority), which blows up with b.
 func runT2(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "T2",
-		Title:  "Theorem 1 (running time) — EPTAS is f(1/eps)*poly(n), flat in #bags",
-		Claim:  "EPTAS time grows mildly with n and is independent of b; the PTAS-style all-priority configuration program degrades as b grows",
+		Title:  "Theorem 1 (running time) — EPTAS over n and #bags against the all-priority program",
+		Claim:  "in full mode the EPTAS stays within tens of milliseconds on both sweeps (at most 27 ms), while the PTAS-style all-priority configuration program takes 9 to 11 s at b = 16; the EPTAS is flat in neither: its pattern count reads 11 to 1,318 over the n sweep, and its time 0.1 to 27 ms over the b sweep",
 		Header: []string{"sweep", "n", "m", "b", "EPTAS time", "EPTAS patterns", "DW time", "DW patterns", "DW ok"},
 	}
 	eps := 0.5
@@ -127,7 +126,7 @@ func runT2(cfg Config) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"DW = configuration program with every bag priority and no transformation (the PTAS strategy). 'DW ok' is false when its pattern space exceeded the limit and it fell back to bag-LPT.",
-		"The EPTAS pattern count depends only on eps-derived constants, not on n or b (Lemma 6).")
+		"The EPTAS pattern count varies with the instance, not with eps alone (see EX-L6): at b = 16 it is 32 where the all-priority program's is 5,543.")
 	return t, nil
 }
 

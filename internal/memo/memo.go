@@ -304,7 +304,7 @@ func (c *Cache) claim(k Key, f *flight, fn func() ([]byte, error)) (payload []by
 	}()
 	payload, err = fn()
 	finished = true
-	if IsCancellation(err) {
+	if isCancellation(err) {
 		// Abandon: wake waiters so one of them can claim afresh.
 		c.release(k, f)
 		return payload, false, err
@@ -422,11 +422,9 @@ func (c *Cache) evict(keep int32) {
 	}
 }
 
-// IsCancellation reports whether err came from a canceled or expired
+// isCancellation reports whether err came from a canceled or expired
 // context; such outcomes describe the caller, not the key, and are
-// never cached. It is exported because the serving layer's request
-// coalescing applies the identical abandonment rule one layer up and
-// the two predicates must stay in lockstep.
-func IsCancellation(err error) bool {
+// never cached.
+func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }

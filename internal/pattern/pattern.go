@@ -52,9 +52,9 @@ type Pattern struct {
 	NumJobs int
 }
 
-// chiBag reports whether the pattern contains a slot of the given bag
+// ChiBag reports whether the pattern holds a slot of the given bag
 // (the paper's characteristic function on full bags).
-func (p *Pattern) chiBag(bag int) bool {
+func (p *Pattern) ChiBag(bag int) bool {
 	for _, s := range p.Prio {
 		if s.Bag == bag {
 			return true
@@ -62,9 +62,6 @@ func (p *Pattern) chiBag(bag int) bool {
 	}
 	return false
 }
-
-// ChiBag reports whether the pattern holds a slot of the given bag.
-func (p *Pattern) ChiBag(bag int) bool { return p.chiBag(bag) }
 
 // ChiPrio returns the multiplicity (0 or 1) of the (bag, sizeIdx) slot.
 func (p *Pattern) ChiPrio(bag, sizeIdx int) int {

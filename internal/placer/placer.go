@@ -498,7 +498,7 @@ func (st *state) placePrioritySmall(plan *cfgmilp.Plan) error {
 
 	// Per pattern group: bag-LPT over its machines.
 	groups := st.machinesOfPattern()
-	for _, p := range sortedKeys2(groups) {
+	for _, p := range sortedKeys(groups) {
 		machines := groups[p]
 		// Bags present in this group.
 		byBag := make(map[int][]greedy.Item)
@@ -892,8 +892,6 @@ func sortedKeys(m map[int][]int) []int {
 	sort.Ints(keys)
 	return keys
 }
-
-func sortedKeys2(m map[int][]int) []int { return sortedKeys(m) }
 
 func sortedKeysItems(m map[int][]greedy.Item) []int {
 	keys := make([]int, 0, len(m))

@@ -12,7 +12,7 @@
 // source, and reports the model version its decision was keyed by.
 // Observing never changes an already-returned result, so running with a
 // model attached is bit-identical to running without one whenever
-// adaptive mode is off — the plan-diff gate enforces exactly that.
+// adaptive mode is off — plan_diff_test.go enforces exactly that.
 package plan
 
 import (

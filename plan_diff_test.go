@@ -1,7 +1,6 @@
 package bagsched
 
-// Plan-differential tests of the adaptive-solving seam (the `make
-// plan-diff` gate):
+// Plan-differential tests of the adaptive-solving seam:
 //
 //   - Attaching a cost model with adaptive mode off must be invisible:
 //     on every committed fixture, for both oracle backends (and the

@@ -19,8 +19,8 @@ package bagsched
 //     the cold path did any pipeline work at all (cross-guess memo hits
 //     and the seeded bracket both shrink the probe count).
 //
-// `make resolve-diff` runs this file (plus the core/placer/workload
-// resolve tests) under -race in every CI matrix cell.
+// `make race` runs this file (plus the core/placer/workload resolve
+// tests) under -race in every CI matrix cell.
 
 import (
 	"fmt"

@@ -4,10 +4,9 @@ package bagsched
 // router fronting N replicas must be answer-invisible — every solve
 // through the router, under concurrent clients and across repeated
 // (warm) passes, must agree bit for bit with the same solve against a
-// single standalone replica. This is the repo's `make shard-diff` race
-// gate: it exercises the router's decode/route/forward path, the
-// fallback machinery and the per-replica caches under the race
-// detector.
+// single standalone replica. Under `make race` it exercises the
+// router's decode/route/forward path, the fallback machinery and the
+// per-replica caches under the race detector.
 
 import (
 	"bytes"
