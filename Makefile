@@ -73,8 +73,10 @@ pgo:
 # against its encoding/json reference, /v1/solve, /v1/batch and
 # /v1/resolve bodies through decode and the resolved spec, memo
 # snapshot import, memo result payload decode, the simplex's bound
-# rows against the row-slice reference, and planner cost-model
-# snapshot import. FUZZTIME sets the burst per target (CI passes 10s).
+# rows against the row-slice reference, planner cost-model snapshot
+# import, and the cold and warm guess-grid searches against the
+# top-first reference driver. FUZZTIME sets the burst per target (CI
+# passes 10s).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSolveEPTAS -fuzztime $(FUZZTIME) .
@@ -88,6 +90,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeResult -fuzztime $(FUZZTIME) ./internal/pipeline
 	$(GO) test -run '^$$' -fuzz FuzzSolveBounds -fuzztime $(FUZZTIME) ./internal/lp
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanImport$$' -fuzztime $(FUZZTIME) ./internal/plan
+	$(GO) test -run '^$$' -fuzz '^FuzzSearchGrid$$' -fuzztime $(FUZZTIME) ./internal/round
 
 # cover is the CI coverage leg: the race-mode test run with an atomic
 # coverage profile, failing when total statement coverage drops below

@@ -47,18 +47,36 @@ func BenchmarkExF1AdversarialEPTAS(b *testing.B) {
 	}
 }
 
+// workCounters sums the deterministic work counters of a benchmark's
+// solves and reports them per op next to the wall time.
+type workCounters struct{ guesses, runs int }
+
+func (w *workCounters) add(res *Result) {
+	w.guesses += res.Stats.Guesses
+	w.runs += res.Stats.PipelineRuns
+}
+
+func (w *workCounters) report(b *testing.B) {
+	b.ReportMetric(float64(w.guesses)/float64(b.N), "guesses/op")
+	b.ReportMetric(float64(w.runs)/float64(b.N), "pipeline_runs/op")
+}
+
 // --- EX-T1: quality per eps (cost of one full EPTAS solve) ---
 
 func benchEPTASQuality(b *testing.B, eps float64) {
 	in := workload.MustGenerate(workload.Spec{
 		Family: workload.Bimodal, Machines: 3, Jobs: 11, Bags: 4, Seed: 100,
 	})
+	var work workCounters
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveEPTAS(in, eps, WithSpeculation(1)); err != nil {
+		res, err := SolveEPTAS(in, eps, WithSpeculation(1))
+		if err != nil {
 			b.Fatal(err)
 		}
+		work.add(res)
 	}
+	work.report(b)
 }
 
 func BenchmarkExT1Quality_Eps075(b *testing.B) { benchEPTASQuality(b, 0.75) }
@@ -565,13 +583,17 @@ func BenchmarkSolveLarge(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var work workCounters
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveEPTAS(in, 0.5, WithSpeculation(1)); err != nil {
+		res, err := SolveEPTAS(in, 0.5, WithSpeculation(1))
+		if err != nil {
 			b.Fatal(err)
 		}
+		work.add(res)
 	}
+	work.report(b)
 }
 
 // --- Problem families: one full solve per sibling family ---
@@ -594,25 +616,33 @@ func BenchmarkFamilyRelated(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var work workCounters
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveEPTAS(in, 0.5, WithFamily(FamilyRelated), WithSpeculation(1)); err != nil {
+		res, err := SolveEPTAS(in, 0.5, WithFamily(FamilyRelated), WithSpeculation(1))
+		if err != nil {
 			b.Fatal(err)
 		}
+		work.add(res)
 	}
+	work.report(b)
 }
 
 func BenchmarkFamilyIdentical(b *testing.B) {
 	in := workload.MustGenerate(workload.Spec{
 		Family: workload.Bimodal, Machines: 3, Jobs: 11, Bags: 4, Seed: 100,
 	})
+	var work workCounters
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveEPTAS(in, 0.5, WithFamily(FamilyIdentical), WithSpeculation(1)); err != nil {
+		res, err := SolveEPTAS(in, 0.5, WithFamily(FamilyIdentical), WithSpeculation(1))
+		if err != nil {
 			b.Fatal(err)
 		}
+		work.add(res)
 	}
+	work.report(b)
 }
 
 // --- Codec benchmarks: the shippable memo tier and the wire documents ---

@@ -112,27 +112,30 @@ type Snapshot struct {
 // (-benchmem is always passed), so a genuine 0 B/op survives in the JSON
 // and trajectory diffs can rely on the columns existing. CPU is the
 // GOMAXPROCS suffix of the line (the -8 in "BenchmarkFoo-8"); 0 means
-// the line carried none (GOMAXPROCS was 1).
+// the line carried none (GOMAXPROCS was 1). Metrics holds the columns a
+// benchmark added with b.ReportMetric, keyed by unit ("guesses/op").
 type Result struct {
-	Name     string  `json:"name"`
-	CPU      int     `json:"cpu,omitempty"`
-	Iters    int     `json:"iters"`
-	NsPerOp  float64 `json:"ns_per_op"`
-	BPerOp   float64 `json:"b_per_op"`
-	AllocsOp float64 `json:"allocs_per_op"`
+	Name     string             `json:"name"`
+	CPU      int                `json:"cpu,omitempty"`
+	Iters    int                `json:"iters"`
+	NsPerOp  float64            `json:"ns_per_op"`
+	BPerOp   float64            `json:"b_per_op"`
+	AllocsOp float64            `json:"allocs_per_op"`
+	Metrics  map[string]float64 `json:"metrics,omitempty"`
 }
 
 // key is the identity a result is deduplicated and compared under.
 func (r Result) key() string { return fmt.Sprintf("%s-%d", r.Name, r.CPU) }
 
-// benchLine matches "BenchmarkName-8  10  123456 ns/op  78 B/op  9 allocs/op"
-// (the -8 GOMAXPROCS suffix and the allocation columns are optional). A
-// benchmark that calls b.SetBytes prints an MB/s column between ns/op
-// and B/op, which is skipped.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([\d.]+) ns/op(?:\s+[\d.]+ MB/s)?(?:\s+([\d.]+) B/op)?(?:\s+([\d.]+) allocs/op)?`)
+// benchLine matches the head of "BenchmarkName-8  10  123456 ns/op ..."
+// (the -8 GOMAXPROCS suffix is optional); the value/unit columns after
+// ns/op are read pairwise by parseBenchLine.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([\d.]+) ns/op((?:\s+\S+\s+\S+)*)\s*$`)
 
 // parseBenchLine parses one line of go test -bench output; ok is false
-// for lines that are not benchmark results.
+// for lines that are not benchmark results. go test prints ns/op, then
+// the MB/s column of b.SetBytes (skipped), then the b.ReportMetric
+// columns sorted by unit, then B/op and allocs/op.
 func parseBenchLine(line string) (r Result, ok bool) {
 	m := benchLine.FindStringSubmatch(line)
 	if m == nil {
@@ -144,11 +147,24 @@ func parseBenchLine(line string) (r Result, ok bool) {
 	if m[2] != "" {
 		r.CPU, _ = strconv.Atoi(m[2])
 	}
-	if m[5] != "" {
-		r.BPerOp, _ = strconv.ParseFloat(m[5], 64)
-	}
-	if m[6] != "" {
-		r.AllocsOp, _ = strconv.ParseFloat(m[6], 64)
+	cols := strings.Fields(m[5])
+	for i := 0; i+1 < len(cols); i += 2 {
+		v, err := strconv.ParseFloat(cols[i], 64)
+		if err != nil {
+			return Result{}, false
+		}
+		switch unit := cols[i+1]; unit {
+		case "MB/s":
+		case "B/op":
+			r.BPerOp = v
+		case "allocs/op":
+			r.AllocsOp = v
+		default:
+			if r.Metrics == nil {
+				r.Metrics = map[string]float64{}
+			}
+			r.Metrics[unit] = v
+		}
 	}
 	return r, true
 }

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestParseBenchLine(t *testing.T) {
 	cases := []struct {
@@ -20,10 +23,16 @@ func TestParseBenchLine(t *testing.T) {
 			"BenchmarkPlannerDecision 	 1000000	      1042 ns/op",
 			Result{Name: "BenchmarkPlannerDecision", Iters: 1000000, NsPerOp: 1042},
 		},
+		{
+			// b.ReportMetric columns sit between ns/op and B/op.
+			"BenchmarkGuessMetrics-2 	 3000000	       403.3 ns/op	         1.500 guesses/op	         0.7500 pipeline_runs/op	      64 B/op	       1 allocs/op",
+			Result{Name: "BenchmarkGuessMetrics", CPU: 2, Iters: 3000000, NsPerOp: 403.3, BPerOp: 64, AllocsOp: 1,
+				Metrics: map[string]float64{"guesses/op": 1.5, "pipeline_runs/op": 0.75}},
+		},
 	}
 	for _, tc := range cases {
 		got, ok := parseBenchLine(tc.line)
-		if !ok || got != tc.want {
+		if !ok || !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("parseBenchLine(%q) = %+v, %v; want %+v", tc.line, got, ok, tc.want)
 		}
 	}

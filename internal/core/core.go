@@ -147,7 +147,9 @@ type Options struct {
 
 // Stats describes the EPTAS search effort.
 type Stats struct {
-	// Guesses is the number of makespan guesses tried.
+	// Guesses is the number of makespan guesses tried. The top of the
+	// guess grid counts only when the search evaluated it, which it
+	// does last and only when no guess below it was accepted.
 	Guesses int
 	// FinalGuess is the smallest accepted makespan guess of the search
 	// (0 when no guess was accepted). Guesses live on an absolute

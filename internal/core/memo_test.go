@@ -17,12 +17,16 @@ import (
 // statistics (guess counts, failed guesses, last-accepted-guess
 // parameters — i.e. the consumed guess sequence) to the unmemoized
 // search. It also proves the cache is not vacuous: across the corpus at
-// least one solve must register a hit.
+// least one solve must register a hit. The search never evaluates the
+// top of the guess grid once a guess below it was accepted, so hits
+// within one solve come only from guesses that scale-round alike, which
+// the finer grid of eps 0.25 produces and eps 0.5 and 0.33 do not on
+// this corpus.
 func TestMemoizedSearchMatchesUnmemoized(t *testing.T) {
 	totalHits := 0
 	for _, fam := range workload.Families() {
 		for seed := int64(1); seed <= 3; seed++ {
-			for _, eps := range []float64{0.5, 0.33} {
+			for _, eps := range []float64{0.5, 0.33, 0.25} {
 				in := workload.MustGenerate(workload.Spec{
 					Family: fam, Machines: 5, Jobs: 20, Bags: 8, Seed: seed,
 				})

@@ -13,6 +13,10 @@
 //     to the bit-identical schedule a from-scratch solve of the
 //     post-delta instance returns, in a number of guesses that scales
 //     with how far the delta moved the optimum, not with the interval.
+//     Like the cold search it treats the top of the interval as
+//     accepted and evaluates it last, only when no guess below it was
+//     accepted, so a seed at or above the top bisects the interval
+//     directly.
 //
 //  2. Memo carry-over. The prior solve's cross-guess memo rides along
 //     on Result.Memo; guesses whose scaled-rounded signature is

@@ -59,8 +59,9 @@ func GridIndex(x, ratio float64) int {
 // gridBounds quantizes a search interval: klo is the virtual-rejected
 // floor (the largest index whose value is at or below lb — the search
 // evaluates guesses in the open interval (lb, ub], strictly above the
-// lower bound) and khi the first index at or above ub. ub > lb > 0
-// implies khi >= klo+1, so the khi probe always exists.
+// lower bound) and khi the first index at or above ub, the top both
+// searches accept virtually. ub > lb > 0 implies khi >= klo+1, so the
+// interval always holds khi.
 func gridBounds(lb, ub, ratio float64) (klo, khi int) {
 	klo = GridIndex(lb, ratio)
 	if GridValue(klo, ratio) > lb {
@@ -140,7 +141,9 @@ func SearchGridSeq[T any](ctx context.Context, lb, ub, ratio float64, maxGuesses
 // SearchGridSpec is SearchGridSeq with speculative parallel guess
 // evaluation: each round launches the current midpoint and both
 // possible successor midpoints concurrently (up to three live
-// evaluations) and abandons the branch not taken.
+// evaluations) and abandons the branch not taken. The top of the grid
+// is never speculated: it runs only after the bisection, when no
+// midpoint was accepted.
 //
 // eval must be safe for concurrent use and pure (independent of
 // evaluation order). A speculative eval receives a child context of ctx
@@ -222,23 +225,36 @@ func (d *gridDriver[T]) consume(f *inflight[T], k int) bool {
 }
 
 // evalK launches and immediately consumes grid index k (the sequential
-// warm path).
+// path).
 func (d *gridDriver[T]) evalK(k int) bool {
 	f := launch(d.ctx, GridValue(k, d.ratio), d.eval, false)
 	return d.consume(f, k)
 }
 
-// exhausted reports that the search must stop: guess budget spent or
-// context dead.
-func (d *gridDriver[T]) exhausted() bool {
-	return d.res.Guesses >= d.max || d.ctx.Err() != nil
+// spent reports that the search must evaluate no further guess below
+// the top of the grid: every guess of the budget but the one reserved
+// for the top is spent, or the context is dead.
+func (d *gridDriver[T]) spent() bool {
+	return d.res.Guesses >= d.max-1 || d.ctx.Err() != nil
 }
 
-// searchGrid is the cold driver: probe khi (it supplies the fallback
-// schedule), then integer bisection over (klo, khi] maintaining the
-// invariant that lo is rejected (klo virtually — the lower bound
-// proves it) and hi accepted whenever anything is, terminating at
-// hi-lo == 1.
+// settleTop evaluates the top index khi, which both searches treat as
+// accepted virtually, when its outcome is needed: nothing below it was
+// accepted and the context is alive. Any accepted index below khi is
+// smaller, so consume would throw khi's schedule away.
+func (d *gridDriver[T]) settleTop(khi int) {
+	if d.bestK == math.MaxInt && d.ctx.Err() == nil {
+		d.evalK(khi)
+	}
+}
+
+// searchGrid is the cold driver: integer bisection over (klo, khi]
+// maintaining the invariant that lo is rejected (klo virtually — the
+// lower bound proves it) and hi accepted (khi virtually), terminating
+// at hi-lo == 1. The bisection never reads khi's outcome and any
+// accepted midpoint beats khi's schedule, so settleTop evaluates khi
+// last, only when no midpoint was accepted; the budget keeps one guess
+// back for it.
 func searchGrid[T any](ctx context.Context, lb, ub, ratio float64, maxGuesses int,
 	eval func(ctx context.Context, guess float64) (T, bool),
 	commit func(guess float64, v T, ok bool) *sched.Schedule,
@@ -248,20 +264,9 @@ func searchGrid[T any](ctx context.Context, lb, ub, ratio float64, maxGuesses in
 	defer func() { drain(d.abandoned) }()
 	lo, hi := gridBounds(lb, ub, ratio)
 
-	// Probe the top of the grid first and speculate on the first
-	// midpoint while it runs: consuming the probe never narrows the
-	// interval, so the midpoint is consumed next whenever the loop runs
-	// at all.
-	probe := launch(ctx, GridValue(hi, ratio), eval, speculate)
 	var next *inflight[T]
 	nextK := 0
-	if speculate && hi-lo > 1 && d.max > 1 {
-		nextK = lo + (hi-lo)/2
-		next = launch(ctx, GridValue(nextK, ratio), eval, true)
-	}
-	d.consume(probe, hi)
-
-	for hi-lo > 1 && !d.exhausted() {
+	for hi-lo > 1 && !d.spent() {
 		mid := lo + (hi-lo)/2
 		cur := next
 		next = nil
@@ -282,7 +287,7 @@ func searchGrid[T any](ctx context.Context, lb, ub, ratio float64, maxGuesses in
 			curDone = true
 		default:
 		}
-		if !curDone && d.res.Guesses+1 < d.max {
+		if !curDone && d.res.Guesses+1 < d.max-1 {
 			if mid-lo > 1 {
 				onAcceptK = lo + (mid-lo)/2
 				onAccept = launch(ctx, GridValue(onAcceptK, ratio), eval, true)
@@ -304,6 +309,7 @@ func searchGrid[T any](ctx context.Context, lb, ub, ratio float64, maxGuesses in
 	}
 	// A successor speculated for an iteration that never ran.
 	d.discard(next)
+	d.settleTop(hi) // hi is still khi unless a midpoint was accepted
 	return d.res
 }
 
@@ -316,8 +322,14 @@ func searchGrid[T any](ctx context.Context, lb, ub, ratio float64, maxGuesses in
 // index as the cold search over the same interval — and therefore to
 // the bit-identical schedule — while consuming a guess sequence whose
 // length scales with the distance between the seed and the boundary,
-// not with the width of (lb, ub]. A seed at or outside the interval is
-// clamped onto it, degrading gracefully to a near-cold bisection.
+// not with the width of (lb, ub]. A seed at or below lb is clamped
+// onto the interval.
+//
+// The top of the interval is accepted virtually, as in the cold
+// search: a seed at or above it starts the bisection of the whole
+// interval directly, the upward probe stops below it, and it is
+// evaluated last, only when nothing below it was accepted, with one
+// guess of the budget kept back for it.
 //
 // Evaluation is strictly sequential: each probe depends on the
 // previous outcome, so there is no speculation tree to race down.
@@ -331,17 +343,19 @@ func SearchWarm[T any](ctx context.Context, lb, ub, seed, ratio float64, maxGues
 	if ks <= lo {
 		ks = lo + 1
 	}
-	if ks > hi {
-		ks = hi
-	}
 
 	// Bracket the boundary: rej is the largest known-rejected index
-	// (lo counts, virtually), acc the smallest known-accepted one.
-	rej, acc := lo, hi+1 // acc = hi+1 means "nothing accepted yet"
-	if d.evalK(ks) {
+	// (lo counts, virtually), acc the smallest known-accepted one (hi
+	// counts, virtually).
+	rej, acc := lo, hi
+	switch {
+	case ks >= hi || d.spent():
+		// A seed at or above the top, or only the top's guess left:
+		// nothing to bracket.
+	case d.evalK(ks):
 		acc = ks
 		// Probe downward with doubling stride from the seed.
-		for stride := 1; acc-rej > 1 && !d.exhausted(); stride *= 2 {
+		for stride := 1; acc-rej > 1 && !d.spent(); stride *= 2 {
 			p := ks - stride
 			if p <= rej {
 				break // bisection finishes the remaining gap
@@ -353,18 +367,14 @@ func SearchWarm[T any](ctx context.Context, lb, ub, seed, ratio float64, maxGues
 				break
 			}
 		}
-	} else {
+	default:
 		rej = ks
-		// Probe upward with doubling stride until something accepts;
-		// if even the top of the interval rejects, no guess is
-		// accepted (the caller falls back), matching the cold search
-		// under monotone acceptance.
-		for stride := 1; !d.exhausted(); stride *= 2 {
+		// Probe upward with doubling stride until something accepts or
+		// the stride reaches the top; the bisection finishes the gap
+		// below it.
+		for stride := 1; !d.spent(); stride *= 2 {
 			p := ks + stride
 			if p >= hi {
-				if hi > rej && d.evalK(hi) {
-					acc = hi
-				}
 				break
 			}
 			if d.evalK(p) {
@@ -373,13 +383,10 @@ func SearchWarm[T any](ctx context.Context, lb, ub, seed, ratio float64, maxGues
 			}
 			rej = p
 		}
-		if acc > hi {
-			return d.res
-		}
 	}
 
 	// Bisect the bracket down to a gap of one.
-	for acc-rej > 1 && !d.exhausted() {
+	for acc-rej > 1 && !d.spent() {
 		mid := rej + (acc-rej)/2
 		if d.evalK(mid) {
 			acc = mid
@@ -387,5 +394,6 @@ func SearchWarm[T any](ctx context.Context, lb, ub, seed, ratio float64, maxGues
 			rej = mid
 		}
 	}
+	d.settleTop(hi)
 	return d.res
 }

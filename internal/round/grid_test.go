@@ -2,6 +2,7 @@ package round
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -244,8 +245,8 @@ func TestSearchKeepsBestSchedule(t *testing.T) {
 
 // TestSearchConvergesWithinSteps: over random thresholds the cold search,
 // sequential and speculative, lands on the smallest grid value at or
-// above the threshold within one probe plus ceil(log2(khi-klo))
-// bisections.
+// above the threshold within ceil(log2(khi-klo)) bisections plus the
+// top of the grid.
 func TestSearchConvergesWithinSteps(t *testing.T) {
 	ratio := 1.0625
 	lb, ub := 1.0, 17.0
@@ -306,7 +307,7 @@ func TestSearchSeqContextStopsEarly(t *testing.T) {
 	}
 	res := SearchGridSeq(ctx, 1, 2, 1.01, 40, eval, commit)
 	if res.Guesses != 2 {
-		t.Errorf("canceled search consumed %d guesses, want 2 (probe + first midpoint)", res.Guesses)
+		t.Errorf("canceled search consumed %d guesses, want 2 (the first two midpoints)", res.Guesses)
 	}
 	if res.Schedule == nil {
 		t.Error("canceled search dropped the best-so-far schedule")
@@ -447,7 +448,7 @@ func TestSearchWarmFewerGuessesNearSeed(t *testing.T) {
 }
 
 // TestSearchWarmRejectAll checks the no-accepted-guess path: the warm
-// search walks up to the top of the interval, sees it reject, and
+// search walks up to the top of the interval, sees it reject last, and
 // reports no schedule — the caller then falls back exactly as after a
 // cold all-reject search.
 func TestSearchWarmRejectAll(t *testing.T) {
@@ -534,4 +535,289 @@ func TestSearchWarmSeedOutsideInterval(t *testing.T) {
 			t.Errorf("seed=%g: warm final %v, cold final %v", seed, warm.FinalGuess, cold.FinalGuess)
 		}
 	}
+}
+
+// refSearchGrid is the cold driver as it stood before the top of the
+// grid moved last, kept as the reference: it probes khi first, then
+// bisects (klo, khi] until hi-lo == 1 or the budget is spent. The
+// speculative driver consumes what the sequential one does, so this
+// sequential form is the reference for both.
+func refSearchGrid[T any](ctx context.Context, lb, ub, ratio float64, maxGuesses int,
+	eval func(ctx context.Context, guess float64) (T, bool),
+	commit func(guess float64, v T, ok bool) *sched.Schedule,
+) SearchResult {
+	d := newGridDriver(ctx, ratio, maxGuesses, eval, commit)
+	lo, hi := gridBounds(lb, ub, ratio)
+	d.evalK(hi)
+	for hi-lo > 1 && d.res.Guesses < d.max && ctx.Err() == nil {
+		mid := lo + (hi-lo)/2
+		if d.evalK(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return d.res
+}
+
+// vectorCase is a search over a synthetic acceptance vector: accept[i]
+// decides grid index klo+1+i, so the vector covers (klo, khi]. Every
+// index has one fixed schedule, so results compare by pointer.
+type vectorCase struct {
+	lb, ub, ratio float64
+	klo, khi      int
+	accept        []bool
+	scheds        []*sched.Schedule
+	index         map[float64]int
+}
+
+func newVectorCase(t testing.TB, klo int, accept []bool) *vectorCase {
+	t.Helper()
+	ratio := 1.125
+	c := &vectorCase{
+		lb:     GridValue(klo, ratio),
+		ub:     GridValue(klo+len(accept), ratio),
+		ratio:  ratio,
+		accept: accept,
+		index:  map[float64]int{},
+	}
+	c.klo, c.khi = gridBounds(c.lb, c.ub, ratio)
+	if c.klo != klo || c.khi != klo+len(accept) {
+		t.Fatalf("grid bounds (%d, %d], want (%d, %d]", c.klo, c.khi, klo, klo+len(accept))
+	}
+	for k := c.klo + 1; k <= c.khi; k++ {
+		c.index[GridValue(k, ratio)] = k
+		c.scheds = append(c.scheds, guessSchedule(float64(k-c.klo)))
+	}
+	return c
+}
+
+// vectorRun is one search over a vectorCase: its result, every index
+// eval saw (speculative ones included) and the indexes commit consumed,
+// in order.
+type vectorRun struct {
+	res       SearchResult
+	evaluated map[int]bool
+	committed []int
+}
+
+// belowAccepted reports whether the run consumed an accepted index
+// below the top.
+func (r vectorRun) belowAccepted(c *vectorCase) bool {
+	for _, k := range r.committed {
+		if k < c.khi && c.accept[k-c.klo-1] {
+			return true
+		}
+	}
+	return false
+}
+
+// run drives one search over c with an eval that records every index
+// it sees.
+func (c *vectorCase) run(t testing.TB, search func(eval func(context.Context, float64) (int, bool),
+	commit func(float64, int, bool) *sched.Schedule) SearchResult) vectorRun {
+	t.Helper()
+	var mu sync.Mutex
+	r := vectorRun{evaluated: map[int]bool{}}
+	eval := func(_ context.Context, g float64) (int, bool) {
+		k, ok := c.index[g]
+		if !ok {
+			t.Errorf("guess %v is not a grid value in (%d, %d]", g, c.klo, c.khi)
+			return 0, false
+		}
+		mu.Lock()
+		r.evaluated[k] = true
+		mu.Unlock()
+		return k, c.accept[k-c.klo-1]
+	}
+	commit := func(_ float64, k int, ok bool) *sched.Schedule {
+		r.committed = append(r.committed, k)
+		if !ok {
+			return nil
+		}
+		return c.scheds[k-c.klo-1]
+	}
+	r.res = search(eval, commit)
+	if r.res.Guesses != len(r.committed) {
+		t.Errorf("%d guesses reported, %d committed", r.res.Guesses, len(r.committed))
+	}
+	return r
+}
+
+func (c *vectorCase) ref(t testing.TB, maxGuesses int) vectorRun {
+	return c.run(t, func(eval func(context.Context, float64) (int, bool), commit func(float64, int, bool) *sched.Schedule) SearchResult {
+		return refSearchGrid(context.Background(), c.lb, c.ub, c.ratio, maxGuesses, eval, commit)
+	})
+}
+
+func (c *vectorCase) cold(t testing.TB, maxGuesses int, speculate bool) vectorRun {
+	return c.run(t, func(eval func(context.Context, float64) (int, bool), commit func(float64, int, bool) *sched.Schedule) SearchResult {
+		return searchGrid(context.Background(), c.lb, c.ub, c.ratio, maxGuesses, eval, commit, speculate)
+	})
+}
+
+func (c *vectorCase) warm(t testing.TB, seed float64, maxGuesses int) vectorRun {
+	return c.run(t, func(eval func(context.Context, float64) (int, bool), commit func(float64, int, bool) *sched.Schedule) SearchResult {
+		return SearchWarm(context.Background(), c.lb, c.ub, seed, c.ratio, maxGuesses, eval, commit)
+	})
+}
+
+// sameAnswer reports how two search results differ in what a caller
+// reads (schedule, makespan, final guess), or "" when they agree.
+func sameAnswer(got, want SearchResult) string {
+	if got.Schedule != want.Schedule || got.FinalGuess != want.FinalGuess ||
+		(got.Makespan != want.Makespan && !(math.IsInf(got.Makespan, 1) && math.IsInf(want.Makespan, 1))) {
+		return fmt.Sprintf("got schedule %p makespan %v final %v, want %p %v %v",
+			got.Schedule, got.Makespan, got.FinalGuess, want.Schedule, want.Makespan, want.FinalGuess)
+	}
+	return ""
+}
+
+// checkColdAgainstRef runs the cold driver and the reference over c
+// and asserts the same answer, one guess fewer exactly when an index
+// below the top was accepted, and the top evaluated if and only if
+// nothing below it was accepted.
+func checkColdAgainstRef(t testing.TB, c *vectorCase, maxGuesses int, speculate bool) {
+	t.Helper()
+	ref, got := c.ref(t, maxGuesses), c.cold(t, maxGuesses, speculate)
+	label := fmt.Sprintf("accept %v, budget %d, speculate %v", c.accept, maxGuesses, speculate)
+	if diff := sameAnswer(got.res, ref.res); diff != "" {
+		t.Errorf("%s: %s", label, diff)
+	}
+	below := got.belowAccepted(c)
+	if below != ref.belowAccepted(c) {
+		t.Errorf("%s: accepted below the top %v, reference %v", label, below, !below)
+	}
+	want := ref.res.Guesses
+	if below {
+		want--
+	}
+	if got.res.Guesses != want {
+		t.Errorf("%s: %d guesses, want %d (reference %d)", label, got.res.Guesses, want, ref.res.Guesses)
+	}
+	if got.evaluated[c.khi] == below {
+		t.Errorf("%s: top evaluated %v, accepted below it %v", label, got.evaluated[c.khi], below)
+	}
+}
+
+// checkWarm runs SearchWarm from seed over c and asserts the top is
+// never evaluated once an index below it was accepted; with want set
+// it also asserts the answer of want.
+func checkWarm(t testing.TB, c *vectorCase, seed float64, maxGuesses int, want *SearchResult) {
+	t.Helper()
+	warm := c.warm(t, seed, maxGuesses)
+	label := fmt.Sprintf("accept %v, seed %v (index %d), budget %d", c.accept, seed, GridIndex(seed, c.ratio), maxGuesses)
+	if warm.belowAccepted(c) && warm.evaluated[c.khi] {
+		t.Errorf("%s: top evaluated after an index below it was accepted", label)
+	}
+	if maxGuesses > 0 && warm.res.Guesses > maxGuesses {
+		t.Errorf("%s: %d guesses over the budget", label, warm.res.Guesses)
+	}
+	if want != nil {
+		if diff := sameAnswer(warm.res, *want); diff != "" {
+			t.Errorf("%s: warm and cold differ: %s", label, diff)
+		}
+	}
+}
+
+// monotoneVector accepts index klo+1+i exactly when i >= threshold; a
+// threshold of width accepts nothing.
+func monotoneVector(width, threshold int) []bool {
+	v := make([]bool, width)
+	for i := threshold; i < width; i++ {
+		v[i] = true
+	}
+	return v
+}
+
+// TestSearchGridTopLast checks the cold driver against the top-first
+// reference over seeded random acceptance vectors, monotone and not,
+// across interval widths, budgets and speculation.
+func TestSearchGridTopLast(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for width := 1; width <= 12; width++ {
+		for maxGuesses := 1; maxGuesses <= 8; maxGuesses++ {
+			for trial := 0; trial < 6; trial++ {
+				var accept []bool
+				if trial%2 == 0 {
+					accept = monotoneVector(width, rng.Intn(width+1))
+				} else {
+					accept = make([]bool, width)
+					for i := range accept {
+						accept[i] = rng.Intn(2) == 1
+					}
+				}
+				c := newVectorCase(t, rng.Intn(17)-8, accept)
+				for _, speculate := range []bool{false, true} {
+					checkColdAgainstRef(t, c, maxGuesses, speculate)
+				}
+			}
+		}
+	}
+}
+
+// TestSearchWarmTopLast checks the warm driver under monotone
+// acceptance, from seeds inside and outside the interval: it returns
+// the cold driver's answer and never evaluates the top once an index
+// below it was accepted.
+func TestSearchWarmTopLast(t *testing.T) {
+	for width := 1; width <= 12; width++ {
+		for threshold := 0; threshold <= width; threshold++ {
+			c := newVectorCase(t, -3, monotoneVector(width, threshold))
+			cold := c.cold(t, 0, false).res
+			for k := c.klo - 3; k <= c.khi+3; k++ {
+				for _, seed := range []float64{GridValue(k, c.ratio), GridValue(k, c.ratio) * math.Sqrt(c.ratio)} {
+					checkWarm(t, c, seed, 0, &cold)
+				}
+			}
+		}
+	}
+}
+
+// FuzzSearchGrid turns its bytes into an acceptance vector, interval
+// bounds, a guess budget and a warm seed, then checks the cold driver
+// against the top-first reference and the warm driver against the top
+// rule (and, under monotone acceptance, against the cold answer).
+//
+// Layout: data[0] width, data[1] budget (0 is the default), data[2]
+// warm seed index, data[3] flags (bit 0 speculate, bit 1 monotone,
+// bits 2–7 the floor index), data[4:] the acceptance bits, or under
+// monotone acceptance data[4] the threshold.
+func FuzzSearchGrid(f *testing.F) {
+	f.Add([]byte{4, 0, 2, 0, 0x0b})
+	f.Add([]byte{12, 5, 9, 3, 0xff, 0x0f})
+	f.Add([]byte{7, 3, 0, 2, 5})
+	f.Add([]byte{1, 1, 1, 1, 0})
+	f.Add([]byte{9, 8, 14, 0xfd, 0x24, 0x81})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		at := func(i int) int {
+			if i < len(data) {
+				return int(data[i])
+			}
+			return 0
+		}
+		width := 1 + at(0)%12
+		maxGuesses := at(1) % 9
+		flags := at(3)
+		speculate, monotone := flags&1 != 0, flags&2 != 0
+		klo := (flags>>2)%16 - 8
+		var accept []bool
+		if monotone {
+			accept = monotoneVector(width, at(4)%(width+1))
+		} else {
+			accept = make([]bool, width)
+			for i := range accept {
+				accept[i] = at(4+i/8)>>(i%8)&1 == 1
+			}
+		}
+		c := newVectorCase(t, klo, accept)
+		checkColdAgainstRef(t, c, maxGuesses, speculate)
+
+		seed := GridValue(c.klo-2+at(2)%(width+5), c.ratio)
+		checkWarm(t, c, seed, maxGuesses, nil)
+		if monotone {
+			cold := c.cold(t, 0, false).res
+			checkWarm(t, c, seed, 0, &cold)
+		}
+	})
 }
