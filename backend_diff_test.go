@@ -235,10 +235,10 @@ func TestBackendMemoKeysSeparate(t *testing.T) {
 				continue
 			}
 			shared := NewCache(64 << 20)
-			if _, err := SolveEPTAS(in, 0.5, append([]Option{WithSharedCache(shared), WithSpeculation(1)}, first.opts...)...); err != nil {
+			if _, err := SolveEPTAS(in, 0.5, append([]Option{WithSharedCache(shared)}, first.opts...)...); err != nil {
 				t.Fatal(err)
 			}
-			res, err := SolveEPTAS(in, 0.5, append([]Option{WithSharedCache(shared), WithSpeculation(1)}, second.opts...)...)
+			res, err := SolveEPTAS(in, 0.5, append([]Option{WithSharedCache(shared)}, second.opts...)...)
 			if err != nil {
 				t.Fatal(err)
 			}

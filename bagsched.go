@@ -29,19 +29,13 @@
 // # Batch and parallel solving
 //
 // The solver is deterministic and CPU-bound, which makes it trivially
-// parallel at two levels, both result-transparent:
-//
-//   - SolveBatch (and NewPool for a reusable pool with a fixed worker
-//     count) solves many instances concurrently and returns outcomes in
-//     input order; every per-instance result matches a sequential
-//     SolveEPTAS call.
-//
-//   - Within one solve, the dual-approximation binary search evaluates
-//     up to three speculative makespan guesses concurrently (on
-//     multi-core machines, by default). The consumed guess sequence,
-//     Stats and schedule are identical to the sequential search;
-//     WithSpeculation tunes or disables it. Each guess's oracle solve
-//     itself runs on one goroutine.
+// parallel across instances: SolveBatch (and NewPool for a reusable
+// pool with a fixed worker count) solves many instances concurrently
+// and returns outcomes in input order; every per-instance result
+// matches a sequential SolveEPTAS call. One solve runs on one
+// goroutine: the dual-approximation binary search evaluates its
+// makespan guesses one at a time, and each guess's oracle solve is
+// sequential.
 //
 // For example:
 //
@@ -243,9 +237,6 @@ type Spec struct {
 	// PriorityCap caps the Definition 2 constant b' (0 = theoretical
 	// value). See WithPriorityCap.
 	PriorityCap int
-	// Speculation controls speculative guess evaluation (0 = auto, 1 =
-	// sequential). See WithSpeculation.
-	Speculation int
 	// Cache, when non-nil, shares per-guess outcomes across solves. See
 	// WithSharedCache.
 	Cache *Cache
@@ -286,7 +277,6 @@ func (s Spec) Options() []Option {
 		o.MILP.MaxNodes = s.MILPNodes
 		o.MaxGuesses = s.MaxGuesses
 		o.BPrimeOverride = s.PriorityCap
-		o.Speculate = s.Speculation
 		o.Cache = s.Cache
 		o.DisableMemo = s.DisableMemo
 		o.Repair = s.Repair
@@ -348,20 +338,6 @@ func WithMaxGuesses(g int) Option {
 // the cost of the formal (worst-case) guarantee.
 func WithPriorityCap(bprime int) Option {
 	return func(o *core.Options) { o.BPrimeOverride = bprime }
-}
-
-// WithSpeculation controls speculative parallel guess evaluation in the
-// binary search: 1 forces the strictly sequential search; any larger
-// value (all treated alike) evaluates the current midpoint plus its two
-// possible successors concurrently. The default (0) speculates whenever
-// more than one CPU is available. It is the only parallelism inside one
-// solve: each guess's oracle solve is sequential. Speculation does not
-// change the result — only wall-clock time: every per-guess budget is a
-// deterministic work count, and wall-clock time is bounded only by the
-// context's deadline, whose expiry fails the solve instead of flipping
-// a guess.
-func WithSpeculation(n int) Option {
-	return func(o *core.Options) { o.Speculate = n }
 }
 
 // Cache is a concurrency-safe, bounded, cost-aware memo for pipeline

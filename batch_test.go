@@ -40,7 +40,7 @@ func TestSolveBatchOrderAndDeterminism(t *testing.T) {
 		if o.Result.Schedule.Inst != ins[i] {
 			t.Errorf("outcome %d is not for instance %d", i, i)
 		}
-		seq, err := SolveEPTAS(ins[i], 0.5, WithSpeculation(1))
+		seq, err := SolveEPTAS(ins[i], 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}

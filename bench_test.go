@@ -39,7 +39,7 @@ func BenchmarkExF1AdversarialEPTAS(b *testing.B) {
 	in := workload.MustGenerate(workload.Spec{Family: workload.Adversarial, Machines: 8})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := SolveEPTAS(in, 0.3, WithSpeculation(1))
+		res, err := SolveEPTAS(in, 0.3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func benchEPTASQuality(b *testing.B, eps float64) {
 	var work workCounters
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := SolveEPTAS(in, eps, WithSpeculation(1))
+		res, err := SolveEPTAS(in, eps)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func benchEPTASSize(b *testing.B, n int) {
 	})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveEPTAS(in, 0.5, WithSpeculation(1)); err != nil {
+		if _, err := SolveEPTAS(in, 0.5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -111,7 +111,7 @@ func benchBags(b *testing.B, bags int, dasWiese bool) {
 		if dasWiese {
 			_, err = SolveDasWiese(in, 0.5)
 		} else {
-			_, err = SolveEPTAS(in, 0.5, WithSpeculation(1))
+			_, err = SolveEPTAS(in, 0.5)
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -136,7 +136,7 @@ func BenchmarkExS1Batch16_Sequential(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, in := range ins {
-			if _, err := SolveEPTAS(in, 0.5, WithSpeculation(1)); err != nil {
+			if _, err := SolveEPTAS(in, 0.5); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -156,23 +156,6 @@ func BenchmarkExS1Batch16_Pool(b *testing.B) {
 		}
 	}
 }
-
-// --- EX-S2: speculative guess evaluation inside one solve ---
-
-func benchSpeculate(b *testing.B, speculate int) {
-	in := workload.MustGenerate(workload.Spec{
-		Family: workload.Bimodal, Machines: 8, Jobs: 40, Bags: 10, Seed: 77,
-	})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := SolveEPTAS(in, 0.4, WithSpeculation(speculate)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExS2SpeculationOff(b *testing.B) { benchSpeculate(b, 1) }
-func BenchmarkExS2SpeculationOn(b *testing.B)  { benchSpeculate(b, 3) }
 
 // --- EX-L6: pattern enumeration cost per eps ---
 
@@ -251,7 +234,7 @@ func benchAlgo(b *testing.B, fam workload.Family, algo string) {
 		var err error
 		switch algo {
 		case "eptas":
-			_, err = SolveEPTAS(in, 0.5, WithSpeculation(1))
+			_, err = SolveEPTAS(in, 0.5)
 		case "baglpt":
 			_, err = SolveBagLPT(in)
 		case "greedy":
@@ -278,7 +261,7 @@ func benchMode(b *testing.B, mode MILPMode) {
 	})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveEPTAS(in, 0.5, WithMode(mode), WithMILPNodes(4000), WithSpeculation(1)); err != nil {
+		if _, err := SolveEPTAS(in, 0.5, WithMode(mode), WithMILPNodes(4000)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -296,9 +279,8 @@ func benchRounding(b *testing.B, disable bool) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := core.Solve(in, core.Options{
-			Eps:       0.5,
-			MILP:      milp.Options{DisableRounding: disable},
-			Speculate: 1,
+			Eps:  0.5,
+			MILP: milp.Options{DisableRounding: disable},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -587,7 +569,7 @@ func BenchmarkSolveLarge(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := SolveEPTAS(in, 0.5, WithSpeculation(1))
+		res, err := SolveEPTAS(in, 0.5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -620,7 +602,7 @@ func BenchmarkFamilyRelated(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := SolveEPTAS(in, 0.5, WithFamily(FamilyRelated), WithSpeculation(1))
+		res, err := SolveEPTAS(in, 0.5, WithFamily(FamilyRelated))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -636,7 +618,7 @@ func BenchmarkFamilyIdentical(b *testing.B) {
 	var work workCounters
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := SolveEPTAS(in, 0.5, WithFamily(FamilyIdentical), WithSpeculation(1))
+		res, err := SolveEPTAS(in, 0.5, WithFamily(FamilyIdentical))
 		if err != nil {
 			b.Fatal(err)
 		}

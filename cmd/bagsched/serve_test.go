@@ -17,7 +17,7 @@ func warmCache(t *testing.T) *bagsched.Cache {
 		in.AddJob(size, i%3)
 	}
 	c := bagsched.NewCache(0)
-	if _, err := bagsched.SolveEPTAS(in, 0.5, bagsched.WithSharedCache(c), bagsched.WithSpeculation(1)); err != nil {
+	if _, err := bagsched.SolveEPTAS(in, 0.5, bagsched.WithSharedCache(c)); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() == 0 {

@@ -57,16 +57,15 @@ const pgoProfile = "default.pgo"
 
 // tracked lists the hot-path benchmarks bench-compare gates on: the
 // pattern-enumeration stage, the end-to-end EPTAS solves that dominate
-// production cost, the speculative search, the two oracle backends on
-// the DP-favoring few-patterns fixture, bnb and cfgdp on the m=256
-// fixture's configuration program and the full m=256 solve
-// (BenchmarkSolveLarge), one end-to-end solve per
-// sibling problem family (related on the committed speed fixture,
-// identical on the bimodal workload), the memo snapshot codec, the
-// wire request decode and response encode at a small and a large
-// instance, the three churn-trace replays (warm low/high churn plus the
-// from-scratch baseline) and the adaptive planner's per-request
-// decision overhead.
+// production cost, the two oracle backends on the DP-favoring
+// few-patterns fixture, bnb and cfgdp on the m=256 fixture's
+// configuration program and the full m=256 solve (BenchmarkSolveLarge),
+// one end-to-end solve per sibling problem family (related on the
+// committed speed fixture, identical on the bimodal workload), the
+// memo snapshot codec, the wire request decode and response encode at
+// a small and a large instance, the three churn-trace replays (warm
+// low/high churn plus the from-scratch baseline) and the adaptive
+// planner's per-request decision overhead.
 // Benchmarks outside this list still land in snapshots but never fail
 // the comparison.
 var tracked = []string{
@@ -75,7 +74,6 @@ var tracked = []string{
 	"BenchmarkExL6PatternEnum_Eps040",
 	"BenchmarkExL7PipelineWithRepairs",
 	"BenchmarkExT2ScaleN080",
-	"BenchmarkExS2SpeculationOn",
 	"BenchmarkOracleBnB",
 	"BenchmarkOracleCfgDP",
 	"BenchmarkFamilyRelated",

@@ -1,9 +1,48 @@
 package main
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 )
+
+// TestTrackedBenchmarksDeclared parses the root package's test files and
+// checks that every tracked benchmark is declared there and selected by
+// defaultBench, so deleting or renaming a tracked benchmark fails the
+// test suite instead of only the comparison report.
+func TestTrackedBenchmarksDeclared(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "*_test.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no test files in the root package (%v)", err)
+	}
+	declared := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Benchmark") {
+				declared[fn.Name.Name] = true
+			}
+		}
+	}
+	selected := regexp.MustCompile(defaultBench)
+	for _, name := range tracked {
+		if !declared[name] {
+			t.Errorf("tracked benchmark %s is not declared in the root package's tests", name)
+		}
+		if !selected.MatchString(name) {
+			t.Errorf("tracked benchmark %s is not selected by defaultBench %q", name, defaultBench)
+		}
+	}
+}
 
 func TestParseBenchLine(t *testing.T) {
 	cases := []struct {

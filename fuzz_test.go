@@ -66,7 +66,6 @@ func FuzzSolveEPTAS(f *testing.F) {
 		// under identical options, so the cross-checks are unaffected.
 		opt := core.Options{
 			Eps:          eps,
-			Speculate:    1,
 			PatternLimit: 1200,
 		}
 		res, err := core.Solve(in, opt)

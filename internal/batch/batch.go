@@ -81,10 +81,6 @@ func (p *Pool) SolveContext(ctx context.Context, tasks []Task) []Outcome {
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
-	// In-solve speculation is suppressed only when the batch alone can
-	// keep every core busy; a batch narrower than the machine leaves the
-	// solver's own parallelism to use the idle cores.
-	saturated := workers > 1 && workers >= runtime.GOMAXPROCS(0)
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -92,7 +88,7 @@ func (p *Pool) SolveContext(ctx context.Context, tasks []Task) []Outcome {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				out[i] = solveOne(ctx, tasks[i], saturated)
+				out[i] = solveOne(ctx, tasks[i])
 			}
 		}()
 	}
@@ -104,25 +100,15 @@ func (p *Pool) SolveContext(ctx context.Context, tasks []Task) []Outcome {
 	return out
 }
 
-// solveOne runs one task. When the batch saturates the machine on its
-// own and the task does not ask for a specific speculation level,
-// in-solve speculation is disabled: instance-level parallelism already
-// fills every core, and speculative pipelines would only burn cycles on
-// discarded guesses. A batch with fewer effective workers than cores
-// keeps the solver's default, so in-solve speculation uses the idle
-// cores. Speculation is result-transparent, so this choice changes
-// throughput only, never results.
-func solveOne(ctx context.Context, t Task, saturated bool) Outcome {
-	opt := t.Options
-	if opt.Speculate == 0 && saturated {
-		opt.Speculate = 1
-	}
+// solveOne runs one task: a warm-started re-solve when it carries a
+// delta, a cold solve otherwise.
+func solveOne(ctx context.Context, t Task) Outcome {
 	var res *core.Result
 	var err error
 	if t.Delta != nil {
-		res, err = core.ResolveContext(ctx, t.Prior, *t.Delta, opt)
+		res, err = core.ResolveContext(ctx, t.Prior, *t.Delta, t.Options)
 	} else {
-		res, err = core.SolveContext(ctx, t.Instance, opt)
+		res, err = core.SolveContext(ctx, t.Instance, t.Options)
 	}
 	if err != nil {
 		return Outcome{Err: err}

@@ -51,7 +51,7 @@ func TestSolveMatchesSequential(t *testing.T) {
 	tasks := batchTasks(t, 16)
 	out := NewPool(0).Solve(tasks)
 	for i, task := range tasks {
-		want, err := core.Solve(task.Instance, core.Options{Eps: 0.5, Speculate: 1})
+		want, err := core.Solve(task.Instance, core.Options{Eps: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}

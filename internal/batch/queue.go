@@ -18,9 +18,8 @@ import (
 // A Queue is safe for concurrent use. The zero value is not usable; see
 // NewQueue.
 type Queue struct {
-	workers   int
-	depth     int
-	saturated bool
+	workers int
+	depth   int
 	// slots holds one token per running solve; admit holds one token per
 	// admitted (queued or running) solve.
 	slots chan struct{}
@@ -45,13 +44,8 @@ func NewQueue(workers, depth int) *Queue {
 	return &Queue{
 		workers: workers,
 		depth:   depth,
-		// Mirrors Pool: when the queue's own concurrency can saturate
-		// the machine, per-solve speculative guess evaluation only burns
-		// cycles, so solveOne suppresses it for tasks that don't pick a
-		// level explicitly.
-		saturated: workers > 1 && workers >= runtime.GOMAXPROCS(0),
-		slots:     make(chan struct{}, workers),
-		admit:     make(chan struct{}, workers+depth),
+		slots:   make(chan struct{}, workers),
+		admit:   make(chan struct{}, workers+depth),
 	}
 }
 
@@ -99,5 +93,5 @@ func (q *Queue) Do(ctx context.Context, t Task) (out Outcome, admitted bool) {
 		q.running.Add(-1)
 		<-q.slots
 	}()
-	return solveOne(ctx, t, q.saturated), true
+	return solveOne(ctx, t), true
 }

@@ -14,7 +14,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/cfgmilp"
@@ -67,19 +66,6 @@ type Options struct {
 	// BPrimeOverride caps the Definition 2 priority constant b'; see
 	// classify.Options.BPrimeOverride.
 	BPrimeOverride int
-	// Speculate controls speculative parallel guess evaluation in the
-	// binary search. 1 evaluates guesses strictly sequentially; any
-	// larger value (all treated alike) evaluates the current midpoint
-	// and its two possible successor midpoints concurrently (up to
-	// three live pipelines per round). 0 picks automatically:
-	// speculative when more than one CPU is available. Speculation is
-	// result-transparent — the consumed guess sequence, the accepted
-	// schedule and all decision statistics are bit-for-bit identical to
-	// the sequential search, because every oracle budget is a work count
-	// and per-guess outcomes never depend on load. Only the
-	// cache-hit/miss split in Stats (never a result) can vary under
-	// speculation.
-	Speculate int
 	// Cache, when non-nil, is a shared cross-request memo the pipeline
 	// engine stores guess outcomes in (and serves hits from) instead of
 	// a private per-solve one — the serving layer passes one bounded
@@ -197,27 +183,28 @@ type Stats struct {
 	RepairStats placer.RepairStats
 
 	// PipelineRuns counts full pipeline executions, including rejected
-	// guesses and abandoned speculative evaluations.
+	// guesses.
 	PipelineRuns int
 	// CacheHits and CacheMisses report the cross-guess memo traffic of
 	// the pipeline engine: a hit is a guess decided without re-running
 	// the pipeline because an earlier guess scaled-rounded to the same
-	// instance. Under speculative evaluation the split can vary between
-	// runs; results never do.
+	// instance. With a shared cache the split depends on what earlier
+	// and concurrent requests stored, so it can vary between runs;
+	// results never do.
 	CacheHits   int
 	CacheMisses int
 	// StageTime is total wall-clock time per pipeline stage (keyed by
 	// pipeline.StageNames()) over every execution of this solve,
-	// including rejected and abandoned speculative pipelines.
+	// including rejected pipelines.
 	StageTime map[string]time.Duration
 }
 
 // Decision returns a copy of s with the engine-level work counters
 // (PipelineRuns, CacheHits, CacheMisses, StageTime) cleared. What remains
 // is determined solely by the consumed guess sequence, so it is
-// bit-for-bit reproducible across sequential, speculative, batched,
-// memoized and unmemoized runs — the determinism tests compare exactly
-// this projection.
+// bit-for-bit reproducible across direct, batched, memoized,
+// unmemoized and shared-cache runs — the determinism tests compare
+// exactly this projection.
 func (s Stats) Decision() Stats {
 	s.PipelineRuns, s.CacheHits, s.CacheMisses, s.StageTime = 0, 0, 0, nil
 	return s
@@ -289,13 +276,7 @@ func solveSearch(ctx context.Context, in *sched.Instance, opt Options) (*Result,
 		return env.res, nil
 	}
 	eval, commit := env.searchFuncs()
-	var search round.SearchResult
-	ratio := round.GridRatio(opt.Eps)
-	if speculative(opt) {
-		search = round.SearchGridSpec(ctx, env.lb, env.ub, ratio, opt.MaxGuesses, eval, commit)
-	} else {
-		search = round.SearchGridSeq(ctx, env.lb, env.ub, ratio, opt.MaxGuesses, eval, commit)
-	}
+	search := round.SearchGrid(ctx, env.lb, env.ub, round.GridRatio(opt.Eps), opt.MaxGuesses, eval, commit)
 	return env.finish(ctx, search)
 }
 
@@ -409,10 +390,10 @@ func (env *solveEnv) heuristicSchedule(name string) (*sched.Schedule, error) {
 }
 
 // searchFuncs returns the eval/commit pair the binary search drives.
-// eval is pure (the engine memo is internally synchronized and
-// result-transparent); all Stats mutation happens in commit, which the
-// search invokes in deterministic sequential order for consumed guesses
-// only (discarded speculative pipelines never report).
+// eval is pure (the engine memo is internally synchronized, because a
+// shared cache serves concurrent requests, and result-transparent); all
+// Stats mutation happens in commit, which the search invokes once per
+// guess, in guess order.
 func (env *solveEnv) searchFuncs() (
 	func(ctx context.Context, guess float64) (*pipeline.Result, bool),
 	func(_ float64, pr *pipeline.Result, ok bool) *sched.Schedule,
@@ -508,15 +489,6 @@ func pipelineConfig(opt Options) pipeline.Config {
 		DisableMemo:    opt.DisableMemo,
 		Float64Ref:     opt.Float64Ref,
 	}
-}
-
-// speculative reports whether opt asks for speculative parallel guess
-// evaluation; the 0 default enables it whenever a second CPU exists.
-func speculative(opt Options) bool {
-	if opt.Speculate == 0 {
-		return runtime.GOMAXPROCS(0) > 1
-	}
-	return opt.Speculate > 1
 }
 
 // absorb accumulates the per-guess statistics of one accepted pipeline:

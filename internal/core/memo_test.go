@@ -30,11 +30,11 @@ func TestMemoizedSearchMatchesUnmemoized(t *testing.T) {
 				in := workload.MustGenerate(workload.Spec{
 					Family: fam, Machines: 5, Jobs: 20, Bags: 8, Seed: seed,
 				})
-				memo, err := Solve(in, Options{Eps: eps, Speculate: 1})
+				memo, err := Solve(in, Options{Eps: eps})
 				if err != nil {
 					t.Fatalf("%s/%d eps=%g memoized: %v", fam, seed, eps, err)
 				}
-				raw, err := Solve(in, Options{Eps: eps, Speculate: 1, DisableMemo: true})
+				raw, err := Solve(in, Options{Eps: eps, DisableMemo: true})
 				if err != nil {
 					t.Fatalf("%s/%d eps=%g unmemoized: %v", fam, seed, eps, err)
 				}
@@ -66,34 +66,6 @@ func TestMemoizedSearchMatchesUnmemoized(t *testing.T) {
 	}
 }
 
-// TestMemoizedSpeculativeMatchesUnmemoizedSequential triangulates the two
-// transparency guarantees: memoization plus speculation together must
-// still reproduce the plain sequential, unmemoized search.
-func TestMemoizedSpeculativeMatchesUnmemoizedSequential(t *testing.T) {
-	in := workload.MustGenerate(workload.Spec{
-		Family: workload.Adversarial, Machines: 5, Jobs: 20, Bags: 8, Seed: 1,
-	})
-	want, err := Solve(in, Options{Eps: 0.33, Speculate: 1, DisableMemo: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Solve(in, Options{Eps: 0.33, Speculate: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Makespan != want.Makespan {
-		t.Errorf("makespan %v != %v", got.Makespan, want.Makespan)
-	}
-	if !reflect.DeepEqual(got.Stats.Decision(), want.Stats.Decision()) {
-		t.Errorf("decision stats diverge:\ngot  %+v\nwant %+v", got.Stats.Decision(), want.Stats.Decision())
-	}
-	for j := range want.Schedule.Machine {
-		if got.Schedule.Machine[j] != want.Schedule.Machine[j] {
-			t.Fatalf("job %d assignment differs", j)
-		}
-	}
-}
-
 // TestCacheHitOnStandardInstance pins a standard instance where the memo
 // demonstrably engages: the binary search's later guesses land in the
 // rounding equivalence class of earlier ones. (At this eps the guess
@@ -104,7 +76,7 @@ func TestCacheHitOnStandardInstance(t *testing.T) {
 	in := workload.MustGenerate(workload.Spec{
 		Family: workload.Adversarial, Machines: 5, Jobs: 20, Bags: 8, Seed: 1,
 	})
-	res, err := Solve(in, Options{Eps: 0.25, Speculate: 1})
+	res, err := Solve(in, Options{Eps: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +115,7 @@ func TestSolveContextTimeoutMidSolve(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := SolveContext(ctx, in, Options{Eps: 0.25, Speculate: 1})
+	_, err := SolveContext(ctx, in, Options{Eps: 0.25})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("SolveContext returned %v, want context.DeadlineExceeded", err)
 	}
@@ -160,7 +132,7 @@ func TestPriorityCapLadderDegrades(t *testing.T) {
 	in := workload.MustGenerate(workload.Spec{
 		Family: workload.Uniform, Machines: 10, Jobs: 40, Bags: 20, Seed: 17,
 	})
-	res, err := Solve(in, Options{Eps: 0.5, Speculate: 1})
+	res, err := Solve(in, Options{Eps: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,14 +33,14 @@ func TestFixedPointMatchesFloat64Reference(t *testing.T) {
 		opt  Options
 	}
 	variants := []variant{
-		{"default", Options{Eps: 0.5, Speculate: 1, MILP: diffMILP, PatternLimit: diffPatternLimit}},
-		{"eps033", Options{Eps: 0.33, Speculate: 1, MILP: diffMILP, PatternLimit: diffPatternLimit}},
-		{"prioritycap", Options{Eps: 0.5, Speculate: 1, BPrimeOverride: 2, MILP: diffMILP, PatternLimit: diffPatternLimit}},
+		{"default", Options{Eps: 0.5, MILP: diffMILP, PatternLimit: diffPatternLimit}},
+		{"eps033", Options{Eps: 0.33, MILP: diffMILP, PatternLimit: diffPatternLimit}},
+		{"prioritycap", Options{Eps: 0.5, BPrimeOverride: 2, MILP: diffMILP, PatternLimit: diffPatternLimit}},
 		// Paper mode materializes the y block, so its LP dimension is the
 		// pattern count times the small-size/bag diversity — a much
 		// tighter pattern budget keeps it a model-shape diff rather than
 		// a scale test.
-		{"papermode", Options{Eps: 0.5, Speculate: 1, Mode: cfgmilp.ModePaper, BPrimeOverride: 2,
+		{"papermode", Options{Eps: 0.5, Mode: cfgmilp.ModePaper, BPrimeOverride: 2,
 			MILP: milp.Options{MaxNodes: 80}, PatternLimit: 250}},
 	}
 	// Every family runs the default variant plus one rotating special
@@ -90,11 +90,11 @@ func TestFixedPointMatchesFloat64ReferenceLarger(t *testing.T) {
 		in := workload.MustGenerate(workload.Spec{
 			Family: fam, Machines: 8, Jobs: 40, Bags: 10, Seed: 77,
 		})
-		fixed, err := Solve(in, Options{Eps: 0.4, Speculate: 1, BPrimeOverride: 4, MILP: diffMILP, PatternLimit: diffPatternLimit})
+		fixed, err := Solve(in, Options{Eps: 0.4, BPrimeOverride: 4, MILP: diffMILP, PatternLimit: diffPatternLimit})
 		if err != nil {
 			t.Fatalf("%s fixed: %v", fam, err)
 		}
-		float, err := Solve(in, Options{Eps: 0.4, Speculate: 1, BPrimeOverride: 4, MILP: diffMILP, PatternLimit: diffPatternLimit, Float64Ref: true})
+		float, err := Solve(in, Options{Eps: 0.4, BPrimeOverride: 4, MILP: diffMILP, PatternLimit: diffPatternLimit, Float64Ref: true})
 		if err != nil {
 			t.Fatalf("%s float ref: %v", fam, err)
 		}

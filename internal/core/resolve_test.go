@@ -10,7 +10,7 @@ import (
 )
 
 func resolveOpts() Options {
-	return Options{Eps: 0.33, Speculate: 1}
+	return Options{Eps: 0.33}
 }
 
 // TestResolveMatchesFromScratch is the resolve contract in miniature:

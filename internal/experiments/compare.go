@@ -40,11 +40,11 @@ func runB1(cfg Config) (*Table, error) {
 			if lb <= 0 {
 				continue
 			}
-			r1, err := core.Solve(in, core.Options{Eps: 0.5, Speculate: 1})
+			r1, err := core.Solve(in, core.Options{Eps: 0.5})
 			if err != nil {
 				return nil, err
 			}
-			r2, err := core.Solve(in, core.Options{Eps: 0.33, Speculate: 1})
+			r2, err := core.Solve(in, core.Options{Eps: 0.33})
 			if err != nil {
 				return nil, err
 			}
@@ -100,10 +100,9 @@ func runA1(cfg Config) (*Table, error) {
 		for _, mode := range []cfgmilp.Mode{cfgmilp.ModeDecomposed, cfgmilp.ModePaper} {
 			start := time.Now()
 			res, err := core.Solve(in, core.Options{
-				Eps:       0.5,
-				Mode:      mode,
-				MILP:      milpOptions(mode),
-				Speculate: 1,
+				Eps:  0.5,
+				Mode: mode,
+				MILP: milpOptions(mode),
 			})
 			if err != nil {
 				return nil, err
@@ -148,9 +147,8 @@ func runA2(cfg Config) (*Table, error) {
 		for _, disable := range []bool{false, true} {
 			start := time.Now()
 			res, err := core.Solve(in, core.Options{
-				Eps:       0.5,
-				MILP:      milp.Options{DisableRounding: disable},
-				Speculate: 1,
+				Eps:  0.5,
+				MILP: milp.Options{DisableRounding: disable},
 			})
 			if err != nil {
 				return nil, err

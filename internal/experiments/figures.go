@@ -44,7 +44,7 @@ func runF1(cfg Config) (*Table, error) {
 	opt := ex.Makespan
 	t.Rows = append(t.Rows, []string{"optimal (exact B&B)", f4(opt), f3(1)})
 
-	res, err := core.Solve(in, core.Options{Eps: 0.3, Speculate: 1})
+	res, err := core.Solve(in, core.Options{Eps: 0.3})
 	if err != nil {
 		return nil, err
 	}

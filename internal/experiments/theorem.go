@@ -41,7 +41,7 @@ func runT1(cfg Config) (*Table, error) {
 				if !ex.Proven {
 					continue
 				}
-				res, err := core.Solve(in, core.Options{Eps: eps, Speculate: 1})
+				res, err := core.Solve(in, core.Options{Eps: eps})
 				if err != nil {
 					return nil, err
 				}
@@ -130,14 +130,10 @@ func runT2(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// timeEPTAS times one solve with speculation pinned off, so the reported
-// wall-clock measures the paper's sequential algorithm and stays
-// comparable across machines and with previously recorded tables (the
-// ExS1 and ExS2 benchmarks in bench_test.go time the parallel paths).
+// timeEPTAS times one solve. A solve evaluates its guesses one at a
+// time on one goroutine, so the reported wall-clock measures the
+// paper's sequential algorithm.
 func timeEPTAS(in *sched.Instance, opt core.Options) (float64, *core.Result, error) {
-	if opt.Speculate == 0 {
-		opt.Speculate = 1
-	}
 	start := time.Now()
 	res, err := core.Solve(in, opt)
 	return time.Since(start).Seconds(), res, err

@@ -206,9 +206,8 @@ var workspaces = sync.Pool{New: func() any { return new(lp.Workspace) }}
 // Solve runs branch and bound and returns the best solution found. The
 // context is polled once per node: a canceled or expired ctx aborts the
 // search and returns ctx.Err(), discarding any incumbent — callers that
-// cancel a solve no longer want its answer. This is how the EPTAS stops
-// speculative solves whose result is no longer needed and how public
-// context deadlines reach the innermost loop.
+// cancel a solve no longer want its answer. This is how public context
+// deadlines and canceled requests reach the innermost loop.
 func Solve(ctx context.Context, m *Model, opt Options) (Solution, error) {
 	if opt.MaxNodes <= 0 {
 		opt.MaxNodes = 20000

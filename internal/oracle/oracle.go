@@ -168,7 +168,7 @@ var ErrUnsupported = errors.New("oracle: model not supported by this backend")
 // realizing the demand block; otherwise the error wraps ErrInfeasible,
 // ErrLimit or ErrUnsupported (or the context's error on cancellation).
 // Implementations must be stateless and safe for concurrent use —
-// speculative guess evaluation runs several solves at once — and
+// concurrent requests run several solves at once — and
 // deterministic: for a fixed model and limits the returned plan and
 // stats must not depend on wall-clock or machine load.
 type Backend interface {

@@ -195,8 +195,8 @@ func (a *intArena) clone(s []int) []int {
 // whose numeric view (per-job size indices and classes) is view and
 // whose bag priority flags are given by prio (length in.NumBags). The
 // context is polled once per emitted pattern; a canceled or expired ctx
-// aborts the enumeration and returns ctx.Err(), so abandoned speculative
-// pipelines stop burning CPU on large spaces.
+// aborts the enumeration and returns ctx.Err(), so a solve past its
+// deadline stops burning CPU on large spaces.
 func Enumerate(ctx context.Context, in *sched.Instance, view *classify.View, prio []bool, opt Options) (*Space, error) {
 	info := view.Info
 	limit := opt.Limit

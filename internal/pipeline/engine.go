@@ -105,8 +105,7 @@ const (
 )
 
 // Metrics aggregates engine-level work counters over all pipeline
-// executions of one solve, including rejected guesses and abandoned
-// speculative evaluations.
+// executions of one solve, including rejected guesses.
 type Metrics struct {
 	// Runs counts started pipeline executions (the Classify..Lift
 	// ladder), including executions that were later canceled.
@@ -114,10 +113,10 @@ type Metrics struct {
 	// CacheHits counts guesses decided without a pipeline execution of
 	// their own — either from a committed memo entry or by waiting for
 	// an in-flight execution of the same signature; CacheMisses counts
-	// guesses that claimed their signature and ran the pipeline. Under
-	// speculative evaluation the split can vary between runs (a
-	// speculative guess may or may not overlap its twin) — the results
-	// never do.
+	// guesses that claimed their signature and ran the pipeline. With a
+	// shared cache the split can vary between runs (a concurrent request
+	// may or may not have stored or claimed the same key first) — the
+	// results never do.
 	CacheHits   int
 	CacheMisses int
 	// StageTime is the total wall-clock time per stage, keyed by
@@ -151,9 +150,8 @@ type Metrics struct {
 // committed; a cancellation abandons the claim and the next evaluation
 // recomputes. See internal/memo for the exact semantics.
 //
-// An Engine is safe for concurrent use; speculative guess evaluation
-// shares one engine across its pipelines, and the serving layer shares
-// one cache across engines.
+// An Engine is safe for concurrent use, and the serving layer shares
+// one cache across the engines of concurrent requests.
 type Engine struct {
 	cfg     Config
 	fam     family.Family
@@ -329,10 +327,10 @@ func (e *Engine) auxFor(in *sched.Instance) uint64 {
 }
 
 // arenas pools scratch arenas, one leased per pipeline execution
-// (speculative guesses and concurrent requests run several at once,
-// each with its own). The pool is shared by every engine, so in steady
-// state a run reuses slabs an earlier solve already grew and the
-// per-guess allocation churn of the oracle and the placer disappears.
+// (concurrent requests run several at once, each with its own). The
+// pool is shared by every engine, so in steady state a run reuses slabs
+// an earlier solve already grew and the per-guess allocation churn of
+// the oracle and the placer disappears.
 var arenas = sync.Pool{New: func() any { return new(scratch.Arena) }}
 
 // runLadder runs the Classify..Lift stages, degrading the priority cap on

@@ -167,7 +167,7 @@ func (st *State) resetRung() {
 // Stage is one step of the per-guess pipeline. Run reads its inputs from
 // st and writes its outputs back; an error rejects the current attempt
 // (ladder rung). Stages must be stateless and safe for concurrent use —
-// speculative guess evaluation runs several pipelines at once.
+// concurrent requests run several pipelines at once.
 type Stage interface {
 	Name() string
 	Run(ctx context.Context, st *State) error

@@ -5,10 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/sched"
 )
@@ -19,30 +16,6 @@ func guessSchedule(ms float64) *sched.Schedule {
 	in := sched.NewInstance(1)
 	in.AddJob(ms, 0)
 	return &sched.Schedule{Inst: in, Machine: []int{0}}
-}
-
-func checkIdentical(t *testing.T, seq, spec SearchResult, seqOrder, specOrder []float64) {
-	t.Helper()
-	if seq.Guesses != spec.Guesses {
-		t.Errorf("guess counts differ: seq=%d spec=%d", seq.Guesses, spec.Guesses)
-	}
-	if seq.FinalGuess != spec.FinalGuess {
-		t.Errorf("final guesses differ: seq=%v spec=%v", seq.FinalGuess, spec.FinalGuess)
-	}
-	if (seq.Schedule == nil) != (spec.Schedule == nil) {
-		t.Fatalf("schedule presence differs: seq=%v spec=%v", seq.Schedule != nil, spec.Schedule != nil)
-	}
-	if seq.Schedule != nil && seq.Makespan != spec.Makespan {
-		t.Errorf("makespans differ: seq=%v spec=%v", seq.Makespan, spec.Makespan)
-	}
-	if len(seqOrder) != len(specOrder) {
-		t.Fatalf("commit orders differ in length: seq=%v spec=%v", seqOrder, specOrder)
-	}
-	for i := range seqOrder {
-		if seqOrder[i] != specOrder[i] {
-			t.Fatalf("commit order diverges at %d: seq=%v spec=%v", i, seqOrder, specOrder)
-		}
-	}
 }
 
 func TestGridIndexBasics(t *testing.T) {
@@ -73,119 +46,18 @@ func TestGridIndexExactPower(t *testing.T) {
 	}
 }
 
-// gridPair runs the sequential and speculative cold grid searches over
-// the same accept predicate and records each one's committed guess
-// order.
-func gridPair(t *testing.T, lb, ub, ratio float64, maxGuesses int, accept func(float64) bool) (seq, spec SearchResult, seqOrder, specOrder []float64) {
-	t.Helper()
-	eval := func(_ context.Context, g float64) (float64, bool) { return g, accept(g) }
-	seqCommit := func(g float64, v float64, ok bool) *sched.Schedule {
-		seqOrder = append(seqOrder, g)
-		if !ok {
-			return nil
-		}
-		return guessSchedule(v)
-	}
-	seq = SearchGridSeq(context.Background(), lb, ub, ratio, maxGuesses, eval, seqCommit)
-
-	var mu sync.Mutex
-	specCommit := func(g float64, v float64, ok bool) *sched.Schedule {
-		mu.Lock()
-		specOrder = append(specOrder, g)
-		mu.Unlock()
-		if !ok {
-			return nil
-		}
-		return guessSchedule(v)
-	}
-	spec = SearchGridSpec(context.Background(), lb, ub, ratio, maxGuesses, eval, specCommit)
-	return seq, spec, seqOrder, specOrder
-}
-
-// TestSearchGridSpecMatchesSequential checks that the speculative grid
-// search consumes the exact guess sequence of the sequential one —
-// same guesses, same order, same result — across accept-heavy,
-// reject-heavy and mixed paths.
-func TestSearchGridSpecMatchesSequential(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		lb, ub    float64
-		ratio     float64
-		maxG      int
-		threshold float64
-	}{
-		{"accept-all", 1, 4, 1.125, 40, 0},
-		{"reject-below-mid", 1, 4, 1.125, 40, 2},
-		{"accept-high-only", 1, 4, 1.125, 40, 3.9},
-		{"tight-threshold", 1, 4, 1.0625, 40, 1.2345},
-		{"few-guesses", 1, 4, 1.125, 3, 1.3},
-		{"two-guesses", 1, 4, 1.125, 2, 1.3},
-		{"one-guess", 1, 4, 1.125, 1, 1.3},
-		{"coarse-grid", 1, 4, 1.25, 40, 1.4},
-		{"narrow-interval", 1.5, 1.6, 1.125, 40, 1.55},
-		{"default-params", 1, 8, 1.1, 0, 3.21},
-		{"sub-one-interval", 0.01, 0.5, 1.125, 40, 0.07},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			accept := func(g float64) bool { return g >= tc.threshold }
-			seq, spec, so, po := gridPair(t, tc.lb, tc.ub, tc.ratio, tc.maxG, accept)
-			checkIdentical(t, seq, spec, so, po)
-		})
-	}
-}
-
-// TestSearchSpecMatchesSequential runs the same check on fine grids:
-// with ratio 1+1e-6 the bisection over [1, 2] is about 20 levels deep,
-// so the speculation tree is deep and the guess budget, when small,
-// cuts it off mid-descent.
-func TestSearchSpecMatchesSequential(t *testing.T) {
-	fine := 1 + 1e-6
-	for _, tc := range []struct {
-		name      string
-		lb, ub    float64
-		ratio     float64
-		maxG      int
-		threshold float64
-	}{
-		{"accept-all", 1, 2, fine, 40, 0},
-		{"reject-below-mid", 1, 2, fine, 40, 1.5},
-		{"accept-high-only", 1, 2, fine, 40, 1.97},
-		{"tight-threshold", 1, 2, fine, 40, 1.2345},
-		{"few-guesses", 1, 2, fine, 3, 1.3},
-		{"two-guesses", 1, 2, fine, 2, 1.3},
-		{"one-guess", 1, 2, fine, 1, 1.3},
-		{"wide-step", 1, 2, 1.3, 40, 1.4},
-		{"degenerate-interval", 1.5, 1.5, fine, 40, 1.0},
-		{"default-params", 1, 8, fine, 0, 3.21},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			accept := func(g float64) bool { return g >= tc.threshold }
-			seq, spec, so, po := gridPair(t, tc.lb, tc.ub, tc.ratio, tc.maxG, accept)
-			checkIdentical(t, seq, spec, so, po)
-		})
-	}
-}
-
 // TestSearchAllReject checks the no-accepted-guess path of the cold
-// sequential search: a nil schedule and a +Inf makespan.
+// search: a nil schedule and a +Inf makespan, both when the bisection
+// ends and the top rejects last and when the budget runs out before a
+// fine grid's bisection ends.
 func TestSearchAllReject(t *testing.T) {
 	eval := func(_ context.Context, g float64) (float64, bool) { return g, false }
 	commit := func(g float64, v float64, ok bool) *sched.Schedule { return nil }
-	res := SearchGridSeq(context.Background(), 1, 4, 1.125, 10, eval, commit)
-	if res.Schedule != nil || !math.IsInf(res.Makespan, 1) {
-		t.Errorf("reject-all produced a schedule: %+v", res)
-	}
-}
-
-// TestSearchSpecRejectAll checks the no-accepted-guess path of the
-// speculative search: it consumes the sequential search's guesses and
-// reports a nil schedule and a +Inf makespan, here with the budget
-// running out before the fine grid's bisection ends.
-func TestSearchSpecRejectAll(t *testing.T) {
-	seq, spec, so, po := gridPair(t, 1, 2, 1+1e-6, 10, func(float64) bool { return false })
-	checkIdentical(t, seq, spec, so, po)
-	if spec.Schedule != nil || !math.IsInf(spec.Makespan, 1) {
-		t.Errorf("reject-all produced a schedule: %+v", spec)
+	for _, ratio := range []float64{1.125, 1 + 1e-6} {
+		res := SearchGrid(context.Background(), 1, 4, ratio, 10, eval, commit)
+		if res.Schedule != nil || !math.IsInf(res.Makespan, 1) {
+			t.Errorf("ratio %v: reject-all produced a schedule: %+v", ratio, res)
+		}
 	}
 }
 
@@ -207,7 +79,7 @@ func TestSearchFindsThreshold(t *testing.T) {
 		}
 		return guessSchedule(1 / v)
 	}
-	res := SearchGridSeq(context.Background(), 1, 20, ratio, 0, eval, commit)
+	res := SearchGrid(context.Background(), 1, 20, ratio, 0, eval, commit)
 	want := GridValue(GridIndex(threshold, ratio), ratio)
 	if res.FinalGuess != want {
 		t.Errorf("final guess = %v, want %v", res.FinalGuess, want)
@@ -222,31 +94,24 @@ func TestSearchFindsThreshold(t *testing.T) {
 
 // TestSearchKeepsBestSchedule: when every guess is accepted and a
 // smaller guess yields a shorter schedule, the smallest accepted index
-// is also the shortest schedule committed, so the cold search,
-// sequential and speculative, returns the best schedule it saw.
+// is also the shortest schedule committed, so the cold search returns
+// the best schedule it saw.
 func TestSearchKeepsBestSchedule(t *testing.T) {
-	for _, search := range []func(context.Context, float64, float64, float64, int,
-		func(context.Context, float64) (float64, bool),
-		func(float64, float64, bool) *sched.Schedule) SearchResult{
-		SearchGridSeq[float64], SearchGridSpec[float64],
-	} {
-		best := math.Inf(1)
-		eval := func(_ context.Context, g float64) (float64, bool) { return g, true }
-		commit := func(_ float64, v float64, ok bool) *sched.Schedule {
-			best = math.Min(best, v)
-			return guessSchedule(v)
-		}
-		res := search(context.Background(), 2, 10, 1.01, 100, eval, commit)
-		if res.Schedule == nil || res.Makespan != best {
-			t.Errorf("kept makespan %g, best seen %g", res.Makespan, best)
-		}
+	best := math.Inf(1)
+	eval := func(_ context.Context, g float64) (float64, bool) { return g, true }
+	commit := func(_ float64, v float64, ok bool) *sched.Schedule {
+		best = math.Min(best, v)
+		return guessSchedule(v)
+	}
+	res := SearchGrid(context.Background(), 2, 10, 1.01, 100, eval, commit)
+	if res.Schedule == nil || res.Makespan != best {
+		t.Errorf("kept makespan %g, best seen %g", res.Makespan, best)
 	}
 }
 
-// TestSearchConvergesWithinSteps: over random thresholds the cold search,
-// sequential and speculative, lands on the smallest grid value at or
-// above the threshold within ceil(log2(khi-klo)) bisections plus the
-// top of the grid.
+// TestSearchConvergesWithinSteps: over random thresholds the cold
+// search lands on the smallest grid value at or above the threshold
+// within ceil(log2(khi-klo)) bisections plus the top of the grid.
 func TestSearchConvergesWithinSteps(t *testing.T) {
 	ratio := 1.0625
 	lb, ub := 1.0, 17.0
@@ -255,20 +120,26 @@ func TestSearchConvergesWithinSteps(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {
 		threshold := 1.01 + rng.Float64()*15
-		seq, spec, so, po := gridPair(t, lb, ub, ratio, 0, func(g float64) bool { return g >= threshold })
-		checkIdentical(t, seq, spec, so, po)
-		if want := GridValue(GridIndex(threshold, ratio), ratio); seq.FinalGuess != want {
-			t.Errorf("trial %d: final %v, want %v (threshold %g)", trial, seq.FinalGuess, want, threshold)
+		eval := func(_ context.Context, g float64) (float64, bool) { return g, g >= threshold }
+		commit := func(_ float64, v float64, ok bool) *sched.Schedule {
+			if !ok {
+				return nil
+			}
+			return guessSchedule(v)
 		}
-		if seq.Guesses > maxSteps {
-			t.Errorf("trial %d: %d guesses, want <= %d", trial, seq.Guesses, maxSteps)
+		res := SearchGrid(context.Background(), lb, ub, ratio, 0, eval, commit)
+		if want := GridValue(GridIndex(threshold, ratio), ratio); res.FinalGuess != want {
+			t.Errorf("trial %d: final %v, want %v (threshold %g)", trial, res.FinalGuess, want, threshold)
+		}
+		if res.Guesses > maxSteps {
+			t.Errorf("trial %d: %d guesses, want <= %d", trial, res.Guesses, maxSteps)
 		}
 	}
 }
 
-// TestSearchSpecCommitSeesValue checks that commit receives the value the
-// concurrent eval produced for that exact guess.
-func TestSearchSpecCommitSeesValue(t *testing.T) {
+// TestSearchCommitSeesValue checks that commit receives the value eval
+// produced for that exact guess.
+func TestSearchCommitSeesValue(t *testing.T) {
 	eval := func(_ context.Context, g float64) (float64, bool) { return 3 * g, true }
 	commit := func(g float64, v float64, ok bool) *sched.Schedule {
 		if v != 3*g {
@@ -279,14 +150,14 @@ func TestSearchSpecCommitSeesValue(t *testing.T) {
 		}
 		return guessSchedule(g)
 	}
-	res := SearchGridSpec(context.Background(), 1, 2, 1.01, 20, eval, commit)
+	res := SearchGrid(context.Background(), 1, 2, 1.01, 20, eval, commit)
 	if res.Schedule == nil {
 		t.Fatal("no schedule from accept-all search")
 	}
 }
 
 // TestSearchSeqContextStopsEarly checks that canceling the context stops
-// the sequential driver before the next guess: the search returns what it
+// the cold driver before the next guess: the search returns what it
 // has instead of running out its guess budget.
 func TestSearchSeqContextStopsEarly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -305,81 +176,12 @@ func TestSearchSeqContextStopsEarly(t *testing.T) {
 		}
 		return guessSchedule(v)
 	}
-	res := SearchGridSeq(ctx, 1, 2, 1.01, 40, eval, commit)
+	res := SearchGrid(ctx, 1, 2, 1.01, 40, eval, commit)
 	if res.Guesses != 2 {
 		t.Errorf("canceled search consumed %d guesses, want 2 (the first two midpoints)", res.Guesses)
 	}
 	if res.Schedule == nil {
 		t.Error("canceled search dropped the best-so-far schedule")
-	}
-}
-
-// TestSearchSpecDrainsAbandoned checks that no eval goroutine outlives
-// SearchGridSpec: abandoned evaluations are cancelled and awaited before
-// the search returns, even when they are slow to notice the cancellation.
-func TestSearchSpecDrainsAbandoned(t *testing.T) {
-	var active atomic.Int32
-	eval := func(ctx context.Context, g float64) (float64, bool) {
-		active.Add(1)
-		defer active.Add(-1)
-		select {
-		case <-ctx.Done():
-		case <-time.After(2 * time.Millisecond):
-		}
-		return g, g >= 1.5
-	}
-	commit := func(g float64, v float64, ok bool) *sched.Schedule {
-		if !ok {
-			return nil
-		}
-		return guessSchedule(v)
-	}
-	res := SearchGridSpec(context.Background(), 1, 2, 1.01, 20, eval, commit)
-	if res.Schedule == nil {
-		t.Fatal("no schedule")
-	}
-	if n := active.Load(); n != 0 {
-		t.Errorf("%d eval goroutines still running after SearchGridSpec returned", n)
-	}
-}
-
-// TestSearchSpecAbandonsLosers checks that every speculative evaluation
-// is either committed or canceled — no evaluation is silently left
-// running after the search returns.
-func TestSearchSpecAbandonsLosers(t *testing.T) {
-	var mu sync.Mutex
-	committed := map[float64]bool{}
-	cancels := map[float64]<-chan struct{}{}
-	eval := func(ctx context.Context, g float64) (float64, bool) {
-		mu.Lock()
-		cancels[g] = ctx.Done()
-		mu.Unlock()
-		return g, g >= 1.3
-	}
-	commit := func(g float64, v float64, ok bool) *sched.Schedule {
-		mu.Lock()
-		committed[g] = true
-		mu.Unlock()
-		if !ok {
-			return nil
-		}
-		return guessSchedule(v)
-	}
-	res := SearchGridSpec(context.Background(), 1, 2, 1.01, 40, eval, commit)
-	if res.Schedule == nil {
-		t.Fatal("no schedule")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for g, cancel := range cancels {
-		if committed[g] {
-			continue
-		}
-		select {
-		case <-cancel:
-		default:
-			t.Errorf("speculative eval of guess %v was neither committed nor canceled", g)
-		}
 	}
 }
 
@@ -400,7 +202,7 @@ func TestSearchWarmMatchesCold(t *testing.T) {
 			}
 			return guessSchedule(v)
 		}
-		cold := SearchGridSeq(context.Background(), lb, ub, ratio, 0, eval, commit)
+		cold := SearchGrid(context.Background(), lb, ub, ratio, 0, eval, commit)
 		for _, seed := range []float64{0.5, 1.0, 2.0, 7.3, 12.0, 19.0, 40.0} {
 			warm := SearchWarm(context.Background(), lb, ub, seed, ratio, 0, eval, commit)
 			if (cold.Schedule == nil) != (warm.Schedule == nil) {
@@ -436,7 +238,7 @@ func TestSearchWarmFewerGuessesNearSeed(t *testing.T) {
 		}
 		return guessSchedule(v)
 	}
-	cold := SearchGridSeq(context.Background(), lb, ub, ratio, 0, eval, commit)
+	cold := SearchGrid(context.Background(), lb, ub, ratio, 0, eval, commit)
 	warm := SearchWarm(context.Background(), lb, ub, cold.FinalGuess, ratio, 0, eval, commit)
 	if warm.Guesses >= cold.Guesses {
 		t.Errorf("warm search consumed %d guesses, cold %d — warm start bought nothing",
@@ -465,7 +267,7 @@ func TestSearchGridRespectsMaxGuesses(t *testing.T) {
 	evals := 0
 	eval := func(_ context.Context, g float64) (float64, bool) { evals++; return g, false }
 	commit := func(g float64, v float64, ok bool) *sched.Schedule { return nil }
-	SearchGridSeq(context.Background(), 1, 1e9, 1.0001, 5, eval, commit)
+	SearchGrid(context.Background(), 1, 1e9, 1.0001, 5, eval, commit)
 	if evals > 5 {
 		t.Errorf("cold grid search evaluated %d guesses, want <= 5", evals)
 	}
@@ -476,16 +278,15 @@ func TestSearchGridRespectsMaxGuesses(t *testing.T) {
 	}
 }
 
-// TestSearchRespectsMaxGuesses bounds the speculative cold driver:
-// however many successors it launches, it commits at most maxGuesses
-// guesses.
+// TestSearchRespectsMaxGuesses checks that the cold driver reports
+// exactly the guesses it committed, and at most maxGuesses of them.
 func TestSearchRespectsMaxGuesses(t *testing.T) {
 	commits := 0
 	eval := func(_ context.Context, g float64) (float64, bool) { return g, false }
 	commit := func(g float64, v float64, ok bool) *sched.Schedule { commits++; return nil }
-	res := SearchGridSpec(context.Background(), 1, 1e9, 1.0001, 5, eval, commit)
+	res := SearchGrid(context.Background(), 1, 1e9, 1.0001, 5, eval, commit)
 	if commits > 5 || res.Guesses != commits {
-		t.Errorf("speculative grid search committed %d guesses and reported %d, want the same count <= 5", commits, res.Guesses)
+		t.Errorf("grid search committed %d guesses and reported %d, want the same count <= 5", commits, res.Guesses)
 	}
 }
 
@@ -528,7 +329,7 @@ func TestSearchWarmSeedOutsideInterval(t *testing.T) {
 		}
 		return guessSchedule(v)
 	}
-	cold := SearchGridSeq(context.Background(), 1, 4, ratio, 0, eval, commit)
+	cold := SearchGrid(context.Background(), 1, 4, ratio, 0, eval, commit)
 	for _, seed := range []float64{1e-6, 1e6} {
 		warm := SearchWarm(context.Background(), 1, 4, seed, ratio, 0, eval, commit)
 		if warm.Schedule == nil || warm.FinalGuess != cold.FinalGuess {
@@ -539,9 +340,7 @@ func TestSearchWarmSeedOutsideInterval(t *testing.T) {
 
 // refSearchGrid is the cold driver as it stood before the top of the
 // grid moved last, kept as the reference: it probes khi first, then
-// bisects (klo, khi] until hi-lo == 1 or the budget is spent. The
-// speculative driver consumes what the sequential one does, so this
-// sequential form is the reference for both.
+// bisects (klo, khi] until hi-lo == 1 or the budget is spent.
 func refSearchGrid[T any](ctx context.Context, lb, ub, ratio float64, maxGuesses int,
 	eval func(ctx context.Context, guess float64) (T, bool),
 	commit func(guess float64, v T, ok bool) *sched.Schedule,
@@ -593,8 +392,7 @@ func newVectorCase(t testing.TB, klo int, accept []bool) *vectorCase {
 }
 
 // vectorRun is one search over a vectorCase: its result, every index
-// eval saw (speculative ones included) and the indexes commit consumed,
-// in order.
+// eval saw and the indexes commit consumed, in order.
 type vectorRun struct {
 	res       SearchResult
 	evaluated map[int]bool
@@ -617,7 +415,6 @@ func (r vectorRun) belowAccepted(c *vectorCase) bool {
 func (c *vectorCase) run(t testing.TB, search func(eval func(context.Context, float64) (int, bool),
 	commit func(float64, int, bool) *sched.Schedule) SearchResult) vectorRun {
 	t.Helper()
-	var mu sync.Mutex
 	r := vectorRun{evaluated: map[int]bool{}}
 	eval := func(_ context.Context, g float64) (int, bool) {
 		k, ok := c.index[g]
@@ -625,9 +422,7 @@ func (c *vectorCase) run(t testing.TB, search func(eval func(context.Context, fl
 			t.Errorf("guess %v is not a grid value in (%d, %d]", g, c.klo, c.khi)
 			return 0, false
 		}
-		mu.Lock()
 		r.evaluated[k] = true
-		mu.Unlock()
 		return k, c.accept[k-c.klo-1]
 	}
 	commit := func(_ float64, k int, ok bool) *sched.Schedule {
@@ -650,9 +445,9 @@ func (c *vectorCase) ref(t testing.TB, maxGuesses int) vectorRun {
 	})
 }
 
-func (c *vectorCase) cold(t testing.TB, maxGuesses int, speculate bool) vectorRun {
+func (c *vectorCase) cold(t testing.TB, maxGuesses int) vectorRun {
 	return c.run(t, func(eval func(context.Context, float64) (int, bool), commit func(float64, int, bool) *sched.Schedule) SearchResult {
-		return searchGrid(context.Background(), c.lb, c.ub, c.ratio, maxGuesses, eval, commit, speculate)
+		return SearchGrid(context.Background(), c.lb, c.ub, c.ratio, maxGuesses, eval, commit)
 	})
 }
 
@@ -677,10 +472,10 @@ func sameAnswer(got, want SearchResult) string {
 // and asserts the same answer, one guess fewer exactly when an index
 // below the top was accepted, and the top evaluated if and only if
 // nothing below it was accepted.
-func checkColdAgainstRef(t testing.TB, c *vectorCase, maxGuesses int, speculate bool) {
+func checkColdAgainstRef(t testing.TB, c *vectorCase, maxGuesses int) {
 	t.Helper()
-	ref, got := c.ref(t, maxGuesses), c.cold(t, maxGuesses, speculate)
-	label := fmt.Sprintf("accept %v, budget %d, speculate %v", c.accept, maxGuesses, speculate)
+	ref, got := c.ref(t, maxGuesses), c.cold(t, maxGuesses)
+	label := fmt.Sprintf("accept %v, budget %d", c.accept, maxGuesses)
 	if diff := sameAnswer(got.res, ref.res); diff != "" {
 		t.Errorf("%s: %s", label, diff)
 	}
@@ -732,7 +527,7 @@ func monotoneVector(width, threshold int) []bool {
 
 // TestSearchGridTopLast checks the cold driver against the top-first
 // reference over seeded random acceptance vectors, monotone and not,
-// across interval widths, budgets and speculation.
+// across interval widths and budgets.
 func TestSearchGridTopLast(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for width := 1; width <= 12; width++ {
@@ -748,9 +543,7 @@ func TestSearchGridTopLast(t *testing.T) {
 					}
 				}
 				c := newVectorCase(t, rng.Intn(17)-8, accept)
-				for _, speculate := range []bool{false, true} {
-					checkColdAgainstRef(t, c, maxGuesses, speculate)
-				}
+				checkColdAgainstRef(t, c, maxGuesses)
 			}
 		}
 	}
@@ -764,7 +557,7 @@ func TestSearchWarmTopLast(t *testing.T) {
 	for width := 1; width <= 12; width++ {
 		for threshold := 0; threshold <= width; threshold++ {
 			c := newVectorCase(t, -3, monotoneVector(width, threshold))
-			cold := c.cold(t, 0, false).res
+			cold := c.cold(t, 0).res
 			for k := c.klo - 3; k <= c.khi+3; k++ {
 				for _, seed := range []float64{GridValue(k, c.ratio), GridValue(k, c.ratio) * math.Sqrt(c.ratio)} {
 					checkWarm(t, c, seed, 0, &cold)
@@ -780,7 +573,7 @@ func TestSearchWarmTopLast(t *testing.T) {
 // rule (and, under monotone acceptance, against the cold answer).
 //
 // Layout: data[0] width, data[1] budget (0 is the default), data[2]
-// warm seed index, data[3] flags (bit 0 speculate, bit 1 monotone,
+// warm seed index, data[3] flags (bit 0 unused, bit 1 monotone,
 // bits 2–7 the floor index), data[4:] the acceptance bits, or under
 // monotone acceptance data[4] the threshold.
 func FuzzSearchGrid(f *testing.F) {
@@ -799,7 +592,7 @@ func FuzzSearchGrid(f *testing.F) {
 		width := 1 + at(0)%12
 		maxGuesses := at(1) % 9
 		flags := at(3)
-		speculate, monotone := flags&1 != 0, flags&2 != 0
+		monotone := flags&2 != 0
 		klo := (flags>>2)%16 - 8
 		var accept []bool
 		if monotone {
@@ -811,12 +604,12 @@ func FuzzSearchGrid(f *testing.F) {
 			}
 		}
 		c := newVectorCase(t, klo, accept)
-		checkColdAgainstRef(t, c, maxGuesses, speculate)
+		checkColdAgainstRef(t, c, maxGuesses)
 
 		seed := GridValue(c.klo-2+at(2)%(width+5), c.ratio)
 		checkWarm(t, c, seed, maxGuesses, nil)
 		if monotone {
-			cold := c.cold(t, 0, false).res
+			cold := c.cold(t, 0).res
 			checkWarm(t, c, seed, 0, &cold)
 		}
 	})

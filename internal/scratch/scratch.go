@@ -1,7 +1,7 @@
 // Package scratch provides a reusable typed arena for the per-solve
 // scratch buffers of the EPTAS pipeline. A binary-search solve runs the
-// per-guess pipeline dozens of times on the same instance (speculative
-// guesses, ladder rungs, repair retries), and each run used to allocate
+// per-guess pipeline dozens of times on the same instance (guesses,
+// ladder rungs, repair retries), and each run used to allocate
 // its working arrays — placer load vectors, configuration-DP residual
 // buffers — from the heap only to drop them microseconds later. An
 // Arena hands out slices from growable slabs and is reset wholesale

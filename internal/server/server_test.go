@@ -563,8 +563,9 @@ func TestSharedCacheHammer(t *testing.T) {
 // run their own solve, and the shared cache's in-flight claim still
 // runs every guess once among them. All of them answer alike, and the
 // cache records exactly the misses one solo request leaves on a fresh
-// server. Workers >= GOMAXPROCS saturates the queue, which turns guess
-// speculation off, so every request consumes the same guess sequence.
+// server. At least two workers let the requests overlap, and each solve
+// evaluates its guesses one at a time, so every request consumes the
+// same guess sequence.
 func TestIdenticalConcurrentSolves(t *testing.T) {
 	const k = 8
 	raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "bimodal_m6_n24.json"))
